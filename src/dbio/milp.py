@@ -18,7 +18,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,119 +76,169 @@ class SolveResult:
         return self.status in (OPTIMAL, FEASIBLE_GAP)
 
 
-@dataclass
-class _Constraint:
-    indices: np.ndarray
-    coefs: np.ndarray
-    sense: str
-    rhs: float
-    name: str
+def _names(blocks):
+    """Names of a list of blocks, each a list of names or a function returning one."""
+    return [name for block in blocks for name in (block() if callable(block) else block)]
 
 
 class MilpProblem:
-    """Sparse minimize-only MILP: variables, linear constraints, objective.
+    """Sparse minimize-only MILP held as arrays.
 
-    Construction is incremental; the problem is treated as immutable once
-    handed to :func:`solve`.
+    Per variable: objective ``c``, bounds ``lower``/``upper`` and
+    ``integrality`` (1 = binary). Per row: the CSR matrix ``A`` and row
+    bounds ``lb <= A @ x <= ub``. Variables and rows are appended in blocks
+    (:meth:`add_variables`, :meth:`add_constraints`), each checked with one
+    vectorized pass; :meth:`add_variable` and :meth:`add_constraint` are
+    one-element blocks. A block's names may be given as a function that is
+    only called for LP export and error messages. The problem is treated as
+    immutable once handed to :func:`solve`.
     """
 
     def __init__(self, name="problem"):
         self.name = name
-        self._var_names: list[str] = []
-        self._lower: list[float] = []
-        self._upper: list[float] = []
-        self._binary: list[bool] = []
-        self._constraints: list[_Constraint] = []
-        self._obj_coefs: dict[int, float] = {}
+        self.c = np.zeros(0)
+        self.lower = np.zeros(0)
+        self.upper = np.zeros(0)
+        self.integrality = np.zeros(0, dtype=int)
+        self.A = sp.csr_matrix((0, 0))
+        self.lb = np.zeros(0)
+        self.ub = np.zeros(0)
         self.objective_constant = 0.0
+        # Place of each entry of ``A`` among its row's terms as they were
+        # given (``A`` keeps each row's columns sorted); LP export uses it.
+        self._term_rank = np.zeros(0, dtype=np.int64)
+        self._var_names: list = []  # one entry per block, see _names
+        self._row_names: list = []
 
     # -- variables ---------------------------------------------------------
 
+    def add_variables(self, n, lower=0.0, upper=INF, binary=False, *, names,
+                      family="variables") -> np.ndarray:
+        """Append ``n`` variables and return their ids.
+
+        ``lower``, ``upper`` and ``binary`` broadcast to ``(n,)``; ``names``
+        is a list of ``n`` names or a function returning one.
+        """
+        lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
+        upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
+        binary = np.broadcast_to(np.asarray(binary, dtype=bool), (n,))
+        for bad, what in ((lower > upper, "lower > upper"),
+                          (binary & ~((lower >= 0) & (upper <= 1)),
+                           "binary variable bounds must be within [0, 1]")):
+            if bad.any():
+                i = np.argmax(bad)
+                raise MilpError(f"variables {family}: {_names([names])[i]} has bounds "
+                                f"[{lower[i]}, {upper[i]}]: {what}")
+        first = self.n_variables
+        self._var_names.append(names)
+        self.c = np.concatenate([self.c, np.zeros(n)])
+        self.lower = np.concatenate([self.lower, lower])
+        self.upper = np.concatenate([self.upper, upper])
+        self.integrality = np.concatenate([self.integrality, binary.astype(int)])
+        self.A.resize(self.n_constraints, self.n_variables)
+        return np.arange(first, first + n)
+
     def add_variable(self, name, lower=0.0, upper=INF, binary=False) -> int:
-        if lower > upper:
-            raise MilpError(f"variable {name}: lower {lower} > upper {upper}")
-        if binary and not (lower >= 0 and upper <= 1):
-            raise MilpError(f"binary variable {name}: bounds must be within [0, 1]")
-        self._var_names.append(name)
-        self._lower.append(float(lower))
-        self._upper.append(float(upper))
-        self._binary.append(bool(binary))
-        return len(self._var_names) - 1
+        return int(self.add_variables(1, lower, upper, binary, names=[name],
+                                      family=name)[0])
 
     @property
     def n_variables(self):
-        return len(self._var_names)
+        return len(self.lower)
 
     @property
     def n_constraints(self):
-        return len(self._constraints)
+        return len(self.lb)
 
     @property
     def binary_indices(self):
-        return [i for i, b in enumerate(self._binary) if b]
-
-    def variable_name(self, idx):
-        return self._var_names[idx]
-
-    def bounds(self):
-        return np.asarray(self._lower), np.asarray(self._upper)
+        return np.flatnonzero(self.integrality)
 
     # -- constraints and objective -----------------------------------------
 
+    def add_constraints(self, families, *, names) -> np.ndarray:
+        """Append the rows of one or more constraint families; return their ids.
+
+        Each family is ``(family, rows, terms, sense, rhs)``: the new row at
+        position ``rows[k]`` reads ``sum(coef * var) sense rhs[k]`` over
+        ``terms = [(var_ids, coefs), ...]``. ``var_ids``, ``coefs`` and
+        ``rhs`` broadcast against ``rows``. Together the families fill
+        positions ``0 .. n-1`` of the block once each. ``names`` is a list of
+        the block's row names or a function returning one.
+        """
+        first, n_vars = self.n_constraints, self.n_variables
+        n = sum(np.size(f[1]) for f in families)
+        lb, ub = np.empty(n), np.empty(n)
+        parts = []  # (rows, cols, coefs) per family, cols and coefs (k, terms)
+        for family, rows, terms, sense, rhs in families:
+            if sense not in _SENSES:
+                raise MilpError(f"constraints {family}: unknown sense {sense!r}")
+            rows = np.asarray(rows, dtype=np.int64)
+            cols = np.empty(rows.shape + (len(terms),), dtype=np.int64)
+            coefs = np.empty(cols.shape)
+            for j, (ids, vals) in enumerate(terms):
+                cols[..., j], coefs[..., j] = ids, vals
+            rhs = np.broadcast_to(np.asarray(rhs, dtype=float), rows.shape).ravel()
+            rows = rows.ravel()
+            cols, coefs = cols.reshape(rows.size, len(terms)), coefs.reshape(rows.size, len(terms))
+            for bad, what in (
+                    ((rows < 0) | (rows >= n), lambda k, j: f"position outside block of {n}"),
+                    (np.diff(np.sort(cols), axis=1) == 0, lambda k, j: "duplicate variable ids"),
+                    ((cols < 0) | (cols >= n_vars), lambda k, j: f"unknown variable id {cols[k, j]}"),
+                    (~np.isfinite(coefs), lambda k, j: "non-finite coefficient on "
+                     f"{_names(self._var_names)[cols[k, j]]}"),
+                    (~np.isfinite(rhs), lambda k, j: "non-finite rhs")):
+                if bad.any():
+                    k, j = np.argwhere(bad.reshape(rows.size, -1))[0]
+                    row = _names([names])[rows[k]] if 0 <= rows[k] < n else rows[k]
+                    raise MilpError(f"constraints {family}, row {row}: {what(k, j)}")
+            lb[rows] = -INF if sense == LE else rhs
+            ub[rows] = INF if sense == GE else rhs
+            parts.append((rows, cols, coefs))
+
+        cover = np.bincount(np.concatenate([r for r, _, _ in parts]), minlength=n)
+        if np.any(cover != 1):
+            raise MilpError(f"constraint block: row {_names([names])[np.argmax(cover != 1)]} "
+                            "is not given by exactly one family")
+        rows = np.concatenate([np.repeat(r, c.shape[1]) for r, c, _ in parts])
+        cols = np.concatenate([c.ravel() for _, c, _ in parts])
+        data = np.concatenate([v.ravel() for _, _, v in parts])
+        rank = np.concatenate([np.tile(np.arange(c.shape[1]), len(r)) for r, c, _ in parts])
+        block = sp.csr_matrix((data, (rows, cols)), shape=(n, n_vars))
+        # The same (row, column) pattern puts every entry at the same place,
+        # so this lines each term's given position up with ``block.data``.
+        rank = sp.csr_matrix((rank, (rows, cols)), shape=(n, n_vars)).data
+        self.A = sp.vstack([self.A, block], format="csr")
+        self._term_rank = np.concatenate([self._term_rank, rank])
+        self.lb = np.concatenate([self.lb, lb])
+        self.ub = np.concatenate([self.ub, ub])
+        self._row_names.append(names)
+        return np.arange(first, first + n)
+
     def add_constraint(self, terms, sense, rhs, name=None) -> int:
         """Add ``sum(coef * var) sense rhs``; ``terms`` is [(var_index, coef)]."""
-        if sense not in _SENSES:
-            raise MilpError(f"unknown sense {sense!r}")
-        idx = [t[0] for t in terms]
-        coefs = [t[1] for t in terms]
-        if len(set(idx)) != len(idx):
-            raise MilpError(f"constraint {name or len(self._constraints)}: duplicate variable ids")
-        for i, c in zip(idx, coefs):
-            if not 0 <= i < self.n_variables:
-                raise MilpError(f"constraint {name}: unknown variable id {i}")
-            if not math.isfinite(c):
-                raise MilpError(f"constraint {name}: non-finite coefficient on {self._var_names[i]}")
-        if not math.isfinite(rhs):
-            raise MilpError(f"constraint {name}: non-finite rhs")
-        self._constraints.append(_Constraint(
-            indices=np.asarray(idx, dtype=np.int64),
-            coefs=np.asarray(coefs, dtype=float),
-            sense=sense, rhs=float(rhs),
-            name=name or f"c{len(self._constraints)}"))
-        return len(self._constraints) - 1
+        name = name or f"c{self.n_constraints}"
+        return int(self.add_constraints([(name, [0], terms, sense, rhs)], names=[name])[0])
 
     def set_objective(self, terms, constant=0.0):
-        self._obj_coefs = {}
-        for i, c in terms:
-            if not 0 <= i < self.n_variables:
-                raise MilpError(f"objective: unknown variable id {i}")
-            self._obj_coefs[i] = self._obj_coefs.get(i, 0.0) + float(c)
-        self.objective_constant = float(constant)
+        """Minimize ``sum(coef * var) + constant`` over ``terms = [(var_ids, coefs)]``.
 
-    def objective_vector(self) -> np.ndarray:
-        c = np.zeros(self.n_variables)
-        for i, v in self._obj_coefs.items():
-            c[i] = v
-        return c
+        Ids and coefficients of a term broadcast together; coefficients of a
+        repeated id add up.
+        """
+        pairs = [np.broadcast_arrays(np.asarray(i, dtype=np.int64), np.asarray(v, dtype=float))
+                 for i, v in terms]
+        cols = np.concatenate([i.ravel() for i, _ in pairs] + [np.zeros(0, dtype=np.int64)])
+        bad = (cols < 0) | (cols >= self.n_variables)
+        if bad.any():
+            raise MilpError(f"objective: unknown variable id {cols[bad][0]}")
+        self.c = np.zeros(self.n_variables)
+        np.add.at(self.c, cols, np.concatenate([v.ravel() for _, v in pairs] + [np.zeros(0)]))
+        self.objective_constant = float(constant)
 
     def constraint_matrix(self):
         """(A, lb, ub) row-bound form of all constraints."""
-        rows, cols, data = [], [], []
-        lb = np.empty(self.n_constraints)
-        ub = np.empty(self.n_constraints)
-        for r, con in enumerate(self._constraints):
-            rows.extend([r] * len(con.indices))
-            cols.extend(con.indices.tolist())
-            data.extend(con.coefs.tolist())
-            if con.sense == LE:
-                lb[r], ub[r] = -INF, con.rhs
-            elif con.sense == GE:
-                lb[r], ub[r] = con.rhs, INF
-            else:
-                lb[r], ub[r] = con.rhs, con.rhs
-        A = sp.csr_matrix((data, (rows, cols)),
-                          shape=(self.n_constraints, self.n_variables))
-        return A, lb, ub
+        return self.A, self.lb, self.ub
 
     # -- evaluation and export ---------------------------------------------
 
@@ -202,17 +252,9 @@ class MilpProblem:
         if primal.shape != (self.n_variables,):
             raise MilpError(
                 f"assignment covers {primal.size} variables, expected {self.n_variables}")
-        residuals = np.empty(self.n_constraints)
-        for r, con in enumerate(self._constraints):
-            lhs = float(con.coefs @ primal[con.indices])
-            if con.sense == EQ:
-                residuals[r] = abs(lhs - con.rhs)
-            elif con.sense == LE:
-                residuals[r] = max(0.0, lhs - con.rhs)
-            else:
-                residuals[r] = max(0.0, con.rhs - lhs)
-        obj = float(self.objective_vector() @ primal) + self.objective_constant
-        return residuals, obj
+        lhs = self.A @ primal
+        residuals = np.maximum(np.maximum(self.lb - lhs, lhs - self.ub), 0.0)
+        return residuals, float(self.c @ primal) + self.objective_constant
 
     def to_lp_string(self) -> str:
         """Render in CPLEX LP text format."""
@@ -223,34 +265,29 @@ class MilpProblem:
                 return ("- " if c < 0 else "") + mag
             return ("- " if c < 0 else "+ ") + mag
 
+        var = _names(self._var_names)
         lines = [f"\\ {self.name}", "Minimize", " obj:"]
-        parts = []
-        first = True
-        for i in sorted(self._obj_coefs):
-            c = self._obj_coefs[i]
-            if c == 0:
-                continue
-            parts.append(term(c, self._var_names[i], first))
-            first = False
+        parts = [term(self.c[i], var[i], k == 0)
+                 for k, i in enumerate(np.flatnonzero(self.c))]
         if self.objective_constant:
-            parts.append(term(self.objective_constant, "", first).rstrip())
+            parts.append(term(self.objective_constant, "", not parts).rstrip())
         lines[-1] += " " + (" ".join(parts) if parts else "0")
         lines.append("Subject To")
-        for con in self._constraints:
-            body = []
-            first = True
-            for i, c in zip(con.indices, con.coefs):
-                body.append(term(c, self._var_names[i], first))
-                first = False
-            op = {LE: "<=", GE: ">=", EQ: "="}[con.sense]
-            lines.append(f" {con.name}: {' '.join(body) or '0'} {op} {con.rhs:.17g}")
+        A = self.A
+        entry_row = np.repeat(np.arange(self.n_constraints), np.diff(A.indptr))
+        given = np.lexsort((self._term_rank, entry_row))  # each row's terms as given
+        for r, name in enumerate(_names(self._row_names)):
+            body = [term(A.data[e], var[A.indices[e]], k == 0)
+                    for k, e in enumerate(given[A.indptr[r]:A.indptr[r + 1]])]
+            lo, hi = self.lb[r], self.ub[r]
+            op, rhs = (EQ, lo) if lo == hi else (LE, hi) if lo == -INF else (GE, lo)
+            lines.append(f" {name}: {' '.join(body) or '0'} {op} {rhs:.17g}")
         lines.append("Bounds")
-        for i, name in enumerate(self._var_names):
-            lo, hi = self._lower[i], self._upper[i]
+        for name, lo, hi in zip(var, self.lower, self.upper):
             lo_s = "-inf" if lo == -INF else f"{lo:.17g}"
             hi_s = "+inf" if hi == INF else f"{hi:.17g}"
             lines.append(f" {lo_s} <= {name} <= {hi_s}")
-        bins = [self._var_names[i] for i in self.binary_indices]
+        bins = [var[i] for i in self.binary_indices]
         if bins:
             lines.append("Binaries")
             for i in range(0, len(bins), 8):
@@ -267,18 +304,14 @@ class MilpProblem:
 
 
 def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
-    lower, upper = problem.bounds()
-    c = problem.objective_vector()
-    integrality = np.zeros(problem.n_variables, dtype=int)
-    integrality[problem.binary_indices] = 1
     constraints = []
     if problem.n_constraints:
         A, lb, ub = problem.constraint_matrix()
         constraints.append(_LinCon(A, lb, ub))
     t0 = time.perf_counter()
-    res = milp(c=c, constraints=constraints,
-               bounds=_Bounds(lower, upper),
-               integrality=integrality,
+    res = milp(c=problem.c, constraints=constraints,
+               bounds=_Bounds(problem.lower, problem.upper),
+               integrality=problem.integrality,
                options={"mip_rel_gap": opts.mip_gap,
                         "time_limit": opts.time_limit,
                         "presolve": True, "disp": False})
@@ -306,8 +339,7 @@ def _enum_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
     if len(bin_idx) > 20:
         raise BackendUnavailableError(
             f"enumeration backend limited to 20 binaries, problem has {len(bin_idx)}")
-    lower, upper = problem.bounds()
-    c = problem.objective_vector()
+    c = problem.c
     A, lb, ub = problem.constraint_matrix()
     A_ub = sp.vstack([A, -A]).tocsr()
     b_ub_base = np.concatenate([ub, -lb])
@@ -319,8 +351,8 @@ def _enum_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
     best = None
     any_feasible = False
     for combo in itertools.product((0.0, 1.0), repeat=len(bin_idx)):
-        lo = lower.copy()
-        hi = upper.copy()
+        lo = problem.lower.copy()
+        hi = problem.upper.copy()
         skip = False
         for i, v in zip(bin_idx, combo):
             if v < lo[i] - 1e-12 or v > hi[i] + 1e-12:
@@ -368,8 +400,3 @@ def solve(problem: MilpProblem, opts: SolveOptions | None = None,
         raise BackendUnavailableError(
             f"unknown solver backend {name!r}; available: {sorted(_BACKENDS)}")
     return _BACKENDS[name](problem, opts)
-
-
-def evaluate(problem: MilpProblem, primal):
-    """Module-level alias for :meth:`MilpProblem.evaluate`."""
-    return problem.evaluate(primal)

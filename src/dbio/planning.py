@@ -13,8 +13,7 @@ because installed sizes enter with constant coefficients.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,133 +163,89 @@ def _build(scenario: Scenario, profiles: MultiYearProfiles, opts: ModelBuildOpti
         else:
             s_bess_bounds = (0.0, INF)
 
-    series = {k: np.empty((Y, D, T), dtype=np.int64) for k in ModelIndex.SERIES}
-    s_pv = prob.add_variable("s_pv", *s_pv_bounds)
-    s_bess = prob.add_variable("s_bess", *s_bess_bounds)
-    p_cder_max = prob.add_variable("p_cder_max", *p_max_bounds)
-    e_init = prob.add_variable("e_init", 0.0, INF)
-
+    # Variables: the four sizes, then the 13 series of each flattened hour h
+    # at ids 4 + 13*h + j (j = position in ModelIndex.SERIES).
+    s_pv, s_bess, p_cder_max, e_init = (int(i) for i in prob.add_variables(
+        4, lower=[s_pv_bounds[0], s_bess_bounds[0], p_max_bounds[0], 0.0],
+        upper=[s_pv_bounds[1], s_bess_bounds[1], p_max_bounds[1], INF],
+        names=["s_pv", "s_bess", "p_cder_max", "e_init"], family="sizes"))
     u_grid_ub = 1.0 if tie > 0 else 0.0
-    for y in range(Y):
-        for d in range(D):
-            for t in range(T):
-                tag = f"{y}_{d}_{t}"
-                series["p_cder"][y, d, t] = prob.add_variable(f"p_cder_{tag}")
-                series["p_chg"][y, d, t] = prob.add_variable(f"p_chg_{tag}")
-                series["p_dchg"][y, d, t] = prob.add_variable(f"p_dchg_{tag}")
-                series["p_ls"][y, d, t] = prob.add_variable(
-                    f"p_ls_{tag}", 0.0, load[y, d, t])
-                series["p_imp"][y, d, t] = prob.add_variable(f"p_imp_{tag}", 0.0, tie)
-                series["p_exp"][y, d, t] = prob.add_variable(f"p_exp_{tag}", 0.0, tie)
-                series["p_curt"][y, d, t] = prob.add_variable(f"p_curt_{tag}")
-                series["e_bess"][y, d, t] = prob.add_variable(f"e_bess_{tag}")
-                series["u_cder"][y, d, t] = prob.add_variable(f"u_cder_{tag}", 0, 1, binary=True)
-                series["u_chg"][y, d, t] = prob.add_variable(f"u_chg_{tag}", 0, 1, binary=True)
-                series["u_dchg"][y, d, t] = prob.add_variable(f"u_dchg_{tag}", 0, 1, binary=True)
-                series["u_imp"][y, d, t] = prob.add_variable(
-                    f"u_imp_{tag}", 0, u_grid_ub, binary=True)
-                series["u_exp"][y, d, t] = prob.add_variable(
-                    f"u_exp_{tag}", 0, u_grid_ub, binary=True)
+    upper = {"p_ls": load, "p_imp": tie, "p_exp": tie, "u_cder": 1.0, "u_chg": 1.0,
+             "u_dchg": 1.0, "u_imp": u_grid_ub, "u_exp": u_grid_ub}
+    S = len(ModelIndex.SERIES)
+    ids = prob.add_variables(
+        Y * D * T * S,
+        upper=np.stack([np.broadcast_to(upper.get(k, INF), (Y, D, T))
+                        for k in ModelIndex.SERIES], axis=-1).ravel(),
+        binary=np.tile([k in ModelIndex.BINARIES for k in ModelIndex.SERIES], Y * D * T),
+        names=lambda: [f"{k}_{y}_{d}_{t}" for y, d, t in np.ndindex(Y, D, T)
+                       for k in ModelIndex.SERIES], family="dispatch")
+    v = {k: ids[j::S].reshape(Y, D, T) for j, k in enumerate(ModelIndex.SERIES)}
 
     soc_lo = bess.soc_min
     soc_hi = soh * bess.soc_max
-    eta_chg = eta_bess
+    pv_avail = np.asarray(eta_pv_by_year)[:, None, None] * pv_cf
+    # Energy tracking; every day restarts from the shared initial level.
+    e_prev = np.concatenate([np.full((Y, D, 1), e_init), v["e_bess"][..., :-1]], axis=-1)
 
-    # Initial energy level window (shared across all days).
-    prob.add_constraint([(e_init, 1.0), (s_bess, -soc_lo)], GE, 0.0, "einit_lo")
-    prob.add_constraint([(e_init, 1.0), (s_bess, -soc_hi)], LE, 0.0, "einit_hi")
-
-    for y in range(Y):
-        eta_pv_y = eta_pv_by_year[y]
-        for d in range(D):
-            for t in range(T):
-                tag = f"{y}_{d}_{t}"
-                v = {k: int(series[k][y, d, t]) for k in ModelIndex.SERIES}
-
-                # Hourly power balance: supply = demand + sinks.
-                prob.add_constraint(
-                    [(v["p_cder"], 1.0), (v["p_dchg"], 1.0),
-                     (s_pv, eta_pv_y * pv_cf[y, d, t]),
-                     (v["p_ls"], 1.0), (v["p_imp"], 1.0),
-                     (v["p_chg"], -1.0), (v["p_curt"], -1.0), (v["p_exp"], -1.0)],
-                    EQ, load[y, d, t], f"balance_{tag}")
-
-                # Generator limits against variable installed capacity (big-M form).
-                prob.add_constraint([(v["p_cder"], 1.0), (v["u_cder"], -big_m)],
-                                    LE, 0.0, f"cder_on_{tag}")
-                prob.add_constraint([(v["p_cder"], 1.0), (p_cder_max, -1.0)],
-                                    LE, 0.0, f"cder_cap_{tag}")
-                prob.add_constraint([(v["p_cder"], 1.0), (v["u_cder"], -big_m)],
-                                    GE, cder.p_min - big_m, f"cder_min_{tag}")
-
-                # Curtailment cannot exceed available PV power.
-                prob.add_constraint([(v["p_curt"], 1.0),
-                                     (s_pv, -eta_pv_y * pv_cf[y, d, t])],
-                                    LE, 0.0, f"curt_cap_{tag}")
-
-                # Stored-energy window.
-                prob.add_constraint([(v["e_bess"], 1.0), (s_bess, -soc_lo)],
-                                    GE, 0.0, f"soc_lo_{tag}")
-                prob.add_constraint([(v["e_bess"], 1.0), (s_bess, -soc_hi)],
-                                    LE, 0.0, f"soc_hi_{tag}")
-
-                # No simultaneous charge and discharge.
-                prob.add_constraint([(v["u_chg"], 1.0), (v["u_dchg"], 1.0)],
-                                    LE, 1.0, f"excl_bess_{tag}")
-
-                # Charge/discharge power: big-M on status, rate limit on capacity.
-                prob.add_constraint([(v["p_chg"], 1.0), (v["u_chg"], -big_m)],
-                                    LE, 0.0, f"chg_on_{tag}")
-                prob.add_constraint([(v["p_chg"], 1.0), (s_bess, -1.0 / bess.t_chg)],
-                                    LE, 0.0, f"chg_rate_{tag}")
-                prob.add_constraint([(v["p_dchg"], 1.0), (v["u_dchg"], -big_m)],
-                                    LE, 0.0, f"dchg_on_{tag}")
-                prob.add_constraint([(v["p_dchg"], 1.0), (s_bess, -1.0 / bess.t_dchg)],
-                                    LE, 0.0, f"dchg_rate_{tag}")
-
-                # Energy tracking; every day restarts from the shared initial level.
-                if t == 0:
-                    prev = [(e_init, -1.0)]
-                else:
-                    prev = [(int(series["e_bess"][y, d, t - 1]), -1.0)]
-                prob.add_constraint(
-                    [(v["e_bess"], 1.0)] + prev
-                    + [(v["p_chg"], -eta_chg), (v["p_dchg"], 1.0)],
-                    EQ, 0.0, f"etrack_{tag}")
-
-                # Grid limits and exclusivity.
-                prob.add_constraint([(v["p_imp"], 1.0), (v["u_imp"], -tie)],
-                                    LE, 0.0, f"imp_cap_{tag}")
-                prob.add_constraint([(v["p_exp"], 1.0), (v["u_exp"], -tie)],
-                                    LE, 0.0, f"exp_cap_{tag}")
-                prob.add_constraint([(v["u_imp"], 1.0), (v["u_exp"], 1.0)],
-                                    LE, 1.0, f"excl_grid_{tag}")
-
-            if cfg.cyclic_soc:
-                prob.add_constraint(
-                    [(int(series["e_bess"][y, d, T - 1]), 1.0), (e_init, -1.0)],
-                    EQ, 0.0, f"cyclic_{y}_{d}")
+    # (family, terms, sense, rhs) of the rows written for every hour.
+    hourly = [
+        # Hourly power balance: supply = demand + sinks.
+        ("balance", [(v["p_cder"], 1.0), (v["p_dchg"], 1.0), (s_pv, pv_avail),
+                     (v["p_ls"], 1.0), (v["p_imp"], 1.0), (v["p_chg"], -1.0),
+                     (v["p_curt"], -1.0), (v["p_exp"], -1.0)], EQ, load),
+        # Generator limits against variable installed capacity (big-M form).
+        ("cder_on", [(v["p_cder"], 1.0), (v["u_cder"], -big_m)], LE, 0.0),
+        ("cder_cap", [(v["p_cder"], 1.0), (p_cder_max, -1.0)], LE, 0.0),
+        ("cder_min", [(v["p_cder"], 1.0), (v["u_cder"], -big_m)], GE, cder.p_min - big_m),
+        # Curtailment cannot exceed available PV power.
+        ("curt_cap", [(v["p_curt"], 1.0), (s_pv, -pv_avail)], LE, 0.0),
+        # Stored-energy window.
+        ("soc_lo", [(v["e_bess"], 1.0), (s_bess, -soc_lo)], GE, 0.0),
+        ("soc_hi", [(v["e_bess"], 1.0), (s_bess, -soc_hi)], LE, 0.0),
+        # No simultaneous charge and discharge.
+        ("excl_bess", [(v["u_chg"], 1.0), (v["u_dchg"], 1.0)], LE, 1.0),
+        # Charge/discharge power: big-M on status, rate limit on capacity.
+        ("chg_on", [(v["p_chg"], 1.0), (v["u_chg"], -big_m)], LE, 0.0),
+        ("chg_rate", [(v["p_chg"], 1.0), (s_bess, -1.0 / bess.t_chg)], LE, 0.0),
+        ("dchg_on", [(v["p_dchg"], 1.0), (v["u_dchg"], -big_m)], LE, 0.0),
+        ("dchg_rate", [(v["p_dchg"], 1.0), (s_bess, -1.0 / bess.t_dchg)], LE, 0.0),
+        ("etrack", [(v["e_bess"], 1.0), (e_prev, -1.0), (v["p_chg"], -eta_bess),
+                    (v["p_dchg"], 1.0)], EQ, 0.0),
+        # Grid limits and exclusivity.
+        ("imp_cap", [(v["p_imp"], 1.0), (v["u_imp"], -tie)], LE, 0.0),
+        ("exp_cap", [(v["p_exp"], 1.0), (v["u_exp"], -tie)], LE, 0.0),
+        ("excl_grid", [(v["u_imp"], 1.0), (v["u_exp"], 1.0)], LE, 1.0),
+    ]
+    # Rows: einit_lo, einit_hi, then for each flattened day g the K rows of
+    # each hour t at 2 + g*per_day + K*t + k, then the day's cyclic row.
+    K = len(hourly)
+    per_day = K * T + int(cfg.cyclic_soc)
+    hour_row = 2 + per_day * np.arange(Y * D).reshape(Y, D, 1) + K * np.arange(T)
+    families = [("einit_lo", 0, [(e_init, 1.0), (s_bess, -soc_lo)], GE, 0.0),
+                ("einit_hi", 1, [(e_init, 1.0), (s_bess, -soc_hi)], LE, 0.0)]
+    families += [(family, hour_row + k, terms, sense, rhs)
+                 for k, (family, terms, sense, rhs) in enumerate(hourly)]
+    if cfg.cyclic_soc:
+        families.append(("cyclic", hour_row[..., -1] + K,
+                         [(v["e_bess"][..., -1], 1.0), (e_init, -1.0)], EQ, 0.0))
+    prob.add_constraints(families, names=lambda: ["einit_lo", "einit_hi"] + [
+        name for y, d in np.ndindex(Y, D)
+        for name in [f"{f}_{y}_{d}_{t}" for t in range(T) for f, *_ in hourly]
+        + [f"cyclic_{y}_{d}"] * cfg.cyclic_soc])
 
     # Objective.
-    deg_cost = bess.deg_cost_per_mwh
     obj = []
     if opts.ms == 1:
         obj += [(p_cder_max, cder.capital), (s_pv, pv.capital), (s_bess, bess.capital)]
     obj.append((s_pv, years_for_pv_deg * pv.rep_frac * pv.capital * pv.deg_rate))
-    for y in range(Y):
-        for d in range(D):
-            for t in range(T):
-                v = series
-                obj.append((int(v["p_cder"][y, d, t]), alpha * cder.op_cost))
-                obj.append((int(v["u_cder"][y, d, t]), alpha * cder.no_load))
-                obj.append((int(v["p_dchg"][y, d, t]), alpha * deg_cost))
-                obj.append((int(v["p_ls"][y, d, t]), alpha * cfg.ls_penalty))
-                obj.append((int(v["p_imp"][y, d, t]), alpha * imp_price[d, t]))
-                obj.append((int(v["p_exp"][y, d, t]), -alpha * exp_price[d, t]))
+    obj += [(v["p_cder"], alpha * cder.op_cost), (v["u_cder"], alpha * cder.no_load),
+            (v["p_dchg"], alpha * bess.deg_cost_per_mwh), (v["p_ls"], alpha * cfg.ls_penalty),
+            (v["p_imp"], alpha * imp_price), (v["p_exp"], -alpha * exp_price)]
     prob.set_objective(obj)
 
     index = ModelIndex(
-        shape=(Y, D, T), series=series,
+        shape=(Y, D, T), series=v,
         scalars={"s_pv": s_pv, "s_bess": s_bess, "p_cder_max": p_cder_max,
                  "e_init": e_init},
         alpha=alpha, years=years_for_pv_deg,

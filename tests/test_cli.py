@@ -1,5 +1,6 @@
 """End-to-end command-line runs on the small fixtures."""
 
+import hashlib
 import json
 
 import pytest
@@ -44,6 +45,17 @@ def test_dump_lp(fixtures_dir, tmp_path):
     text = (out / "integrated.lp").read_text()
     assert text.startswith("\\") and text.rstrip().endswith("End")
 
+
+# SHA-256 of the integrated.lp that the per-variable, per-row builder at
+# commit 363faaf wrote for this command, names and all.
+SEED_LP_SHA256 = "219d456afed396d3755f05a5db97bb50890202f0a6be96878b4872536ed78c65"
+
+
+def test_dump_lp_matches_seed_export(fixtures_dir, tmp_path):
+    out = tmp_path / "lp"
+    assert run(["--scenario", fixtures_dir / SCENARIO, "--out", out,
+                "--mode", "plan", "--dump-lp"]) == 0
+    assert hashlib.sha256((out / "integrated.lp").read_bytes()).hexdigest() == SEED_LP_SHA256
 
 def test_validate_mode_feasible(fixtures_dir, tmp_path):
     inv_path = tmp_path / "inv.json"

@@ -188,3 +188,42 @@ def test_write_lp(tmp_path):
     path = tmp_path / "model.lp"
     p.write_lp(path)
     assert path.read_text() == p.to_lp_string()
+
+
+def _two_families(bad_row):
+    """A two-family block over x, y whose "upper" family holds ``bad_row``."""
+    p = MilpProblem()
+    ids = p.add_variables(2, names=["x", "y"])
+    p.add_constraints([("lower", [0, 1], [(ids, 1.0)], GE, 0.0),
+                       ("upper", [2, 3], bad_row, LE, [1.0, 2.0])],
+                      names=["lo_x", "lo_y", "hi_x", "hi_y"])
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ([(0, [1.0, math.nan])], "non-finite coefficient on x"),
+    ([(0, 1.0), (0, 2.0)], "duplicate"),
+    ([([0, 5], 1.0)], "unknown variable id 5"),
+], ids=["nan-coefficient", "duplicate-id", "unknown-id"])
+def test_block_check_names_family_and_row(bad_row, message):
+    with pytest.raises(MilpError, match=f"upper, row hi_.: {message}"):
+        _two_families(bad_row)
+
+
+def test_block_rows_must_cover_the_block_once():
+    p = MilpProblem()
+    x = p.add_variable("x")
+    with pytest.raises(MilpError, match="exactly one family"):
+        p.add_constraints([("a", [0, 0], [(x, 1.0)], LE, 1.0)], names=["r0", "r1"])
+    with pytest.raises(MilpError, match="non-finite rhs"):
+        p.add_constraints([("a", [0, 1], [(x, 1.0)], LE, [1.0, math.inf])], names=["r0", "r1"])
+
+
+def test_variable_block_checks_name_family():
+    p = MilpProblem()
+    names = ["v0", "v1", "v2"]
+    with pytest.raises(MilpError, match=r"variables dispatch: v1 has bounds \[3.0, 2.0\]"):
+        p.add_variables(3, lower=[0.0, 3.0, 0.0], upper=2.0, names=names, family="dispatch")
+    with pytest.raises(MilpError, match="variables dispatch: v2 .*binary"):
+        p.add_variables(3, upper=[1.0, 1.0, 2.0], binary=True, names=lambda: names,
+                        family="dispatch")
+    assert p.n_variables == 0

@@ -1,6 +1,8 @@
 """Planning model structure, dispatch physics, and cost accounting."""
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from dbio import milp
 from dbio.planning import (InvestmentDecision, ModelBuildError, ModelBuildOptions,
                            YearOverrides, build_integrated, build_single_year,
                            extract_solution, pv_efficiency_schedule)
+from dbio.scenario import BessParams, CderParams, MultiYearProfiles, load_scenario
 
-from conftest import check_dispatch_invariants, make_scenario
+from conftest import FIXTURES, check_dispatch_invariants, make_scenario
 
 OPTS = milp.SolveOptions(mip_gap=0.0, time_limit=300.0)
 
@@ -192,3 +195,122 @@ def test_extract_requires_solution():
     bad = milp.SolveResult(status="infeasible", objective=float("nan"), primal=None)
     with pytest.raises(ModelBuildError, match="no solution"):
         extract_solution(bad, index)
+
+
+# SHA-256 of the solver input of each build: dtype, shape and bytes of
+# A.indptr, A.indices, A.data, lb, ub, c, lower, upper and integrality, then
+# the 8 bytes of objective_constant (see _solver_input_digest). Recorded from
+# the per-variable, per-row builder at commit 363faaf, where the same arrays
+# came from constraint_matrix(), bounds(), objective_vector() and an int
+# integrality vector with 1 at binary_indices, exactly as its HiGHS backend
+# assembled them. Equal digests mean HiGHS receives the same problem.
+# sizing_threshold and highuse_degradation differ only in horizon length and
+# degradation curves, so their single-year builds coincide.
+SEED_SOLVER_INPUT = {
+    "islanded_base/integrated":
+        "ce085ef8fbbeb2ffb55f5160dcacbdad5401900c501848a36d20de414a6d0d23",
+    "islanded_base/pinned":
+        "13a067210b3bb3c09e7631640e59c6eac10307ce8fd129fec579d6025c4180ce",
+    "islanded_base/single_year":
+        "847122ef86445e1a5529ac37c0ae307d6a934e973f40da06901917a517a1e006",
+    "grid_fixed/integrated":
+        "8a107c1a31f56f948aebeec103df55d7e4b0871bc78795e9bd8b849ce8974cdc",
+    "grid_fixed/pinned":
+        "406a2f9de8f0cc3601cb3daa727fe0fcb1a8cb043b97b04e6e908bfe1b304a8a",
+    "grid_fixed/single_year":
+        "2f61a1d2bc1cf2c715b91f9bd2d01ae76be8c737667ba8c98fab4406c939f0f1",
+    "sizing_threshold/integrated":
+        "f6647049bb09e271464f1bdd4ffe2d10fb01001effcbe0f399391f0de7d7654a",
+    "sizing_threshold/pinned":
+        "949429b2c4a22a57f36c917c437e990593a21146fc707a7b8ddd7eac7a7c5586",
+    "sizing_threshold/single_year":
+        "7ce67061ea454e5b160ca8624ab360505d8e55249afb9e8ef8264fe39fd84956",
+    "highuse_degradation/integrated":
+        "9fe73d009298fbf083514e19cd5bf8df2eee451a2a0037d050efd645449aba99",
+    "highuse_degradation/pinned":
+        "1d4c10b816cfe778c6dc01e3cd2945d4e263ac4eb72df4e216bc8b2cbb8d2188",
+    "highuse_degradation/single_year":
+        "7ce67061ea454e5b160ca8624ab360505d8e55249afb9e8ef8264fe39fd84956",
+    "synthetic/integrated":
+        "269761d927501a91b6f1dfa73fcdefb23566fbd8c5838ecc308cbc77cda8a7f9",
+    "synthetic/pinned":
+        "f7910c4743ee51ba131ff9baa0a011fbe90852af3388dd145f97352a0b1fa1b6",
+    "synthetic/single_year":
+        "426e76a073061f81aa0d446101b1b543fde5b53ce1caa347bc194da656fdb188",
+    "islanded_base_8760h/integrated":
+        "754567fa4e429578a2f55cc25e0f144601a036732c446bc84f435a86c927a425",
+    "islanded_base_8760h/single_year":
+        "ab60b5225ffa726e487f41059191cefc19619f612eda92b04229da661dae2a4f",
+}
+
+
+def _solver_input_digest(problem):
+    A, lb, ub = problem.constraint_matrix()
+    h = hashlib.sha256()
+    for a in (A.indptr, A.indices, A.data, lb, ub, problem.c, problem.lower,
+              problem.upper, problem.integrality):
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    h.update(np.float64(problem.objective_constant).tobytes())
+    return h.hexdigest()
+
+
+def _hourly_year(tmp_path):
+    """``islanded_base`` at full hourly resolution, one year (8760 h)."""
+    doc = json.loads((FIXTURES / "islanded_base.json").read_text())
+    doc["horizon"].update(planning_years=1, rep_days=365)
+    for key in ("load_file", "pv_cf_file"):
+        doc["profiles"][key] = str(FIXTURES / doc["profiles"][key])
+    path = tmp_path / "hourly.json"
+    path.write_text(json.dumps(doc))
+    return load_scenario(path)
+
+
+def _synthetic():
+    """Covers what the fixtures do not: soc_min = 0, no cyclic rows, a tie-line,
+    p_min and no-load cost."""
+    return make_scenario(np.linspace(0.2, 0.8, 24),
+                         np.clip(np.sin(np.linspace(0, np.pi, 24)), 0, 1), years=2,
+                         tie=0.3, import_price=40.0, cyclic_soc=False,
+                         cder=CderParams(capital=1e5, op_cost=50.0, no_load=5.0, p_min=0.1),
+                         bess=BessParams(capital=5e4, soc_min=0.0))
+
+
+def _build_mode(sc, mode):
+    prof = sc.profiles()
+    if mode == "integrated":
+        return build_integrated(sc, prof)
+    if mode == "pinned":
+        return build_integrated(sc, prof, ModelBuildOptions(ms=1, pin_s_bess=0.37))
+    # Last planning year, degraded below the rated 0.5 MWh.
+    inv = InvestmentDecision(s_pv=0.25, s_bess=0.5, p_cder_max=0.75)
+    overrides = YearOverrides(eta_pv=0.97 * sc.pv.eta_init, eta_bess=0.98 * sc.bess.eta_rt,
+                              s_bess_y=0.4, soh_y=0.9)
+    last = MultiYearProfiles(load=prof.load[-1:], pv_cf=prof.pv_cf[-1:])
+    return build_single_year(sc, last, overrides, inv)
+
+
+@pytest.mark.parametrize("case", [k for k in SEED_SOLVER_INPUT if "8760h" not in k])
+def test_solver_input_matches_seed_builder(case):
+    fixture, mode = case.split("/")
+    sc = _synthetic() if fixture == "synthetic" else load_scenario(FIXTURES / f"{fixture}.json")
+    problem, index = _build_mode(sc, mode)
+    # Explicit zeros stay in A, as before (PV terms at night, soc_min = 0):
+    # 40 terms per hour, 2 per einit row and per cyclic row.
+    Y, D, T = index.shape
+    A = problem.constraint_matrix()[0]
+    assert A.nnz == 40 * Y * D * T + 4 + 2 * Y * D * sc.cfg.cyclic_soc
+    assert np.any(A.data == 0)
+    assert _solver_input_digest(problem) == SEED_SOLVER_INPUT[case]
+
+
+def test_hourly_year_solver_input_matches_seed_builder(tmp_path):
+    sc = _hourly_year(tmp_path)
+    problem, _ = build_integrated(sc)
+    assert (problem.n_variables, problem.n_constraints) == (113_884, 140_527)
+    assert _solver_input_digest(problem) == SEED_SOLVER_INPUT["islanded_base_8760h/integrated"]
+    inv = InvestmentDecision(s_pv=0.11, s_bess=0.077, p_cder_max=0.8)
+    overrides = YearOverrides(eta_pv=1.0, eta_bess=0.9, s_bess_y=0.07, soh_y=0.95)
+    problem, _ = build_single_year(sc, sc.profiles(), overrides, inv)
+    assert _solver_input_digest(problem) == SEED_SOLVER_INPUT["islanded_base_8760h/single_year"]
