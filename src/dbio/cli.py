@@ -15,8 +15,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, milp, reports
-from .planning import (InvestmentDecision, ModelBuildOptions, build_integrated,
-                       extract_solution)
+from .planning import InvestmentDecision, build_integrated, extract_solution
 from .scenario import ScenarioError, load_scenario
 from .sizing import SearchConfig, SizingError, run_search
 from .validation import validate
@@ -92,8 +91,7 @@ def _solve_opts(scenario, args) -> milp.SolveOptions:
     s = scenario.cfg.solver
     return milp.SolveOptions(
         mip_gap=s.mip_gap if args.mip_gap is None else args.mip_gap,
-        time_limit=s.time_limit if args.time_limit is None else args.time_limit,
-        threads=s.threads)
+        time_limit=s.time_limit if args.time_limit is None else args.time_limit)
 
 
 def _plan(scenario, opts, out_dir, dump_lp):

@@ -31,9 +31,6 @@ INF = math.inf
 LE, EQ, GE = "<=", "=", ">="
 _SENSES = (LE, EQ, GE)
 
-FEASIBILITY_TOL = 1e-6
-INTEGRALITY_TOL = 1e-6
-
 
 class MilpError(RuntimeError):
     pass
@@ -47,7 +44,6 @@ class BackendUnavailableError(MilpError):
 class SolveOptions:
     mip_gap: float = 0.0
     time_limit: float = 3600.0
-    threads: int = 0  # 0 = backend default; HiGHS via scipy ignores this
 
     def __post_init__(self):
         if self.mip_gap < 0:

@@ -48,32 +48,6 @@ class YearOverrides:
 
 
 @dataclass
-class ModelBuildOptions:
-    """Build-time switches.
-
-    ``ms=1`` includes capital costs (planning build, sizes are variables);
-    ``ms=0`` requires a fixed investment (validation build). ``pin_s_bess``
-    fixes only the battery capacity while leaving the other sizes free,
-    which is what the sizing search probes use.
-    """
-
-    ms: int = 1
-    fixed_investment: InvestmentDecision | None = None
-    pin_s_bess: float | None = None
-    year_overrides: YearOverrides | None = None
-
-    def validate(self):
-        if self.ms not in (0, 1):
-            raise ModelBuildError("ms must be 0 or 1")
-        if self.ms == 1 and self.fixed_investment is not None:
-            raise ModelBuildError("ms=1 requires fixed_investment absent")
-        if self.ms == 0 and self.fixed_investment is None:
-            raise ModelBuildError("ms=0 requires fixed_investment")
-        if self.pin_s_bess is not None and self.pin_s_bess < 0:
-            raise ModelBuildError("pin_s_bess must be >= 0")
-
-
-@dataclass
 class ModelIndex:
     """Variable index maps plus the data needed to interpret a primal vector."""
 
@@ -86,7 +60,7 @@ class ModelIndex:
     import_price: np.ndarray    # (D, T)
     export_price: np.ndarray    # (D, T)
     scenario: Scenario
-    ms: int
+    capital: bool  # capital costs are in the objective (sizes are decisions)
 
     SERIES = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt",
               "e_bess", "u_cder", "u_chg", "u_dchg", "u_imp", "u_exp")
@@ -122,8 +96,11 @@ def pv_efficiency_schedule(pv, years: int) -> np.ndarray:
     return pv.eta_init * (1.0 - pv.deg_rate) ** np.arange(years)
 
 
-def _build(scenario: Scenario, profiles: MultiYearProfiles, opts: ModelBuildOptions,
-           eta_pv_by_year, eta_bess, soh, years_for_pv_deg, name):
+def _build(scenario: Scenario, profiles: MultiYearProfiles, eta_pv_by_year, eta_bess, name,
+           *, fixed: InvestmentDecision | None = None,
+           overrides: YearOverrides | None = None, pin_s_bess: float | None = None):
+    """Assemble the MILP. With ``fixed`` (and the year's ``overrides``) every
+    size is pinned and capital costs are left out of the objective."""
     cfg, cder, pv, bess = scenario.cfg, scenario.cder, scenario.pv, scenario.bess
     Y, D, T = profiles.load.shape
     if profiles.pv_cf.shape != (Y, D, T):
@@ -141,25 +118,22 @@ def _build(scenario: Scenario, profiles: MultiYearProfiles, opts: ModelBuildOpti
     pv_cf = profiles.pv_cf
     imp_price = scenario.tariff.import_price
     exp_price = scenario.tariff.export_price
-
-    fixed = opts.fixed_investment
-    ov = opts.year_overrides
+    capital = fixed is None
 
     # Capacity variables. Pinned sizes are encoded as lb == ub so the model
     # structure (and variable count) is identical in all build modes.
     if fixed is not None:
+        if overrides.s_bess_y > fixed.s_bess + 1e-12:
+            raise ModelBuildError(
+                f"override capacity {overrides.s_bess_y} exceeds rated {fixed.s_bess}")
         s_pv_bounds = (fixed.s_pv, fixed.s_pv)
         p_max_bounds = (fixed.p_cder_max, fixed.p_cder_max)
-        cap = ov.s_bess_y if ov is not None else fixed.s_bess
-        if ov is not None and ov.s_bess_y > fixed.s_bess + 1e-12:
-            raise ModelBuildError(
-                f"override capacity {ov.s_bess_y} exceeds rated {fixed.s_bess}")
-        s_bess_bounds = (cap, cap)
+        s_bess_bounds = (overrides.s_bess_y, overrides.s_bess_y)
     else:
         s_pv_bounds = (0.0, INF)
         p_max_bounds = (0.0, cder.max_size)
-        if opts.pin_s_bess is not None:
-            s_bess_bounds = (opts.pin_s_bess, opts.pin_s_bess)
+        if pin_s_bess is not None:
+            s_bess_bounds = (pin_s_bess, pin_s_bess)
         else:
             s_bess_bounds = (0.0, INF)
 
@@ -183,7 +157,7 @@ def _build(scenario: Scenario, profiles: MultiYearProfiles, opts: ModelBuildOpti
     v = {k: ids[j::S].reshape(Y, D, T) for j, k in enumerate(ModelIndex.SERIES)}
 
     soc_lo = bess.soc_min
-    soc_hi = soh * bess.soc_max
+    soc_hi = bess.soh_init * bess.soc_max
     pv_avail = np.asarray(eta_pv_by_year)[:, None, None] * pv_cf
     # Energy tracking; every day restarts from the shared initial level.
     e_prev = np.concatenate([np.full((Y, D, 1), e_init), v["e_bess"][..., :-1]], axis=-1)
@@ -236,9 +210,9 @@ def _build(scenario: Scenario, profiles: MultiYearProfiles, opts: ModelBuildOpti
 
     # Objective.
     obj = []
-    if opts.ms == 1:
+    if capital:
         obj += [(p_cder_max, cder.capital), (s_pv, pv.capital), (s_bess, bess.capital)]
-    obj.append((s_pv, years_for_pv_deg * pv.rep_frac * pv.capital * pv.deg_rate))
+    obj.append((s_pv, Y * pv.rep_frac * pv.capital * pv.deg_rate))
     obj += [(v["p_cder"], alpha * cder.op_cost), (v["u_cder"], alpha * cder.no_load),
             (v["p_dchg"], alpha * bess.deg_cost_per_mwh), (v["p_ls"], alpha * cfg.ls_penalty),
             (v["p_imp"], alpha * imp_price), (v["p_exp"], -alpha * exp_price)]
@@ -248,34 +222,32 @@ def _build(scenario: Scenario, profiles: MultiYearProfiles, opts: ModelBuildOpti
         shape=(Y, D, T), series=v,
         scalars={"s_pv": s_pv, "s_bess": s_bess, "p_cder_max": p_cder_max,
                  "e_init": e_init},
-        alpha=alpha, years=years_for_pv_deg,
+        alpha=alpha, years=Y,
         eta_pv_by_year=np.asarray(eta_pv_by_year, dtype=float),
         import_price=imp_price, export_price=exp_price,
-        scenario=scenario, ms=opts.ms)
+        scenario=scenario, capital=capital)
     return prob, index
 
 
-def build_integrated(scenario: Scenario, profiles: MultiYearProfiles | None = None,
-                     opts: ModelBuildOptions | None = None):
+def build_integrated(scenario: Scenario, profiles: MultiYearProfiles | None = None, *,
+                     pin_s_bess: float | None = None):
     """Build the full-horizon planning MILP (capital costs included).
 
     Battery state of health is held at its initial value; PV efficiency is
-    precomputed per year from the geometric fade recursion.
+    precomputed per year from the geometric fade recursion. ``pin_s_bess``
+    fixes the battery capacity and leaves the other sizes free, which is what
+    the sizing search probes use.
     """
-    opts = opts or ModelBuildOptions(ms=1)
-    opts.validate()
-    if opts.ms != 1:
-        raise ModelBuildError("build_integrated requires ms=1")
+    if pin_s_bess is not None and pin_s_bess < 0:
+        raise ModelBuildError("pin_s_bess must be >= 0")
     if profiles is None:
         profiles = scenario.profiles()
     Y = scenario.cfg.planning_years
     if profiles.load.shape[0] != Y:
         raise ModelBuildError(
             f"profiles span {profiles.load.shape[0]} years, horizon is {Y}")
-    eta_pv = pv_efficiency_schedule(scenario.pv, Y)
-    eta_bess0 = scenario.bess.eta_rt
-    return _build(scenario, profiles, opts, eta_pv, eta_bess0,
-                  scenario.bess.soh_init, Y, "integrated")
+    return _build(scenario, profiles, pv_efficiency_schedule(scenario.pv, Y),
+                  scenario.bess.eta_rt, "integrated", pin_s_bess=pin_s_bess)
 
 
 def build_single_year(scenario: Scenario, profiles_y: MultiYearProfiles,
@@ -289,11 +261,8 @@ def build_single_year(scenario: Scenario, profiles_y: MultiYearProfiles,
     """
     if profiles_y.load.shape[0] != 1:
         raise ModelBuildError("single-year build expects exactly one year of profiles")
-    opts = ModelBuildOptions(ms=0, fixed_investment=investment, year_overrides=overrides)
-    opts.validate()
-    return _build(scenario, profiles_y, opts,
-                  np.asarray([overrides.eta_pv]), overrides.eta_bess,
-                  scenario.bess.soh_init, 1, "single_year")
+    return _build(scenario, profiles_y, np.asarray([overrides.eta_pv]), overrides.eta_bess,
+                  "single_year", fixed=investment, overrides=overrides)
 
 
 def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSolution:
@@ -316,7 +285,7 @@ def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSol
         p_cder_max=float(x[index.scalars["p_cder_max"]]))
 
     capital = 0.0
-    if index.ms == 1:
+    if index.capital:
         capital = (inv.p_cder_max * cder.capital + inv.s_pv * pv.capital
                    + inv.s_bess * bess.capital)
     cder_op = alpha * float(np.sum(series["p_cder"]) * cder.op_cost

@@ -38,7 +38,6 @@ class SolveOptionsConfig:
 
     mip_gap: float = 0.0
     time_limit: float = 3600.0
-    threads: int = 0  # 0 = backend default
 
     def validate(self):
         _require(self.mip_gap >= 0, "solver.mip_gap", "must be >= 0")
@@ -128,14 +127,6 @@ class CycleLifeCurveSpec:
         _require(all(c1 > c2 for c1, c2 in zip(cycles, cycles[1:])),
                  "bess.cycle_life_curve", "cycle counts must be strictly decreasing")
         _require(all(c > 0 for c in cycles), "bess.cycle_life_curve", "cycle counts must be > 0")
-
-    @property
-    def max_dod(self):
-        return self.points[-1][0]
-
-    @property
-    def cl_at_max(self):
-        return self.points[-1][1]
 
 
 @dataclass(frozen=True)
@@ -256,6 +247,7 @@ def reduce_to_representative_days(series, rep_days: int) -> np.ndarray:
 def generate_multi_year(base_load, base_cf, cfg: ScenarioConfig) -> MultiYearProfiles:
     """Replicate base-year profiles across the horizon with compounding load growth.
 
+    The base profiles are at model resolution (``cfg.steps_per_year`` hours).
     PV capacity factors are held constant across years; PV aging is applied
     through the yearly efficiency parameter, not the capacity factor.
     """
@@ -263,14 +255,8 @@ def generate_multi_year(base_load, base_cf, cfg: ScenarioConfig) -> MultiYearPro
     base_cf = np.asarray(base_cf, dtype=float)
     n = cfg.steps_per_year
     for name, arr in (("load", base_load), ("pv_cf", base_cf)):
-        if arr.size == HOURS_PER_YEAR and n != HOURS_PER_YEAR:
-            arr = reduce_to_representative_days(arr, cfg.rep_days)
         if arr.size != n:
             raise ScenarioError(f"profiles.{name}: length {arr.size}, expected {n}")
-        if name == "load":
-            base_load = arr
-        else:
-            base_cf = arr
     shape = (cfg.planning_years, cfg.rep_days, cfg.hours_per_day)
     growth = (1.0 + cfg.load_growth) ** np.arange(cfg.planning_years)
     load = growth[:, None, None] * base_load.reshape(1, cfg.rep_days, cfg.hours_per_day)
@@ -280,8 +266,12 @@ def generate_multi_year(base_load, base_cf, cfg: ScenarioConfig) -> MultiYearPro
     return out
 
 
-def _read_series_csv(path: Path, expected_lengths) -> np.ndarray:
-    """Read an ``hour,value`` CSV and check its row count."""
+def _read_profile(path: Path, cfg: ScenarioConfig) -> np.ndarray:
+    """Read an ``hour,value`` CSV at model resolution.
+
+    The file holds either ``cfg.steps_per_year`` rows or a full 8760-hour
+    year, which is reduced to the representative days.
+    """
     if not path.exists():
         raise ScenarioError(f"profiles: file not found: {path}")
     values = []
@@ -298,13 +288,16 @@ def _read_series_csv(path: Path, expected_lengths) -> np.ndarray:
             except (IndexError, ValueError) as exc:
                 raise ScenarioError(f"{path}: bad row {row!r}") from exc
     arr = np.asarray(values, dtype=float)
+    expected_lengths = {cfg.steps_per_year, HOURS_PER_YEAR}
     if arr.size not in expected_lengths:
         raise ScenarioError(
             f"{path}: {arr.size} rows, expected one of {sorted(expected_lengths)}")
+    if arr.size != cfg.steps_per_year:
+        arr = reduce_to_representative_days(arr, cfg.rep_days)
     return arr
 
 
-def _build(cls, doc, path_prefix, field_paths=None):
+def _build(cls, doc, path_prefix):
     """Construct a dataclass from a dict, rejecting unknown keys."""
     known = {f for f in cls.__dataclass_fields__}
     unknown = set(doc) - known
@@ -329,7 +322,7 @@ def load_scenario(config_path) -> Scenario:
     base = config_path.parent
 
     horizon = dict(doc.get("horizon", {}))
-    solver = SolveOptionsConfig(**doc.get("solver", {}))
+    solver = _build(SolveOptionsConfig, doc.get("solver", {}), "solver")
     rep_days = int(horizon.get("rep_days", DAYS_PER_YEAR))
     if "alpha" not in horizon:
         horizon["alpha"] = DAYS_PER_YEAR / rep_days
@@ -361,13 +354,8 @@ def load_scenario(config_path) -> Scenario:
     for key in ("load_file", "pv_cf_file"):
         if key not in prof:
             raise ScenarioError(f"profiles.{key}: required")
-    lengths = {cfg.steps_per_year, HOURS_PER_YEAR}
-    base_load = _read_series_csv(base / prof["load_file"], lengths)
-    base_cf = _read_series_csv(base / prof["pv_cf_file"], lengths)
-    if base_load.size == HOURS_PER_YEAR and cfg.steps_per_year != HOURS_PER_YEAR:
-        base_load = reduce_to_representative_days(base_load, cfg.rep_days)
-    if base_cf.size == HOURS_PER_YEAR and cfg.steps_per_year != HOURS_PER_YEAR:
-        base_cf = reduce_to_representative_days(base_cf, cfg.rep_days)
+    base_load = _read_profile(base / prof["load_file"], cfg)
+    base_cf = _read_profile(base / prof["pv_cf_file"], cfg)
     if np.any(base_load < 0):
         raise ScenarioError("profiles.load_file: negative load values")
     if np.any((base_cf < 0) | (base_cf > 1)):
@@ -388,11 +376,7 @@ def _load_tariff(doc, cfg: ScenarioConfig, base: Path) -> TariffSchedule:
     elif mode in ("tou", "wholesale"):
         if "price_file" not in doc:
             raise ScenarioError(f"tariff.price_file: required for mode '{mode}'")
-        series = _read_series_csv(base / doc["price_file"],
-                                  {cfg.steps_per_year, HOURS_PER_YEAR})
-        if series.size == HOURS_PER_YEAR and cfg.steps_per_year != HOURS_PER_YEAR:
-            series = reduce_to_representative_days(series, cfg.rep_days)
-        import_price = series.reshape(shape)
+        import_price = _read_profile(base / doc["price_file"], cfg).reshape(shape)
     else:
         raise ScenarioError(f"tariff.mode: unknown mode '{mode}'")
     return TariffSchedule(mode=mode, import_price=import_price, export_factor=export_factor)

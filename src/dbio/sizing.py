@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import milp
-from .planning import InvestmentDecision, ModelBuildOptions, build_integrated, extract_solution
+from .planning import InvestmentDecision, build_integrated, extract_solution
 from .scenario import Scenario
 from .validation import DEFAULT_EUE_TOLERANCE, validate
 
@@ -83,10 +83,8 @@ def probe(size: float, scenario: Scenario, *, profiles=None,
     cfg = scenario.cfg
     profiles = profiles if profiles is not None else scenario.profiles()
     opts = solve_opts or milp.SolveOptions(mip_gap=cfg.solver.mip_gap,
-                                           time_limit=cfg.solver.time_limit,
-                                           threads=cfg.solver.threads)
-    problem, index = build_integrated(
-        scenario, profiles, ModelBuildOptions(ms=1, pin_s_bess=size))
+                                           time_limit=cfg.solver.time_limit)
+    problem, index = build_integrated(scenario, profiles, pin_s_bess=size)
     result = milp.solve(problem, opts, backend=backend)
     if not result.has_solution:
         raise SizingError(f"probe at {size} MWh: solver returned {result.status}")

@@ -86,8 +86,7 @@ def validate(investment: InvestmentDecision, scenario: Scenario,
     curve = CycleLifeCurve.from_spec(scenario.bess.cycle_life_curve)
     eff_model = fit_efficiency_model(scenario.bess.eff_model_points)
     opts = solve_opts or milp.SolveOptions(mip_gap=cfg.solver.mip_gap,
-                                           time_limit=cfg.solver.time_limit,
-                                           threads=cfg.solver.threads)
+                                           time_limit=cfg.solver.time_limit)
     rated = investment.s_bess
 
     state = initial_state(scenario, investment)

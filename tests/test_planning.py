@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from dbio import milp
-from dbio.planning import (InvestmentDecision, ModelBuildError, ModelBuildOptions,
-                           YearOverrides, build_integrated, build_single_year,
-                           extract_solution, pv_efficiency_schedule)
+from dbio.planning import (InvestmentDecision, ModelBuildError, YearOverrides,
+                           build_integrated, build_single_year, extract_solution,
+                           pv_efficiency_schedule)
 from dbio.scenario import BessParams, CderParams, MultiYearProfiles, load_scenario
 
 from conftest import FIXTURES, check_dispatch_invariants, make_scenario
@@ -18,9 +18,9 @@ from conftest import FIXTURES, check_dispatch_invariants, make_scenario
 OPTS = milp.SolveOptions(mip_gap=0.0, time_limit=300.0)
 
 
-def _solve(scenario, build_opts=None, profiles=None):
+def _solve(scenario, pin_s_bess=None, profiles=None):
     profiles = profiles if profiles is not None else scenario.profiles()
-    problem, index = build_integrated(scenario, profiles, build_opts)
+    problem, index = build_integrated(scenario, profiles, pin_s_bess=pin_s_bess)
     result = milp.solve(problem, OPTS)
     assert result.has_solution, result.status
     return extract_solution(result, index), profiles, result
@@ -152,21 +152,15 @@ def test_degraded_capacity_shrinks_window():
 def test_pin_s_bess_fixes_only_the_battery():
     load = np.linspace(0.2, 0.8, 24)
     sc = make_scenario(load, np.zeros(24))
-    sol, _, _ = _solve(sc, ModelBuildOptions(ms=1, pin_s_bess=0.25))
+    sol, _, _ = _solve(sc, pin_s_bess=0.25)
     assert sol.investment.s_bess == pytest.approx(0.25, abs=1e-9)
     assert sol.investment.p_cder_max > 0
 
 
 def test_build_option_validation():
-    inv = InvestmentDecision(0.1, 0.1, 0.1)
+    sc = make_scenario(np.full(24, 0.5), np.zeros(24))
     with pytest.raises(ModelBuildError):
-        ModelBuildOptions(ms=2).validate()
-    with pytest.raises(ModelBuildError):
-        ModelBuildOptions(ms=1, fixed_investment=inv).validate()
-    with pytest.raises(ModelBuildError):
-        ModelBuildOptions(ms=0).validate()
-    with pytest.raises(ModelBuildError):
-        ModelBuildOptions(ms=1, pin_s_bess=-1.0).validate()
+        build_integrated(sc, pin_s_bess=-1.0)
 
 
 def test_negative_investment_rejected():
@@ -282,7 +276,7 @@ def _build_mode(sc, mode):
     if mode == "integrated":
         return build_integrated(sc, prof)
     if mode == "pinned":
-        return build_integrated(sc, prof, ModelBuildOptions(ms=1, pin_s_bess=0.37))
+        return build_integrated(sc, prof, pin_s_bess=0.37)
     # Last planning year, degraded below the rated 0.5 MWh.
     inv = InvestmentDecision(s_pv=0.25, s_bess=0.5, p_cder_max=0.75)
     overrides = YearOverrides(eta_pv=0.97 * sc.pv.eta_init, eta_bess=0.98 * sc.bess.eta_rt,

@@ -1,4 +1,4 @@
-"""Cycle extraction kernels against hand traces and an independent reference."""
+"""Cycle extraction against hand traces and an independent reference."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbio import rainflow
-from dbio import _rainflow_py
 
 
 def reference_reversals(series):
-    """Turning-point extraction written independently of the kernels."""
+    """Turning-point extraction written independently of the kernel."""
     x = np.asarray(series, dtype=float)
     x = x[np.concatenate(([True], np.diff(x) != 0.0))]  # drop plateaus
     if x.size < 2:
@@ -76,23 +75,6 @@ def test_nested_cycle_extracted_before_residual():
     order = np.argsort(ranges)
     np.testing.assert_allclose(ranges[order], [0.2, 1.0, 1.0], rtol=1e-12)
     np.testing.assert_allclose(weights[order], [1.0, 0.5, 0.5])
-
-
-def test_backend_reports_kernel():
-    assert rainflow.BACKEND in ("cython", "python")
-
-
-def test_kernels_agree_exactly():
-    if rainflow.BACKEND != "cython":
-        pytest.skip("compiled kernel unavailable; single-kernel build")
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n = int(rng.integers(2, 2000))
-        walk = np.clip(np.cumsum(rng.normal(0, 0.1, n)) + 0.5, 0.0, 1.0)
-        r_c, w_c = rainflow.extract_cycles(walk)
-        r_p, w_p = _rainflow_py.extract_cycles(walk)
-        np.testing.assert_array_equal(r_c, r_p)
-        np.testing.assert_array_equal(w_c, w_p)
 
 
 def test_matches_reference_on_random_walks():

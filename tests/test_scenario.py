@@ -77,15 +77,16 @@ def test_load_scenario_missing_file(tmp_path):
         load_scenario(tmp_path / "nope.json")
 
 
-def test_load_scenario_rejects_unknown_field(tmp_path, fixtures_dir):
+@pytest.mark.parametrize("section, key", [("cder", "banana"), ("solver", "thread")])
+def test_load_scenario_rejects_unknown_field(tmp_path, fixtures_dir, section, key):
     doc = json.loads((fixtures_dir / "sizing_threshold.json").read_text())
-    doc["cder"]["banana"] = 1
+    doc[section][key] = 1
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     # Profile files resolve relative to the config location.
     for f in ("load_deficit_24.csv", "pv_zero_24.csv"):
         (tmp_path / f).write_text((fixtures_dir / f).read_text())
-    with pytest.raises(ScenarioError, match="banana"):
+    with pytest.raises(ScenarioError, match=f"{section}: unknown field.*{key}"):
         load_scenario(path)
 
 
