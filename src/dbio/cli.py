@@ -87,26 +87,33 @@ def write_manifest(args, out_dir: Path, converged=True):
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _solve_opts(scenario, args) -> milp.SolveOptions:
-    s = scenario.cfg.solver
-    return milp.SolveOptions(
-        mip_gap=s.mip_gap if args.mip_gap is None else args.mip_gap,
-        time_limit=s.time_limit if args.time_limit is None else args.time_limit)
+def _apply_overrides(scenario, args):
+    """The scenario with the command line's solver and cyclic-SOC overrides."""
+    solver = scenario.cfg.solver
+    try:
+        solver = dataclasses.replace(
+            solver,
+            mip_gap=solver.mip_gap if args.mip_gap is None else args.mip_gap,
+            time_limit=solver.time_limit if args.time_limit is None else args.time_limit)
+    except milp.MilpError as exc:
+        raise ScenarioError(f"solver override: {exc}") from exc
+    cyclic_soc = scenario.cfg.cyclic_soc and not args.no_cyclic_soc
+    return dataclasses.replace(scenario, cfg=dataclasses.replace(
+        scenario.cfg, solver=solver, cyclic_soc=cyclic_soc))
 
 
-def _plan(scenario, opts, out_dir, dump_lp):
-    profiles = scenario.profiles()
-    problem, index = build_integrated(scenario, profiles)
+def _plan(scenario, out_dir, dump_lp):
+    problem, index = build_integrated(scenario)
     if dump_lp:
         problem.write_lp(out_dir / "integrated.lp")
     _progress(f"solving integrated model ({problem.n_variables} vars, "
               f"{problem.n_constraints} rows)...")
-    result = milp.solve(problem, opts)
+    result = milp.solve(problem, scenario.cfg.solver)
     _progress(f"  status={result.status} objective={result.objective:.2f} "
               f"gap={result.achieved_gap:.2%} ({result.runtime:.1f}s)")
     if not result.has_solution:
         raise milp.MilpError(f"integrated solve failed: status {result.status}")
-    return extract_solution(result, index), profiles
+    return extract_solution(result, index)
 
 
 def main(argv=None) -> int:
@@ -115,18 +122,14 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
-        scenario = load_scenario(args.scenario)
+        scenario = _apply_overrides(load_scenario(args.scenario), args)
     except ScenarioError as exc:
         _progress(f"error: {exc}")
         return 2
-    if args.no_cyclic_soc:
-        scenario = dataclasses.replace(
-            scenario, cfg=dataclasses.replace(scenario.cfg, cyclic_soc=False))
-    opts = _solve_opts(scenario, args)
 
     try:
         if args.mode == "plan":
-            sol, _ = _plan(scenario, opts, out_dir, args.dump_lp)
+            sol = _plan(scenario, out_dir, args.dump_lp)
             reports.write_costs(sol, out_dir)
             reports.write_sizing(sol.investment, out_dir)
             reports.write_dispatch(sol, out_dir)
@@ -144,7 +147,7 @@ def main(argv=None) -> int:
                 _progress(f"year {r.year}: eue={r.eue_y:.6g} MWh "
                           f"capacity={r.state_in.capacity:.6g} MWh")
 
-            report = validate(investment, scenario, solve_opts=opts, on_year=on_year)
+            report = validate(investment, scenario, on_year=on_year)
             reports.write_degradation(report, out_dir)
             reports.write_validation_summary(report, out_dir)
             last = report.per_year[-1].dispatch
@@ -155,7 +158,7 @@ def main(argv=None) -> int:
             return 0 if report.feasible and not report.truncated else 1
 
         # size mode: plan, then search, then report everything.
-        sol, profiles = _plan(scenario, opts, out_dir, args.dump_lp)
+        sol = _plan(scenario, out_dir, args.dump_lp)
         search_cfg = SearchConfig(
             method="binary" if args.method == "binary" else "fixed_step",
             tolerance=args.tol, step_frac=args.step)
@@ -165,10 +168,9 @@ def main(argv=None) -> int:
                       f"MWh eue={rec.total_eue:.6g} shed={'YES' if rec.shed else 'NO'}")
 
         sizing = run_search(sol.investment, scenario, search_cfg,
-                            profiles=profiles, solve_opts=opts,
                             on_iteration=on_iteration)
-        final_inv = sizing.final_investment or sol.investment
-        final_report = validate(final_inv, scenario, profiles, solve_opts=opts)
+        final_inv = sizing.final_investment
+        final_report = validate(final_inv, scenario)
 
         reports.write_costs(sol, out_dir)
         reports.write_sizing(final_inv, out_dir)

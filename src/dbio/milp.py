@@ -40,8 +40,10 @@ class BackendUnavailableError(MilpError):
     """Requested solver backend cannot be used (missing or unsuitable)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
+    """Per-solve settings; a scenario's ``solver`` section."""
+
     mip_gap: float = 0.0
     time_limit: float = 3600.0
 

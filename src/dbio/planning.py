@@ -44,7 +44,6 @@ class YearOverrides:
     eta_pv: float
     eta_bess: float
     s_bess_y: float  # degraded capacity, MWh
-    soh_y: float
 
 
 @dataclass
@@ -54,11 +53,6 @@ class ModelIndex:
     shape: tuple  # (Y, D, T)
     series: dict  # name -> int array of shape (Y, D, T)
     scalars: dict  # name -> int
-    alpha: float
-    years: int  # planning-year multiplier for the PV degradation cost term
-    eta_pv_by_year: np.ndarray  # (Y,)
-    import_price: np.ndarray    # (D, T)
-    export_price: np.ndarray    # (D, T)
     scenario: Scenario
     capital: bool  # capital costs are in the objective (sizes are decisions)
 
@@ -77,12 +71,6 @@ class DispatchSolution:
     costs: dict               # component name -> $
     objective: float
     shape: tuple
-
-    def __getattr__(self, name):
-        try:
-            return self.series[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
     @property
     def cost_total(self):
@@ -222,9 +210,6 @@ def _build(scenario: Scenario, profiles: MultiYearProfiles, eta_pv_by_year, eta_
         shape=(Y, D, T), series=v,
         scalars={"s_pv": s_pv, "s_bess": s_bess, "p_cder_max": p_cder_max,
                  "e_init": e_init},
-        alpha=alpha, years=Y,
-        eta_pv_by_year=np.asarray(eta_pv_by_year, dtype=float),
-        import_price=imp_price, export_price=exp_price,
         scenario=scenario, capital=capital)
     return prob, index
 
@@ -278,7 +263,7 @@ def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSol
 
     sc = index.scenario
     cfg, cder, pv, bess = sc.cfg, sc.cder, sc.pv, sc.bess
-    alpha = index.alpha
+    alpha = cfg.alpha
     inv = InvestmentDecision(
         s_pv=float(x[index.scalars["s_pv"]]),
         s_bess=float(x[index.scalars["s_bess"]]),
@@ -290,11 +275,11 @@ def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSol
                    + inv.s_bess * bess.capital)
     cder_op = alpha * float(np.sum(series["p_cder"]) * cder.op_cost
                             + np.sum(series["u_cder"]) * cder.no_load)
-    pv_deg = index.years * pv.rep_frac * pv.capital * inv.s_pv * pv.deg_rate
+    pv_deg = Y * pv.rep_frac * pv.capital * inv.s_pv * pv.deg_rate
     bess_deg = alpha * bess.deg_cost_per_mwh * float(np.sum(series["p_dchg"]))
     shed = alpha * cfg.ls_penalty * float(np.sum(series["p_ls"]))
-    imp_cost = alpha * float(np.sum(series["p_imp"] * index.import_price[None]))
-    exp_rev = alpha * float(np.sum(series["p_exp"] * index.export_price[None]))
+    imp_cost = alpha * float(np.sum(series["p_imp"] * sc.tariff.import_price[None]))
+    exp_rev = alpha * float(np.sum(series["p_exp"] * sc.tariff.export_price[None]))
     costs = {"capital": capital, "cder_op": cder_op, "pv_deg": pv_deg,
              "bess_deg": bess_deg, "shed_penalty": shed,
              "import_cost": imp_cost, "export_revenue": exp_rev}

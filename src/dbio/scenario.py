@@ -11,10 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .milp import MilpError, SolveOptions
 
 HOURS_PER_YEAR = 8760
 DAYS_PER_YEAR = 365
@@ -33,18 +35,6 @@ def _require(cond, field_path, message):
 
 
 @dataclass(frozen=True)
-class SolveOptionsConfig:
-    """Solver knobs carried in the scenario document."""
-
-    mip_gap: float = 0.0
-    time_limit: float = 3600.0
-
-    def validate(self):
-        _require(self.mip_gap >= 0, "solver.mip_gap", "must be >= 0")
-        _require(self.time_limit > 0, "solver.time_limit", "must be > 0")
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Horizon and system-level settings."""
 
@@ -57,7 +47,7 @@ class ScenarioConfig:
     tie_limit: float = 0.0      # MW; 0 = islanded
     big_m: float = 10.0         # MW, linearization constant
     cyclic_soc: bool = True     # end-of-day stored energy returns to initial level
-    solver: SolveOptionsConfig = field(default_factory=SolveOptionsConfig)
+    solver: SolveOptions = field(default_factory=SolveOptions)
 
     def validate(self):
         _require(self.planning_years >= 1, "horizon.planning_years", "must be >= 1")
@@ -67,7 +57,6 @@ class ScenarioConfig:
         _require(self.big_m > 0, "horizon.big_m", "must be > 0")
         _require(self.tie_limit >= 0, "horizon.tie_limit", "must be >= 0")
         _require(self.ls_penalty >= 0, "horizon.ls_penalty", "must be >= 0")
-        self.solver.validate()
 
     @property
     def steps_per_year(self):
@@ -322,7 +311,10 @@ def load_scenario(config_path) -> Scenario:
     base = config_path.parent
 
     horizon = dict(doc.get("horizon", {}))
-    solver = _build(SolveOptionsConfig, doc.get("solver", {}), "solver")
+    try:
+        solver = _build(SolveOptions, doc.get("solver", {}), "solver")
+    except MilpError as exc:
+        raise ScenarioError(f"solver: {exc}") from exc
     rep_days = int(horizon.get("rep_days", DAYS_PER_YEAR))
     if "alpha" not in horizon:
         horizon["alpha"] = DAYS_PER_YEAR / rep_days
@@ -380,60 +372,3 @@ def _load_tariff(doc, cfg: ScenarioConfig, base: Path) -> TariffSchedule:
     else:
         raise ScenarioError(f"tariff.mode: unknown mode '{mode}'")
     return TariffSchedule(mode=mode, import_price=import_price, export_factor=export_factor)
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    """Serialize a loaded scenario back to a JSON-compatible dict.
-
-    Profile and tariff series are embedded inline so the round trip is
-    self-contained (no external file references).
-    """
-    horizon = asdict(sc.cfg)
-    solver = horizon.pop("solver")
-    return {
-        "horizon": horizon,
-        "solver": solver,
-        "cder": {**asdict(sc.cder),
-                 "max_size": None if math.isinf(sc.cder.max_size) else sc.cder.max_size},
-        "pv": asdict(sc.pv),
-        "bess": {**asdict(sc.bess),
-                 "cycle_life_curve": [list(p) for p in sc.bess.cycle_life_curve.points],
-                 "eff_model_points": [list(p) for p in sc.bess.eff_model_points]},
-        "tariff": {"mode": sc.tariff.mode,
-                   "export_factor": sc.tariff.export_factor,
-                   "import_price_series": sc.tariff.import_price.ravel().tolist()},
-        "profiles": {"load_series": sc.base_load.ravel().tolist(),
-                     "pv_cf_series": sc.base_pv_cf.ravel().tolist()},
-    }
-
-
-def scenario_from_dict(doc: dict) -> Scenario:
-    """Inverse of :func:`scenario_to_dict`."""
-    horizon = dict(doc["horizon"])
-    solver = SolveOptionsConfig(**doc.get("solver", {}))
-    cfg = ScenarioConfig(**{**horizon, "solver": solver})
-    cfg.validate()
-    cder_doc = dict(doc["cder"])
-    if cder_doc.get("max_size") is None:
-        cder_doc["max_size"] = math.inf
-    cder = CderParams(**cder_doc)
-    cder.validate()
-    pv = PvParams(**doc["pv"])
-    pv.validate()
-    bess_doc = dict(doc["bess"])
-    bess_doc["cycle_life_curve"] = CycleLifeCurveSpec(
-        points=tuple((float(d), float(c)) for d, c in bess_doc["cycle_life_curve"]))
-    bess_doc["eff_model_points"] = tuple(
-        (float(s), float(e)) for s, e in bess_doc["eff_model_points"])
-    bess = BessParams(**bess_doc)
-    bess.validate()
-    shape = (cfg.rep_days, cfg.hours_per_day)
-    tariff = TariffSchedule(
-        mode=doc["tariff"]["mode"],
-        import_price=np.asarray(doc["tariff"]["import_price_series"], float).reshape(shape),
-        export_factor=doc["tariff"]["export_factor"])
-    tariff.validate()
-    return Scenario(
-        cfg=cfg, cder=cder, pv=pv, bess=bess, tariff=tariff,
-        base_load=np.asarray(doc["profiles"]["load_series"], float).reshape(shape),
-        base_pv_cf=np.asarray(doc["profiles"]["pv_cf_series"], float).reshape(shape))

@@ -10,7 +10,7 @@ until the first shed-free probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import milp
 from .planning import InvestmentDecision, build_integrated, extract_solution
@@ -34,8 +34,6 @@ class SearchConfig:
     tolerance: float = 0.01         # MWh, binary convergence width
     step_frac: float = 0.01         # fixed-step relative increment
     max_iterations: int = 100
-    ub_seed_factor: float = 2.0     # growth multiplier while bracketing
-    eue_tolerance: float = DEFAULT_EUE_TOLERANCE
 
     def validate(self):
         if self.method not in ("binary", "fixed_step"):
@@ -46,8 +44,6 @@ class SearchConfig:
             raise SizingError("step_frac must be > 0")
         if self.max_iterations < 1:
             raise SizingError("max_iterations must be >= 1")
-        if self.ub_seed_factor <= 1:
-            raise SizingError("ub_seed_factor must be > 1")
 
 
 @dataclass
@@ -73,30 +69,52 @@ class SizingResult:
     final_investment: InvestmentDecision | None = None
 
 
-def probe(size: float, scenario: Scenario, *, profiles=None,
-          solve_opts: milp.SolveOptions | None = None, backend=None,
-          eue_tolerance=DEFAULT_EUE_TOLERANCE):
+def probe(size: float, scenario: Scenario):
     """Planning re-solve with pinned capacity, followed by full validation.
 
     Returns (objective, total_eue, investment, validation report).
     """
-    cfg = scenario.cfg
-    profiles = profiles if profiles is not None else scenario.profiles()
-    opts = solve_opts or milp.SolveOptions(mip_gap=cfg.solver.mip_gap,
-                                           time_limit=cfg.solver.time_limit)
-    problem, index = build_integrated(scenario, profiles, pin_s_bess=size)
-    result = milp.solve(problem, opts, backend=backend)
+    problem, index = build_integrated(scenario, pin_s_bess=size)
+    result = milp.solve(problem, scenario.cfg.solver)
     if not result.has_solution:
         raise SizingError(f"probe at {size} MWh: solver returned {result.status}")
     sol = extract_solution(result, index)
-    report = validate(sol.investment, scenario, profiles,
-                      eue_tolerance=eue_tolerance, solve_opts=opts, backend=backend)
+    report = validate(sol.investment, scenario)
     return result.objective, report.total_eue, sol.investment, report
 
 
+class _Probes:
+    """Probe log of one search: iteration records plus each size's outcome."""
+
+    def __init__(self, method, scenario, on_iteration):
+        self.method = method
+        self.scenario = scenario
+        self.on_iteration = on_iteration
+        self.iterations = []
+        self.outcomes = {}  # size -> (objective, investment)
+
+    def run(self, size, phase, lb, ub):
+        """Probe ``size``, record it, and return whether it sheds."""
+        objective, eue, inv, _ = probe(size, self.scenario)
+        rec = IterationRecord(index=len(self.iterations), candidate_size=size,
+                              objective=objective, total_eue=eue,
+                              shed=eue > DEFAULT_EUE_TOLERANCE, lb=lb, ub=ub, phase=phase)
+        self.iterations.append(rec)
+        self.outcomes[size] = (objective, inv)
+        if self.on_iteration is not None:
+            self.on_iteration(rec)
+        return rec.shed
+
+    def result(self, final_size, converged, midpoint=None):
+        objective, inv = self.outcomes.get(final_size, (math.nan, None))
+        return SizingResult(final_size=final_size, final_objective=objective,
+                            iterations=self.iterations, converged=converged,
+                            method=self.method, final_midpoint=midpoint,
+                            final_investment=inv)
+
+
 def size_binary(initial: InvestmentDecision, scenario: Scenario,
-                cfg: SearchConfig | None = None, *, profiles=None,
-                solve_opts=None, backend=None, on_iteration=None) -> SizingResult:
+                cfg: SearchConfig | None = None, *, on_iteration=None) -> SizingResult:
     """Doubling-then-bisection search for the smallest shed-free capacity.
 
     The returned size is the last verified shed-free probe (the upper bound),
@@ -105,105 +123,56 @@ def size_binary(initial: InvestmentDecision, scenario: Scenario,
     """
     cfg = cfg or SearchConfig(method="binary")
     cfg.validate()
-    profiles = profiles if profiles is not None else scenario.profiles()
-
-    iterations = []
-    probes = {}  # size -> (objective, eue, investment)
-
-    def run_probe(size, phase, lb, ub):
-        objective, eue, inv, _ = probe(size, scenario, profiles=profiles,
-                                       solve_opts=solve_opts, backend=backend,
-                                       eue_tolerance=cfg.eue_tolerance)
-        shed = eue > cfg.eue_tolerance
-        rec = IterationRecord(index=len(iterations), candidate_size=size,
-                              objective=objective, total_eue=eue, shed=shed,
-                              lb=lb, ub=ub, phase=phase)
-        iterations.append(rec)
-        probes[size] = (objective, eue, inv)
-        if on_iteration is not None:
-            on_iteration(rec)
-        return shed
-
-    def result(final_size, converged, midpoint=None):
-        objective, _, inv = probes.get(final_size, (math.nan, math.nan, None))
-        return SizingResult(final_size=final_size, final_objective=objective,
-                            iterations=iterations, converged=converged,
-                            method="binary", final_midpoint=midpoint,
-                            final_investment=inv)
+    probes = _Probes("binary", scenario, on_iteration)
 
     # Phase 1: establish a shed-free upper bound by doubling.
     size = initial.s_bess
     lb = 0.0
-    shed = run_probe(size, "doubling", lb, math.inf)
-    if not shed:
-        ub = size
-    else:
-        base = max(size, cfg.tolerance)
-        while True:
-            if len(iterations) >= cfg.max_iterations:
-                return result(size, converged=False)
-            lb = size
-            size = max(size * cfg.ub_seed_factor, cfg.tolerance)
-            if initial.s_bess > 0 and size > DOUBLING_HARD_CAP * max(initial.s_bess, cfg.tolerance):
-                raise UnservableLoadError(
-                    f"no shed-free size found up to {size:.6g} MWh "
-                    f"({DOUBLING_HARD_CAP:g}x the initial size)")
-            if initial.s_bess == 0 and size > DOUBLING_HARD_CAP * base:
-                raise UnservableLoadError(
-                    f"no shed-free size found up to {size:.6g} MWh")
-            shed = run_probe(size, "doubling", lb, math.inf)
-            if not shed:
-                ub = size
-                break
+    cap = DOUBLING_HARD_CAP * max(size, cfg.tolerance)
+    while probes.run(size, "doubling", lb, math.inf):
+        if len(probes.iterations) >= cfg.max_iterations:
+            return probes.result(size, converged=False)
+        lb = size
+        size = max(2.0 * size, cfg.tolerance)
+        if size > cap:
+            raise UnservableLoadError(
+                f"no shed-free size found up to {size:.6g} MWh "
+                f"({DOUBLING_HARD_CAP:g}x the initial size or the tolerance)")
+    ub = size
 
     # Phase 2: bisection; the invariant is lb sheds (or is 0), ub never sheds.
     while ub - lb >= cfg.tolerance:
-        if len(iterations) >= cfg.max_iterations:
-            return result(ub, converged=False, midpoint=(lb + ub) / 2.0)
+        if len(probes.iterations) >= cfg.max_iterations:
+            return probes.result(ub, converged=False, midpoint=(lb + ub) / 2.0)
         mid = (lb + ub) / 2.0
-        if run_probe(mid, "bisection", lb, ub):
+        if probes.run(mid, "bisection", lb, ub):
             lb = mid
         else:
             ub = mid
-    return result(ub, converged=True, midpoint=(lb + ub) / 2.0)
+    return probes.result(ub, converged=True, midpoint=(lb + ub) / 2.0)
 
 
 def size_fixed_step(initial: InvestmentDecision, scenario: Scenario,
-                    cfg: SearchConfig | None = None, *, profiles=None,
-                    solve_opts=None, backend=None, on_iteration=None) -> SizingResult:
-    """Geometric fixed-step growth: probe initial*(1+step)^k until shed-free."""
+                    cfg: SearchConfig | None = None, *, on_iteration=None) -> SizingResult:
+    """Geometric fixed-step growth: probe initial*(1+step)^k until shed-free.
+
+    Without a shed-free probe within ``max_iterations``, the result reports
+    the last probe, unconverged.
+    """
     cfg = cfg or SearchConfig(method="fixed_step")
     cfg.validate()
-    profiles = profiles if profiles is not None else scenario.profiles()
     if initial.s_bess <= 0:
         raise SizingError("fixed-step search needs a positive initial size")
 
-    iterations = []
+    probes = _Probes("fixed_step", scenario, on_iteration)
     for k in range(cfg.max_iterations):
         size = initial.s_bess * (1.0 + cfg.step_frac) ** k
-        objective, eue, inv, _ = probe(size, scenario, profiles=profiles,
-                                       solve_opts=solve_opts, backend=backend,
-                                       eue_tolerance=cfg.eue_tolerance)
-        shed = eue > cfg.eue_tolerance
-        rec = IterationRecord(index=k, candidate_size=size, objective=objective,
-                              total_eue=eue, shed=shed, lb=0.0, ub=size,
-                              phase="stepping")
-        iterations.append(rec)
-        if on_iteration is not None:
-            on_iteration(rec)
-        if not shed:
-            return SizingResult(final_size=size, final_objective=objective,
-                                iterations=iterations, converged=True,
-                                method="fixed_step", final_investment=inv)
-    last = iterations[-1]
-    return SizingResult(final_size=last.candidate_size,
-                        final_objective=last.objective,
-                        iterations=iterations, converged=False,
-                        method="fixed_step")
+        if not probes.run(size, "stepping", 0.0, size):
+            return probes.result(size, converged=True)
+    return probes.result(size, converged=False)
 
 
 def run_search(initial: InvestmentDecision, scenario: Scenario,
-               cfg: SearchConfig, **kwargs) -> SizingResult:
-    cfg.validate()
+               cfg: SearchConfig, *, on_iteration=None) -> SizingResult:
     fn = size_binary if cfg.method == "binary" else size_fixed_step
-    return fn(initial, scenario, cfg, **kwargs)
+    return fn(initial, scenario, cfg, on_iteration=on_iteration)

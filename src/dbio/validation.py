@@ -66,13 +66,8 @@ def initial_state(scenario: Scenario, investment: InvestmentDecision) -> Degrada
         eta_pv=scenario.pv.eta_init)
 
 
-def validate(investment: InvestmentDecision, scenario: Scenario,
-             profiles: MultiYearProfiles | None = None, *,
-             apply_degradation: bool = True,
-             eue_tolerance: float = DEFAULT_EUE_TOLERANCE,
-             solve_opts: milp.SolveOptions | None = None,
-             backend: str | None = None,
-             on_year=None) -> ValidationReport:
+def validate(investment: InvestmentDecision, scenario: Scenario, *,
+             apply_degradation: bool = True, on_year=None) -> ValidationReport:
     """Run the year-by-year validation of a fixed investment.
 
     Years execute strictly in order: each year's post-dispatch degradation
@@ -81,12 +76,9 @@ def validate(investment: InvestmentDecision, scenario: Scenario,
     degradation-off baselines.
     """
     cfg = scenario.cfg
-    if profiles is None:
-        profiles = scenario.profiles()
+    profiles = scenario.profiles()
     curve = CycleLifeCurve.from_spec(scenario.bess.cycle_life_curve)
     eff_model = fit_efficiency_model(scenario.bess.eff_model_points)
-    opts = solve_opts or milp.SolveOptions(mip_gap=cfg.solver.mip_gap,
-                                           time_limit=cfg.solver.time_limit)
     rated = investment.s_bess
 
     state = initial_state(scenario, investment)
@@ -96,9 +88,9 @@ def validate(investment: InvestmentDecision, scenario: Scenario,
         year_profiles = MultiYearProfiles(load=profiles.load[y - 1:y],
                                           pv_cf=profiles.pv_cf[y - 1:y])
         overrides = YearOverrides(eta_pv=state.eta_pv, eta_bess=state.eta_bess,
-                                  s_bess_y=min(state.capacity, rated), soh_y=state.soh)
+                                  s_bess_y=min(state.capacity, rated))
         problem, index = build_single_year(scenario, year_profiles, overrides, investment)
-        result = milp.solve(problem, opts, backend=backend)
+        result = milp.solve(problem, cfg.solver)
         if not result.has_solution:
             raise ValidationError(f"year {y}: solver returned {result.status}")
         dispatch = extract_solution(result, index)
@@ -137,6 +129,6 @@ def validate(investment: InvestmentDecision, scenario: Scenario,
     total_cost = sum(r.operating_cost_y for r in per_year)
     return ValidationReport(per_year=per_year, total_eue=total_eue,
                             total_cost=total_cost,
-                            feasible=total_eue <= eue_tolerance,
-                            eue_tolerance=eue_tolerance,
+                            feasible=total_eue <= DEFAULT_EUE_TOLERANCE,
+                            eue_tolerance=DEFAULT_EUE_TOLERANCE,
                             truncated=truncated)

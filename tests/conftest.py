@@ -1,5 +1,6 @@
 """Shared fixtures: scenario loaders, cached plan solves, invariant checks."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from dbio import milp
 from dbio.planning import build_integrated, extract_solution, pv_efficiency_schedule
 from dbio.scenario import (BessParams, CderParams, CycleLifeCurveSpec,
                            MultiYearProfiles, PvParams, Scenario, ScenarioConfig,
-                           SolveOptionsConfig, TariffSchedule, load_scenario)
+                           TariffSchedule, load_scenario)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -43,12 +44,12 @@ def highuse_scenario():
     return _load("highuse_degradation.json")
 
 
-def solve_plan(scenario, profiles=None, mip_gap=None):
+def solve_plan(scenario, mip_gap=None):
     """One integrated planning solve; returns (solution, profiles, result)."""
-    profiles = profiles if profiles is not None else scenario.profiles()
-    opts = milp.SolveOptions(
-        mip_gap=scenario.cfg.solver.mip_gap if mip_gap is None else mip_gap,
-        time_limit=scenario.cfg.solver.time_limit)
+    profiles = scenario.profiles()
+    opts = scenario.cfg.solver
+    if mip_gap is not None:
+        opts = dataclasses.replace(opts, mip_gap=mip_gap)
     problem, index = build_integrated(scenario, profiles)
     result = milp.solve(problem, opts)
     assert result.has_solution, result.status
@@ -86,7 +87,7 @@ def make_scenario(load, pv_cf, *, years=1, alpha=365.0, tie=0.0, big_m=10.0,
                          hours_per_day=hours_per_day, alpha=alpha,
                          load_growth=load_growth, ls_penalty=ls_penalty,
                          tie_limit=tie, big_m=big_m, cyclic_soc=cyclic_soc,
-                         solver=SolveOptionsConfig(mip_gap=0.0))
+                         solver=milp.SolveOptions(mip_gap=0.0))
     tariff = TariffSchedule(mode="fixed",
                             import_price=np.full((1, hours_per_day), float(import_price)))
     return Scenario(cfg=cfg,
@@ -115,21 +116,22 @@ def check_dispatch_invariants(sol, scenario, profiles, eta_pv_by_year=None,
 
     pv_power = (np.asarray(eta_pv_by_year)[:, None, None] * profiles.pv_cf
                 * sol.investment.s_pv)
-    supply = sol.p_cder + sol.p_dchg + pv_power + sol.p_ls + sol.p_imp
-    demand = load + sol.p_chg + sol.p_curt + sol.p_exp
+    s = sol.series
+    supply = s["p_cder"] + s["p_dchg"] + pv_power + s["p_ls"] + s["p_imp"]
+    demand = load + s["p_chg"] + s["p_curt"] + s["p_exp"]
     assert np.max(np.abs(supply - demand)) <= bal_tol, "power balance violated"
 
-    assert np.max(np.minimum(sol.p_chg, sol.p_dchg)) <= tol, "simultaneous charge/discharge"
-    assert np.max(sol.u_chg + sol.u_dchg) <= 1.0 + tol
-    assert np.max(np.minimum(sol.p_imp, sol.p_exp)) <= tol, "simultaneous import/export"
-    assert np.max(sol.u_imp + sol.u_exp) <= 1.0 + tol
+    assert np.max(np.minimum(s["p_chg"], s["p_dchg"])) <= tol, "simultaneous charge/discharge"
+    assert np.max(s["u_chg"] + s["u_dchg"]) <= 1.0 + tol
+    assert np.max(np.minimum(s["p_imp"], s["p_exp"])) <= tol, "simultaneous import/export"
+    assert np.max(s["u_imp"] + s["u_exp"]) <= 1.0 + tol
 
     cap = sol.investment.s_bess if capacity is None else capacity
-    assert np.min(sol.e_bess) >= bess.soc_min * cap - tol, "stored energy below window"
-    assert np.max(sol.e_bess) <= bess.soh_init * bess.soc_max * cap + tol, \
+    assert np.min(s["e_bess"]) >= bess.soc_min * cap - tol, "stored energy below window"
+    assert np.max(s["e_bess"]) <= bess.soh_init * bess.soc_max * cap + tol, \
         "stored energy above window"
 
-    assert np.max(sol.p_imp) <= cfg.tie_limit + tol
-    assert np.max(sol.p_exp) <= cfg.tie_limit + tol
+    assert np.max(s["p_imp"]) <= cfg.tie_limit + tol
+    assert np.max(s["p_exp"]) <= cfg.tie_limit + tol
     if cfg.tie_limit == 0:
-        assert np.max(sol.p_imp) <= tol and np.max(sol.p_exp) <= tol
+        assert np.max(s["p_imp"]) <= tol and np.max(s["p_exp"]) <= tol

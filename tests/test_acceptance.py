@@ -24,7 +24,7 @@ from dbio.planning import (InvestmentDecision, YearOverrides, build_integrated,
                            build_single_year, extract_solution)
 from dbio.scenario import (BessParams, CderParams, CycleLifeCurveSpec,
                            MultiYearProfiles, PvParams, Scenario, ScenarioConfig,
-                           SolveOptionsConfig, TariffSchedule)
+                           TariffSchedule)
 from dbio.sizing import SearchConfig, size_binary, size_fixed_step
 from dbio.validation import validate
 
@@ -50,7 +50,7 @@ def t4_scenario():
     cfg = ScenarioConfig(planning_years=1, rep_days=1, hours_per_day=4,
                          alpha=1.0, load_growth=0.0, ls_penalty=1000.0,
                          tie_limit=0.0, big_m=5.0, cyclic_soc=True,
-                         solver=SolveOptionsConfig(mip_gap=0.0))
+                         solver=milp.SolveOptions(mip_gap=0.0))
     return Scenario(
         cfg=cfg,
         cder=CderParams(capital=1e5, op_cost=50.0, no_load=3.0, p_min=0.2),
@@ -152,7 +152,7 @@ def test_criterion_1_enumeration_oracle():
     model_best = oracle_best = math.inf
     for inv in grid:
         overrides = YearOverrides(eta_pv=sc.pv.eta_init, eta_bess=sc.bess.eta_rt,
-                                  s_bess_y=inv.s_bess, soh_y=sc.bess.soh_init)
+                                  s_bess_y=inv.s_bess)
         problem, index = build_single_year(sc, profiles, overrides, inv)
         result = milp.solve(problem, OPTS)
         assert result.status == "optimal"
@@ -303,8 +303,7 @@ def test_criterion_7_sizing_contract(sizing_scenario):
     start = InvestmentDecision(s_pv=0.0, s_bess=0.05, p_cder_max=0.6)
 
     binary = size_binary(start, sizing_scenario,
-                         SearchConfig(method="binary", tolerance=tol),
-                         solve_opts=OPTS)
+                         SearchConfig(method="binary", tolerance=tol))
     shed_sizes = [r.candidate_size for r in binary.iterations if r.shed]
     ok_sizes = [r.candidate_size for r in binary.iterations if not r.shed]
     bracket_ok = bool(ok_sizes) and max(shed_sizes) < min(ok_sizes)
@@ -317,8 +316,7 @@ def test_criterion_7_sizing_contract(sizing_scenario):
 
     fixed = size_fixed_step(start, sizing_scenario,
                             SearchConfig(method="fixed_step", step_frac=0.01,
-                                         max_iterations=300),
-                            solve_opts=OPTS)
+                                         max_iterations=300))
     fixed_band = threshold - 1e-9 <= fixed.final_size <= 1.01 * threshold
     slower = len(fixed.iterations) >= len(binary.iterations)
     elapsed = time.time() - t0
@@ -333,10 +331,9 @@ def test_criterion_7_sizing_contract(sizing_scenario):
 # -- 8. degradation-induced shedding -----------------------------------------------
 
 def test_criterion_8_degradation_induced_shedding(highuse_scenario, highuse_plan):
-    sol, profiles, _ = highuse_plan
-    off = validate(sol.investment, highuse_scenario, profiles,
-                   apply_degradation=False, solve_opts=OPTS)
-    on = validate(sol.investment, highuse_scenario, profiles, solve_opts=OPTS)
+    sol, _, _ = highuse_plan
+    off = validate(sol.investment, highuse_scenario, apply_degradation=False)
+    on = validate(sol.investment, highuse_scenario)
     eues = [r.eue_y for r in on.per_year]
     tail = eues[-max(1, len(eues) // 3):]
     tail_monotone = all(b >= a - 1e-9 for a, b in zip(tail, tail[1:]))
@@ -363,16 +360,16 @@ def test_criterion_9_full_scale(fixtures_dir):
     sc = dataclasses.replace(
         sc,
         cfg=dataclasses.replace(sc.cfg, planning_years=25, rep_days=365,
-                                alpha=1.0),
+                                alpha=1.0,
+                                solver=dataclasses.replace(sc.cfg.solver, mip_gap=0.0,
+                                                           time_limit=3600.0)),
         cder=dataclasses.replace(sc.cder, capital=1_150_000.0, op_cost=44.75),
         pv=dataclasses.replace(sc.pv, capital=1_450_000.0, rep_frac=0.41),
         bess=dataclasses.replace(sc.bess, capital=469_000.0, rep_frac=0.79))
     sol, _, _ = solve_plan(sc, mip_gap=0.0)
     initial = sol.investment.s_bess
     result = run_search(sol.investment, sc,
-                        SearchConfig(method="binary", tolerance=0.01),
-                        solve_opts=milp.SolveOptions(mip_gap=0.0,
-                                                     time_limit=3600.0))
+                        SearchConfig(method="binary", tolerance=0.01))
     initial_ok = abs(initial - 2.725) <= 0.05 * 2.725
     final_ok = abs(result.final_size - 3.812) <= 0.05 * 3.812
     verdict(9, initial_ok and final_ok,

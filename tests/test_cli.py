@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from dbio import milp
 from dbio.cli import load_investment, main
 from dbio.scenario import ScenarioError
 
@@ -129,3 +130,31 @@ def test_no_cyclic_soc_flag(fixtures_dir, tmp_path):
                 "--mode", "plan", "--no-cyclic-soc"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["cyclic_soc_disabled"]
+
+
+@pytest.mark.parametrize("flag, value", [("--mip-gap", -1), ("--time-limit", 0)])
+def test_bad_solver_override_exit_code(fixtures_dir, tmp_path, monkeypatch, capsys,
+                                       flag, value):
+    solves = []
+    monkeypatch.setattr(milp, "solve", lambda *a, **k: solves.append(a))
+    out = tmp_path / "o"
+    assert run(["--scenario", fixtures_dir / SCENARIO, "--out", out, flag, value]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "solver" in err[0]
+    assert not solves and not (out / "manifest.json").exists()
+
+
+def test_solver_overrides_reach_every_solve(fixtures_dir, tmp_path, monkeypatch):
+    seen = []
+    real_solve = milp.solve
+
+    def recording_solve(problem, opts=None, backend=None):
+        seen.append((problem.name, opts))
+        return real_solve(problem, opts, backend)
+
+    monkeypatch.setattr(milp, "solve", recording_solve)
+    assert run(["--scenario", fixtures_dir / SCENARIO, "--out", tmp_path / "size",
+                "--mode", "size", "--tol", 0.05, "--time-limit", 77]) == 0
+    # The plan and the probes solve "integrated" models, validation years "single_year".
+    assert {name for name, _ in seen} == {"integrated", "single_year"}
+    assert all(opts.time_limit == 77 for _, opts in seen)

@@ -52,7 +52,7 @@ def test_cost_breakdown_matches_objective():
 def test_islanded_never_touches_grid():
     sc = make_scenario(np.linspace(0.2, 0.8, 24), np.zeros(24), tie=0.0)
     sol, prof, _ = _solve(sc)
-    assert np.max(sol.p_imp) == 0.0 and np.max(sol.p_exp) == 0.0
+    assert np.max(sol.series["p_imp"]) == 0.0 and np.max(sol.series["p_exp"]) == 0.0
     check_dispatch_invariants(sol, sc, prof)
 
 
@@ -64,13 +64,13 @@ def test_energy_tracking_recursion():
     sc = make_scenario(load, np.zeros(24),
                        cder=CderParams(capital=1e5, op_cost=50.0, max_size=0.6))
     sol, prof, _ = _solve(sc)
-    assert np.sum(sol.p_chg) > 1e-6, "battery unused; fixture not exercising storage"
+    assert np.sum(sol.series["p_chg"]) > 1e-6, "battery unused; fixture not exercising storage"
     eta = sc.bess.eta_rt
-    e = sol.e_bess[0, 0]
+    e = sol.series["e_bess"][0, 0]
     prev = sol.e_init
     for t in range(24):
-        assert e[t] == pytest.approx(prev + eta * sol.p_chg[0, 0, t]
-                                     - sol.p_dchg[0, 0, t], abs=1e-7)
+        assert e[t] == pytest.approx(prev + eta * sol.series["p_chg"][0, 0, t]
+                                     - sol.series["p_dchg"][0, 0, t], abs=1e-7)
         prev = e[t]
     # Cyclic closure: the day ends where it started.
     assert e[-1] == pytest.approx(sol.e_init, abs=1e-7)
@@ -122,7 +122,7 @@ def test_single_year_equals_integrated_minus_capital():
     sol, prof, res = _solve(sc)
     inv = sol.investment
     overrides = YearOverrides(eta_pv=sc.pv.eta_init, eta_bess=sc.bess.eta_rt,
-                              s_bess_y=inv.s_bess, soh_y=sc.bess.soh_init)
+                              s_bess_y=inv.s_bess)
     problem, index = build_single_year(sc, prof, overrides, inv)
     r2 = milp.solve(problem, OPTS)
     assert r2.status == "optimal"
@@ -140,11 +140,11 @@ def test_degraded_capacity_shrinks_window():
     assert inv.s_bess > 0
     degraded = 0.5 * inv.s_bess
     overrides = YearOverrides(eta_pv=sc.pv.eta_init, eta_bess=sc.bess.eta_rt,
-                              s_bess_y=degraded, soh_y=0.5 * sc.bess.soh_init)
+                              s_bess_y=degraded)
     problem, index = build_single_year(sc, prof, overrides, inv)
     r = milp.solve(problem, OPTS)
     d = extract_solution(r, index)
-    assert np.max(d.e_bess) <= sc.bess.soc_max * degraded + 1e-7
+    assert np.max(d.series["e_bess"]) <= sc.bess.soc_max * degraded + 1e-7
     check_dispatch_invariants(d, sc, prof, eta_pv_by_year=[sc.pv.eta_init],
                               capacity=degraded)
 
@@ -171,7 +171,7 @@ def test_negative_investment_rejected():
 def test_override_capacity_cannot_exceed_rated():
     sc = make_scenario(np.full(24, 0.5), np.zeros(24))
     inv = InvestmentDecision(0.0, 0.2, 1.0)
-    overrides = YearOverrides(eta_pv=1.0, eta_bess=0.9, s_bess_y=0.3, soh_y=1.0)
+    overrides = YearOverrides(eta_pv=1.0, eta_bess=0.9, s_bess_y=0.3)
     with pytest.raises(ModelBuildError, match="exceeds rated"):
         build_single_year(sc, sc.profiles(), overrides, inv)
 
@@ -280,7 +280,7 @@ def _build_mode(sc, mode):
     # Last planning year, degraded below the rated 0.5 MWh.
     inv = InvestmentDecision(s_pv=0.25, s_bess=0.5, p_cder_max=0.75)
     overrides = YearOverrides(eta_pv=0.97 * sc.pv.eta_init, eta_bess=0.98 * sc.bess.eta_rt,
-                              s_bess_y=0.4, soh_y=0.9)
+                              s_bess_y=0.4)
     last = MultiYearProfiles(load=prof.load[-1:], pv_cf=prof.pv_cf[-1:])
     return build_single_year(sc, last, overrides, inv)
 
@@ -305,6 +305,6 @@ def test_hourly_year_solver_input_matches_seed_builder(tmp_path):
     assert (problem.n_variables, problem.n_constraints) == (113_884, 140_527)
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT["islanded_base_8760h/integrated"]
     inv = InvestmentDecision(s_pv=0.11, s_bess=0.077, p_cder_max=0.8)
-    overrides = YearOverrides(eta_pv=1.0, eta_bess=0.9, s_bess_y=0.07, soh_y=0.95)
+    overrides = YearOverrides(eta_pv=1.0, eta_bess=0.9, s_bess_y=0.07)
     problem, _ = build_single_year(sc, sc.profiles(), overrides, inv)
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT["islanded_base_8760h/single_year"]

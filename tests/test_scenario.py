@@ -1,4 +1,4 @@
-"""Scenario parsing, validation, profile generation, and serialization."""
+"""Scenario parsing, validation, and profile generation."""
 
 import dataclasses
 import json
@@ -9,8 +9,7 @@ import pytest
 from dbio.scenario import (BessParams, CderParams, ScenarioConfig, ScenarioError,
                            TariffSchedule, generate_multi_year, load_scenario,
                            reduce_to_representative_days,
-                           representative_day_indices, scenario_from_dict,
-                           scenario_to_dict)
+                           representative_day_indices)
 
 
 def test_representative_day_indices_identity():
@@ -77,16 +76,29 @@ def test_load_scenario_missing_file(tmp_path):
         load_scenario(tmp_path / "nope.json")
 
 
-@pytest.mark.parametrize("section, key", [("cder", "banana"), ("solver", "thread")])
-def test_load_scenario_rejects_unknown_field(tmp_path, fixtures_dir, section, key):
+def _write_sizing_doc(tmp_path, fixtures_dir, edit):
+    """Copy of the sizing fixture with ``edit`` applied to its document."""
     doc = json.loads((fixtures_dir / "sizing_threshold.json").read_text())
-    doc[section][key] = 1
+    edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     # Profile files resolve relative to the config location.
     for f in ("load_deficit_24.csv", "pv_zero_24.csv"):
         (tmp_path / f).write_text((fixtures_dir / f).read_text())
+    return path
+
+
+@pytest.mark.parametrize("section, key", [("cder", "banana"), ("solver", "thread")])
+def test_load_scenario_rejects_unknown_field(tmp_path, fixtures_dir, section, key):
+    path = _write_sizing_doc(tmp_path, fixtures_dir, lambda doc: doc[section].update({key: 1}))
     with pytest.raises(ScenarioError, match=f"{section}: unknown field.*{key}"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("key, value", [("mip_gap", -0.1), ("time_limit", 0.0)])
+def test_load_scenario_rejects_bad_solver_value(tmp_path, fixtures_dir, key, value):
+    path = _write_sizing_doc(tmp_path, fixtures_dir, lambda doc: doc["solver"].update({key: value}))
+    with pytest.raises(ScenarioError, match=f"solver: {key}"):
         load_scenario(path)
 
 
@@ -113,32 +125,6 @@ def test_cder_defaults_and_validation():
     cder.validate()
     with pytest.raises(ScenarioError, match="op_cost"):
         dataclasses.replace(cder, op_cost=-1.0).validate()
-
-
-def test_round_trip_through_dict(islanded_scenario):
-    doc = scenario_to_dict(islanded_scenario)
-    # Force a JSON round trip so only serializable values survive.
-    back = scenario_from_dict(json.loads(json.dumps(doc)))
-    assert back.cfg == islanded_scenario.cfg
-    assert back.cder == islanded_scenario.cder
-    assert back.pv == islanded_scenario.pv
-    assert back.bess == islanded_scenario.bess
-    assert back.tariff.mode == islanded_scenario.tariff.mode
-    np.testing.assert_allclose(back.tariff.import_price,
-                               islanded_scenario.tariff.import_price, rtol=1e-12)
-    np.testing.assert_allclose(back.base_load, islanded_scenario.base_load, rtol=1e-12)
-    np.testing.assert_allclose(back.base_pv_cf, islanded_scenario.base_pv_cf, rtol=1e-12)
-
-
-def test_round_trip_preserves_unbounded_cder(sizing_scenario):
-    import math
-    doc = scenario_to_dict(sizing_scenario)
-    assert doc["cder"]["max_size"] == sizing_scenario.cder.max_size  # finite cap kept
-    unbounded = dataclasses.replace(
-        sizing_scenario, cder=dataclasses.replace(sizing_scenario.cder, max_size=math.inf))
-    doc = scenario_to_dict(unbounded)
-    assert doc["cder"]["max_size"] is None
-    assert math.isinf(scenario_from_dict(doc).cder.max_size)
 
 
 def test_profiles_validate_capacity_factor_range(tmp_path, fixtures_dir):

@@ -11,13 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from dbio import milp
 from dbio.planning import InvestmentDecision
 from dbio.sizing import (SearchConfig, SizingError, UnservableLoadError, probe,
                          run_search, size_binary, size_fixed_step)
 
 THRESHOLD = 0.5  # MWh
-OPTS = milp.SolveOptions(mip_gap=0.0, time_limit=300.0)
 
 
 @pytest.fixture(scope="module")
@@ -29,13 +27,13 @@ def start(sizing_scenario):
 @pytest.fixture(scope="module")
 def binary_result(sizing_scenario, start):
     cfg = SearchConfig(method="binary", tolerance=0.01)
-    return size_binary(start, sizing_scenario, cfg, solve_opts=OPTS)
+    return size_binary(start, sizing_scenario, cfg)
 
 
 @pytest.fixture(scope="module")
 def fixed_result(sizing_scenario, start):
     cfg = SearchConfig(method="fixed_step", step_frac=0.01, max_iterations=300)
-    return size_fixed_step(start, sizing_scenario, cfg, solve_opts=OPTS)
+    return size_fixed_step(start, sizing_scenario, cfg)
 
 
 def test_binary_converges_to_threshold(binary_result):
@@ -83,14 +81,14 @@ def test_methods_agree_on_threshold(binary_result, fixed_result):
 def test_already_sufficient_start_bisects_down(sizing_scenario):
     cfg = SearchConfig(method="binary", tolerance=0.02)
     big = InvestmentDecision(s_pv=0.0, s_bess=0.8, p_cder_max=0.6)
-    res = size_binary(big, sizing_scenario, cfg, solve_opts=OPTS)
+    res = size_binary(big, sizing_scenario, cfg)
     assert res.converged
     assert res.iterations[0].phase == "doubling" and not res.iterations[0].shed
     assert THRESHOLD - 1e-9 <= res.final_size <= THRESHOLD + 0.02
 
 
 def test_probe_reports_consistent_eue(sizing_scenario):
-    objective, eue, inv, report = probe(0.3, sizing_scenario, solve_opts=OPTS)
+    objective, eue, inv, report = probe(0.3, sizing_scenario)
     assert inv.s_bess == pytest.approx(0.3, abs=1e-9)
     assert eue == pytest.approx(report.total_eue)
     assert eue > 1e-6  # below the threshold, shedding is unavoidable
@@ -106,21 +104,31 @@ def test_unservable_load_raises(sizing_scenario):
     cfg = SearchConfig(method="binary", tolerance=0.01)
     start = InvestmentDecision(s_pv=0.0, s_bess=0.05, p_cder_max=0.2)
     with pytest.raises(UnservableLoadError):
-        size_binary(start, hopeless, cfg, solve_opts=OPTS)
+        size_binary(start, hopeless, cfg)
 
 
 def test_zero_initial_size_is_searchable(sizing_scenario):
     cfg = SearchConfig(method="binary", tolerance=0.02)
     start = InvestmentDecision(s_pv=0.0, s_bess=0.0, p_cder_max=0.6)
-    res = size_binary(start, sizing_scenario, cfg, solve_opts=OPTS)
+    res = size_binary(start, sizing_scenario, cfg)
     assert res.converged
     assert THRESHOLD - 1e-9 <= res.final_size <= THRESHOLD + 0.02
+
+
+def test_unconverged_fixed_step_reports_its_last_probe(sizing_scenario, start):
+    cfg = SearchConfig(method="fixed_step", step_frac=0.01, max_iterations=2)
+    res = size_fixed_step(start, sizing_scenario, cfg)
+    assert not res.converged and len(res.iterations) == 2
+    last = res.iterations[-1]
+    assert res.final_size == last.candidate_size == pytest.approx(0.05 * 1.01)
+    assert res.final_objective == last.objective
+    assert res.final_investment.s_bess == pytest.approx(res.final_size, abs=1e-9)
 
 
 def test_fixed_step_rejects_zero_initial(sizing_scenario):
     start = InvestmentDecision(s_pv=0.0, s_bess=0.0, p_cder_max=0.6)
     with pytest.raises(SizingError, match="positive"):
-        size_fixed_step(start, sizing_scenario, solve_opts=OPTS)
+        size_fixed_step(start, sizing_scenario)
 
 
 def test_search_config_validation():
@@ -132,14 +140,11 @@ def test_search_config_validation():
         SearchConfig(step_frac=-0.1).validate()
     with pytest.raises(SizingError):
         SearchConfig(max_iterations=0).validate()
-    with pytest.raises(SizingError):
-        SearchConfig(ub_seed_factor=1.0).validate()
 
 
 def test_run_search_dispatches(sizing_scenario, start, binary_result):
     res = run_search(start, sizing_scenario,
-                     SearchConfig(method="binary", tolerance=0.01),
-                     solve_opts=OPTS)
+                     SearchConfig(method="binary", tolerance=0.01))
     assert res.method == "binary"
     assert res.final_size == pytest.approx(binary_result.final_size, abs=1e-9)
 
@@ -147,7 +152,6 @@ def test_run_search_dispatches(sizing_scenario, start, binary_result):
 def test_iteration_callback_invoked(sizing_scenario, start):
     seen = []
     cfg = SearchConfig(method="binary", tolerance=0.05)
-    size_binary(start, sizing_scenario, cfg, solve_opts=OPTS,
-                on_iteration=seen.append)
+    size_binary(start, sizing_scenario, cfg, on_iteration=seen.append)
     assert [r.index for r in seen] == list(range(len(seen)))
     assert len(seen) >= 2

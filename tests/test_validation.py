@@ -5,20 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dbio import milp
 from dbio.degradation import fit_efficiency_model
 from dbio.planning import InvestmentDecision
 from dbio.scenario import CycleLifeCurveSpec
 from dbio.validation import compute_eue, initial_state, validate
 
-OPTS = milp.SolveOptions(mip_gap=0.0, time_limit=300.0)
-
 
 @pytest.fixture(scope="module")
 def highuse_validation(highuse_scenario, highuse_plan):
-    sol, profiles, _ = highuse_plan
-    report = validate(sol.investment, highuse_scenario, profiles, solve_opts=OPTS)
-    return sol.investment, profiles, report
+    sol, _, _ = highuse_plan
+    return validate(sol.investment, highuse_scenario)
 
 
 def test_initial_state_matches_configuration(highuse_scenario):
@@ -33,14 +29,14 @@ def test_initial_state_matches_configuration(highuse_scenario):
 
 
 def test_states_thread_year_to_year(highuse_validation):
-    _, _, report = highuse_validation
+    report = highuse_validation
     for prev, nxt in zip(report.per_year, report.per_year[1:]):
         assert nxt.state_in == prev.state_out
         assert nxt.year == prev.year + 1
 
 
 def test_capacity_decreases_under_heavy_cycling(highuse_validation):
-    _, _, report = highuse_validation
+    report = highuse_validation
     caps = [r.state_in.capacity for r in report.per_year]
     assert all(a > b for a, b in zip(caps, caps[1:]))
     sohs = [r.state_in.soh for r in report.per_year]
@@ -48,16 +44,15 @@ def test_capacity_decreases_under_heavy_cycling(highuse_validation):
 
 
 def test_eue_appears_as_capacity_fades(highuse_validation):
-    _, _, report = highuse_validation
+    report = highuse_validation
     assert report.per_year[0].eue_y <= report.eue_tolerance
     assert report.total_eue > 0
     assert not report.feasible
 
 
 def test_degradation_off_baseline(highuse_scenario, highuse_plan):
-    sol, profiles, _ = highuse_plan
-    report = validate(sol.investment, highuse_scenario, profiles,
-                      apply_degradation=False, solve_opts=OPTS)
+    sol, _, _ = highuse_plan
+    report = validate(sol.investment, highuse_scenario, apply_degradation=False)
     assert report.total_eue <= report.eue_tolerance
     assert report.feasible and not report.truncated
     caps = [r.state_in.capacity for r in report.per_year]
@@ -70,7 +65,7 @@ def test_degradation_off_baseline(highuse_scenario, highuse_plan):
 
 
 def test_truncation_on_battery_exhaustion(highuse_scenario, highuse_plan):
-    sol, profiles, _ = highuse_plan
+    sol, _, _ = highuse_plan
     # A cycle-life curve three orders of magnitude harsher exhausts the
     # battery before the horizon ends.
     brutal = dataclasses.replace(
@@ -78,25 +73,24 @@ def test_truncation_on_battery_exhaustion(highuse_scenario, highuse_plan):
         bess=dataclasses.replace(
             highuse_scenario.bess,
             cycle_life_curve=CycleLifeCurveSpec(points=((0.10, 14.5), (1.00, 2.0)))))
-    report = validate(sol.investment, brutal, profiles, solve_opts=OPTS)
+    report = validate(sol.investment, brutal)
     assert report.truncated
     assert len(report.per_year) < highuse_scenario.cfg.planning_years
 
 
 def test_eue_monotone_in_capacity(sizing_scenario):
-    profiles = sizing_scenario.profiles()
     base = InvestmentDecision(s_pv=0.0, s_bess=0.0, p_cder_max=0.6)
     eues = []
     for size in (0.1, 0.3, 0.5):
         inv = dataclasses.replace(base, s_bess=size)
-        report = validate(inv, sizing_scenario, profiles, solve_opts=OPTS)
+        report = validate(inv, sizing_scenario)
         eues.append(report.total_eue)
     assert eues[0] > eues[1] > eues[2]
     assert eues[2] <= 1e-6
 
 
 def test_compute_eue_scales_with_alpha(highuse_validation):
-    _, _, report = highuse_validation
+    report = highuse_validation
     r = report.per_year[-1]
     shed = float(np.sum(r.dispatch.series["p_ls"]))
     assert r.eue_y == pytest.approx(365.0 * shed, rel=1e-12)
@@ -104,6 +98,6 @@ def test_compute_eue_scales_with_alpha(highuse_validation):
 
 
 def test_total_cost_is_sum_of_years(highuse_validation):
-    _, _, report = highuse_validation
+    report = highuse_validation
     assert report.total_cost == pytest.approx(
         sum(r.operating_cost_y for r in report.per_year), rel=1e-12)
