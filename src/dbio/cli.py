@@ -15,10 +15,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, milp, reports
-from .planning import InvestmentDecision, build_integrated, extract_solution
+from .degradation import DegradationError
+from .planning import InvestmentDecision, ModelBuildError, build_integrated, extract_solution
 from .scenario import ScenarioError, load_scenario
 from .sizing import SearchConfig, SizingError, run_search
-from .validation import validate
+from .validation import ValidationError, validate
 
 
 def _progress(msg):
@@ -55,17 +56,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_investment(path) -> InvestmentDecision:
-    doc = json.loads(Path(path).read_text())
-    if "plan" in doc and "investment" in doc.get("plan", {}):
-        doc = doc["plan"]["investment"]
-    elif "investment" in doc:
-        doc = doc["investment"]
+    """Sizes from a plain investment JSON or a prior report.json; every
+    problem with the file is a :class:`ScenarioError`."""
     try:
+        doc = json.loads(Path(path).read_text())
+        if "plan" in doc and "investment" in doc.get("plan", {}):
+            doc = doc["plan"]["investment"]
+        elif "investment" in doc:
+            doc = doc["investment"]
         return InvestmentDecision(s_pv=float(doc["s_pv"]),
                                   s_bess=float(doc["s_bess"]),
                                   p_cder_max=float(doc["p_cder_max"]))
+    except OSError as exc:
+        raise ScenarioError(f"investment file {path}: {exc.strerror}") from exc
     except KeyError as exc:
         raise ScenarioError(f"investment file {path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:  # bad JSON; a non-number, negative or NaN size
+        raise ScenarioError(f"investment file {path}: {exc}") from exc
 
 
 def write_manifest(args, out_dir: Path, converged=True):
@@ -123,6 +130,10 @@ def main(argv=None) -> int:
 
     try:
         scenario = _apply_overrides(load_scenario(args.scenario), args)
+        if args.mode == "validate":
+            if not args.investment:
+                raise ScenarioError("--investment is required in validate mode")
+            investment = load_investment(args.investment)
     except ScenarioError as exc:
         _progress(f"error: {exc}")
         return 2
@@ -138,11 +149,6 @@ def main(argv=None) -> int:
             return 0
 
         if args.mode == "validate":
-            if not args.investment:
-                _progress("error: --investment is required in validate mode")
-                return 2
-            investment = load_investment(args.investment)
-
             def on_year(r):
                 _progress(f"year {r.year}: eue={r.eue_y:.6g} MWh "
                           f"capacity={r.state_in.capacity:.6g} MWh")
@@ -169,8 +175,7 @@ def main(argv=None) -> int:
 
         sizing = run_search(sol.investment, scenario, search_cfg,
                             on_iteration=on_iteration)
-        final_inv = sizing.final_investment
-        final_report = validate(final_inv, scenario)
+        final_inv, final_report = sizing.final_investment, sizing.final_report
 
         reports.write_costs(sol, out_dir)
         reports.write_sizing(final_inv, out_dir)
@@ -185,7 +190,8 @@ def main(argv=None) -> int:
                   f"(converged={sizing.converged})")
         return 0 if sizing.converged else 1
 
-    except (milp.MilpError, SizingError, ScenarioError) as exc:
+    except (milp.MilpError, SizingError, ScenarioError, ValidationError, ModelBuildError,
+            DegradationError) as exc:
         _progress(f"error: {exc}")
         write_manifest(args, out_dir, converged=False)
         return 1

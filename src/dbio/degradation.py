@@ -1,8 +1,8 @@
 """Post-optimization degradation math.
 
-PV efficiency fade, rainflow cycle counting of battery state-of-charge
-traces, depth-of-discharge weighted equivalent full cycles, per-cycle
-capacity loss, the year-over-year capacity / state-of-health chain, and the
+Rainflow cycle counting of battery state-of-charge traces,
+depth-of-discharge weighted equivalent full cycles, per-cycle capacity loss,
+the year-over-year capacity / state-of-health / PV-efficiency chain, and the
 linear efficiency-vs-SOH regression.
 
 Depth of discharge is measured relative to rated capacity: traces handed to
@@ -13,14 +13,14 @@ are DOD fractions directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .rainflow import extract_cycles
 from .scenario import BessParams, CycleLifeCurveSpec, PvParams
 
-DEFAULT_BIN_WIDTH = 0.05
+BIN_WIDTH = 0.05  # DOD histogram bin width
 
 
 class DegradationError(ValueError):
@@ -32,49 +32,14 @@ class BatteryExhaustedError(DegradationError):
 
 
 @dataclass(frozen=True)
-class CycleLifeCurve:
-    """Piecewise-linear cycle life vs DOD; queries clamp to the knot range."""
-
-    dods: np.ndarray
-    cycles: np.ndarray
-
-    @classmethod
-    def from_spec(cls, spec: CycleLifeCurveSpec) -> "CycleLifeCurve":
-        spec.validate()
-        pts = np.asarray(spec.points, dtype=float)
-        return cls(dods=pts[:, 0], cycles=pts[:, 1])
-
-    @property
-    def max_dod(self):
-        return float(self.dods[-1])
-
-    @property
-    def cl_at_max(self):
-        return float(self.cycles[-1])
-
-    def cycle_life(self, dod):
-        """Interpolated cycle life at a DOD, clamped to the curve's span."""
-        return float(np.interp(dod, self.dods, self.cycles))
-
-
-@dataclass(frozen=True)
 class DodHistogram:
     """Cycle counts keyed by DOD bin midpoint; half cycles contribute 0.5."""
 
     bins: dict
-    bin_width: float = DEFAULT_BIN_WIDTH
 
     @property
     def total(self):
         return sum(self.bins.values())
-
-    def merged(self, other: "DodHistogram") -> "DodHistogram":
-        if other.bin_width != self.bin_width:
-            raise DegradationError("bin widths differ")
-        out = dict(self.bins)
-        for k, v in other.bins.items():
-            out[k] = out.get(k, 0.0) + v
-        return DodHistogram(bins=out, bin_width=self.bin_width)
 
 
 @dataclass(frozen=True)
@@ -101,27 +66,13 @@ class DegradationState:
     deg: float = 0.0  # MWh lost in the prior year
 
 
-def pv_efficiency(year: int, params: PvParams) -> float:
-    """PV conversion efficiency in planning year ``year`` (1-based)."""
-    if year < 1:
-        raise DegradationError("year must be >= 1")
-    return params.eta_init * (1.0 - params.deg_rate) ** (year - 1)
-
-
-def pv_degradation_cost(s_pv: float, params: PvParams) -> float:
-    """Annual PV degradation cost: replacement fraction of capital, prorated by fade rate."""
-    if s_pv < 0:
-        raise DegradationError("s_pv must be >= 0")
-    return params.rep_frac * params.capital * s_pv * params.deg_rate
-
-
 def bin_midpoint(dod_range: float, bin_width: float) -> float:
     """Nearest-bin-center assignment, half-up at ties."""
     return math.floor(dod_range / bin_width + 0.5) * bin_width
 
 
-def count_cycles(soc_series, bin_width: float = DEFAULT_BIN_WIDTH) -> DodHistogram:
-    """Rainflow-count a normalized state-of-charge trace into DOD bins.
+def count_cycles(soc_series) -> DodHistogram:
+    """Rainflow-count a normalized state-of-charge trace into ``BIN_WIDTH`` DOD bins.
 
     Interior cycles count 1.0, residual half cycles 0.5. Ranges smaller than
     half a bin (solver round-off on a flat trace) fall into the zero bin and
@@ -132,30 +83,28 @@ def count_cycles(soc_series, bin_width: float = DEFAULT_BIN_WIDTH) -> DodHistogr
         raise DegradationError("soc_series needs at least 2 samples")
     if np.any(soc < -1e-9) or np.any(soc > 1 + 1e-9):
         raise DegradationError("soc_series values must be in [0, 1]")
-    if bin_width <= 0:
-        raise DegradationError("bin_width must be > 0")
     ranges, weights = extract_cycles(np.clip(soc, 0.0, 1.0))
     bins: dict = {}
     for r, w in zip(ranges, weights):
-        mid = bin_midpoint(float(r), bin_width)
+        mid = bin_midpoint(float(r), BIN_WIDTH)
         if mid <= 0.0:
             continue
         bins[mid] = bins.get(mid, 0.0) + float(w)
-    return DodHistogram(bins=bins, bin_width=bin_width)
+    return DodHistogram(bins=bins)
 
 
-def degradation_factor(dod: float, curve: CycleLifeCurve) -> float:
+def degradation_factor(dod: float, curve: CycleLifeCurveSpec) -> float:
     """Cycle-life at max DOD over cycle-life at this DOD (shallow cycles wear less)."""
     if dod <= 0:
         raise DegradationError("dod must be in (0, 1]")
     return curve.cl_at_max / curve.cycle_life(min(dod, 1.0))
 
 
-def equivalent_full_cycles(hist: DodHistogram, curve: CycleLifeCurve,
+def equivalent_full_cycles(hist: DodHistogram, curve: CycleLifeCurveSpec,
                            alpha: float = 1.0) -> float:
     """DOD-weighted cycle count, scaled by the profile repetition factor."""
-    return alpha * sum(degradation_factor(dod, curve) * n
-                       for dod, n in hist.bins.items())
+    return alpha * sum((degradation_factor(dod, curve) * n
+                        for dod, n in hist.bins.items()), 0.0)
 
 
 def degradation_per_cycle(rated: float, eol_frac: float, cycles_at_max_dod: float) -> float:
@@ -182,23 +131,24 @@ def fit_efficiency_model(points) -> EfficiencyModel:
     return EfficiencyModel(w=float(w), b=float(b))
 
 
-def advance_state(prev: DegradationState, hist: DodHistogram, curve: CycleLifeCurve,
+def advance_state(prev: DegradationState, hist: DodHistogram, curve: CycleLifeCurveSpec,
                   bess: BessParams, pv: PvParams, eff_model: EfficiencyModel,
                   rated: float, alpha: float = 1.0) -> DegradationState:
     """Apply one year of cycling wear and PV fade to the condition chain.
 
     ``rated`` is the as-built battery capacity in MWh; capacity loss is
-    equivalent full cycles times the per-cycle loss. Raises
-    :class:`BatteryExhaustedError` instead of clamping when the chain would
-    hit zero.
+    equivalent full cycles times the per-cycle loss. An empty histogram
+    leaves the battery as it was, which is also the step of a battery of
+    zero size. Raises :class:`BatteryExhaustedError` instead of clamping
+    when a loss would take the capacity to zero or below.
     """
-    if prev.capacity <= 0:
-        raise DegradationError("prev.capacity must be > 0")
+    if prev.capacity < 0 or (prev.capacity == 0 and rated > 0):
+        raise DegradationError("prev.capacity must be > 0 (or 0 with rated == 0)")
     efc = equivalent_full_cycles(hist, curve, alpha)
     dpc = degradation_per_cycle(rated, bess.eol_frac, curve.cl_at_max) if rated > 0 else 0.0
     deg = efc * dpc
     capacity = prev.capacity - deg
-    if capacity <= 0:
+    if deg > 0 and capacity <= 0:
         raise BatteryExhaustedError(
             f"year {prev.year}: degradation {deg:.6g} MWh exhausts remaining "
             f"capacity {prev.capacity:.6g} MWh")

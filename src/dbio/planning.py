@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import milp
+from .degradation import DegradationState
 from .milp import EQ, GE, INF, LE, MilpProblem
-from .scenario import Scenario, MultiYearProfiles
+from .scenario import Scenario
 
 
 class ModelBuildError(ValueError):
@@ -33,17 +34,8 @@ class InvestmentDecision:
     p_cder_max: float  # MW
 
     def __post_init__(self):
-        if min(self.s_pv, self.s_bess, self.p_cder_max) < 0:
-            raise ModelBuildError("investment sizes must be >= 0")
-
-
-@dataclass(frozen=True)
-class YearOverrides:
-    """Degraded parameters injected into a single-year build."""
-
-    eta_pv: float
-    eta_bess: float
-    s_bess_y: float  # degraded capacity, MWh
+        if not all(0 <= v < INF for v in (self.s_pv, self.s_bess, self.p_cder_max)):
+            raise ModelBuildError("investment sizes must be finite and >= 0")
 
 
 @dataclass
@@ -59,6 +51,7 @@ class ModelIndex:
     SERIES = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt",
               "e_bess", "u_cder", "u_chg", "u_dchg", "u_imp", "u_exp")
     BINARIES = ("u_cder", "u_chg", "u_dchg", "u_imp", "u_exp")
+    POWER = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt")  # MW, >= 0
 
 
 @dataclass
@@ -74,9 +67,12 @@ class DispatchSolution:
 
     @property
     def cost_total(self):
-        return (self.costs["capital"] + self.costs["cder_op"] + self.costs["pv_deg"]
-                + self.costs["bess_deg"] + self.costs["shed_penalty"]
-                + self.costs["import_cost"] - self.costs["export_revenue"])
+        return _cost_total(self.costs)
+
+
+def _cost_total(costs):
+    return (costs["capital"] + costs["cder_op"] + costs["pv_deg"] + costs["bess_deg"]
+            + costs["shed_penalty"] + costs["import_cost"] - costs["export_revenue"])
 
 
 def pv_efficiency_schedule(pv, years: int) -> np.ndarray:
@@ -84,17 +80,13 @@ def pv_efficiency_schedule(pv, years: int) -> np.ndarray:
     return pv.eta_init * (1.0 - pv.deg_rate) ** np.arange(years)
 
 
-def _build(scenario: Scenario, profiles: MultiYearProfiles, eta_pv_by_year, eta_bess, name,
-           *, fixed: InvestmentDecision | None = None,
-           overrides: YearOverrides | None = None, pin_s_bess: float | None = None):
-    """Assemble the MILP. With ``fixed`` (and the year's ``overrides``) every
-    size is pinned and capital costs are left out of the objective."""
+def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
+           size_lo, size_hi, capital: bool):
+    """Assemble the MILP over (Y, D, T) ``load`` and ``pv_cf``. ``size_lo``/``size_hi``
+    bound (s_pv, s_bess, p_cder_max); a pinned size has lo == hi, so every build
+    has the same structure. ``capital`` puts capital costs in the objective."""
     cfg, cder, pv, bess = scenario.cfg, scenario.cder, scenario.pv, scenario.bess
-    Y, D, T = profiles.load.shape
-    if profiles.pv_cf.shape != (Y, D, T):
-        raise ModelBuildError("profiles: load/pv_cf shape mismatch")
-    if len(eta_pv_by_year) != Y:
-        raise ModelBuildError("eta_pv_by_year length must match horizon")
+    Y, D, T = load.shape
     if scenario.tariff.import_price.shape != (D, T):
         raise ModelBuildError("tariff shape mismatch")
 
@@ -102,34 +94,13 @@ def _build(scenario: Scenario, profiles: MultiYearProfiles, eta_pv_by_year, eta_
     alpha = cfg.alpha
     big_m = cfg.big_m
     tie = cfg.tie_limit
-    load = profiles.load
-    pv_cf = profiles.pv_cf
     imp_price = scenario.tariff.import_price
     exp_price = scenario.tariff.export_price
-    capital = fixed is None
-
-    # Capacity variables. Pinned sizes are encoded as lb == ub so the model
-    # structure (and variable count) is identical in all build modes.
-    if fixed is not None:
-        if overrides.s_bess_y > fixed.s_bess + 1e-12:
-            raise ModelBuildError(
-                f"override capacity {overrides.s_bess_y} exceeds rated {fixed.s_bess}")
-        s_pv_bounds = (fixed.s_pv, fixed.s_pv)
-        p_max_bounds = (fixed.p_cder_max, fixed.p_cder_max)
-        s_bess_bounds = (overrides.s_bess_y, overrides.s_bess_y)
-    else:
-        s_pv_bounds = (0.0, INF)
-        p_max_bounds = (0.0, cder.max_size)
-        if pin_s_bess is not None:
-            s_bess_bounds = (pin_s_bess, pin_s_bess)
-        else:
-            s_bess_bounds = (0.0, INF)
 
     # Variables: the four sizes, then the 13 series of each flattened hour h
     # at ids 4 + 13*h + j (j = position in ModelIndex.SERIES).
     s_pv, s_bess, p_cder_max, e_init = (int(i) for i in prob.add_variables(
-        4, lower=[s_pv_bounds[0], s_bess_bounds[0], p_max_bounds[0], 0.0],
-        upper=[s_pv_bounds[1], s_bess_bounds[1], p_max_bounds[1], INF],
+        4, lower=[*size_lo, 0.0], upper=[*size_hi, INF],
         names=["s_pv", "s_bess", "p_cder_max", "e_init"], family="sizes"))
     u_grid_ub = 1.0 if tie > 0 else 0.0
     upper = {"p_ls": load, "p_imp": tie, "p_exp": tie, "u_cder": 1.0, "u_chg": 1.0,
@@ -214,8 +185,7 @@ def _build(scenario: Scenario, profiles: MultiYearProfiles, eta_pv_by_year, eta_
     return prob, index
 
 
-def build_integrated(scenario: Scenario, profiles: MultiYearProfiles | None = None, *,
-                     pin_s_bess: float | None = None):
+def build_integrated(scenario: Scenario, *, pin_s_bess: float | None = None):
     """Build the full-horizon planning MILP (capital costs included).
 
     Battery state of health is held at its initial value; PV efficiency is
@@ -225,29 +195,55 @@ def build_integrated(scenario: Scenario, profiles: MultiYearProfiles | None = No
     """
     if pin_s_bess is not None and pin_s_bess < 0:
         raise ModelBuildError("pin_s_bess must be >= 0")
-    if profiles is None:
-        profiles = scenario.profiles()
-    Y = scenario.cfg.planning_years
-    if profiles.load.shape[0] != Y:
-        raise ModelBuildError(
-            f"profiles span {profiles.load.shape[0]} years, horizon is {Y}")
-    return _build(scenario, profiles, pv_efficiency_schedule(scenario.pv, Y),
-                  scenario.bess.eta_rt, "integrated", pin_s_bess=pin_s_bess)
+    lo, hi = (0.0, INF) if pin_s_bess is None else (pin_s_bess, pin_s_bess)
+    profiles = scenario.profiles()
+    return _build(scenario, profiles.load, profiles.pv_cf,
+                  pv_efficiency_schedule(scenario.pv, scenario.cfg.planning_years),
+                  scenario.bess.eta_rt, "integrated", size_lo=(0.0, lo, 0.0),
+                  size_hi=(INF, hi, scenario.cder.max_size), capital=True)
 
 
-def build_single_year(scenario: Scenario, profiles_y: MultiYearProfiles,
-                      overrides: YearOverrides, investment: InvestmentDecision):
-    """Build one validation year: fixed sizes, degraded capacity and efficiencies.
+def build_single_year(scenario: Scenario, state: DegradationState,
+                      investment: InvestmentDecision):
+    """Build validation year ``state.year``: fixed sizes, degraded capacity and efficiencies.
 
     Capital terms are absent from the objective. The degraded capacity
-    replaces the rated size throughout; the state-of-health factor in the
-    stored-energy window stays at its initial value so capacity fade is
-    applied exactly once.
+    ``state.capacity`` replaces the rated size throughout; the state-of-health
+    factor in the stored-energy window stays at its initial value so capacity
+    fade is applied exactly once.
     """
-    if profiles_y.load.shape[0] != 1:
-        raise ModelBuildError("single-year build expects exactly one year of profiles")
-    return _build(scenario, profiles_y, np.asarray([overrides.eta_pv]), overrides.eta_bess,
-                  "single_year", fixed=investment, overrides=overrides)
+    Y = scenario.cfg.planning_years
+    if not 1 <= state.year <= Y:
+        raise ModelBuildError(f"year {state.year} is outside the horizon 1..{Y}")
+    if state.capacity > investment.s_bess + 1e-12:
+        raise ModelBuildError(
+            f"degraded capacity {state.capacity} exceeds rated {investment.s_bess}")
+    sizes = (investment.s_pv, state.capacity, investment.p_cder_max)
+    profiles = scenario.profiles()
+    year = slice(state.year - 1, state.year)
+    return _build(scenario, profiles.load[year], profiles.pv_cf[year], [state.eta_pv],
+                  state.eta_bess, "single_year", size_lo=sizes, size_hi=sizes, capital=False)
+
+
+def _costs(series, inv: InvestmentDecision, index: ModelIndex) -> dict:
+    """Cost breakdown of a dispatch, component name -> $."""
+    sc = index.scenario
+    cfg, cder, pv, bess = sc.cfg, sc.cder, sc.pv, sc.bess
+    alpha = cfg.alpha
+    capital = 0.0
+    if index.capital:
+        capital = (inv.p_cder_max * cder.capital + inv.s_pv * pv.capital
+                   + inv.s_bess * bess.capital)
+    cder_op = alpha * float(np.sum(series["p_cder"]) * cder.op_cost
+                            + np.sum(series["u_cder"]) * cder.no_load)
+    pv_deg = index.shape[0] * pv.rep_frac * pv.capital * inv.s_pv * pv.deg_rate
+    bess_deg = alpha * bess.deg_cost_per_mwh * float(np.sum(series["p_dchg"]))
+    shed = alpha * cfg.ls_penalty * float(np.sum(series["p_ls"]))
+    imp_cost = alpha * float(np.sum(series["p_imp"] * sc.tariff.import_price[None]))
+    exp_rev = alpha * float(np.sum(series["p_exp"] * sc.tariff.export_price[None]))
+    return {"capital": capital, "cder_op": cder_op, "pv_deg": pv_deg,
+            "bess_deg": bess_deg, "shed_penalty": shed,
+            "import_cost": imp_cost, "export_revenue": exp_rev}
 
 
 def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSolution:
@@ -255,41 +251,24 @@ def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSol
     if not result.has_solution:
         raise ModelBuildError(f"no solution to extract (status {result.status})")
     x = result.primal
-    Y, D, T = index.shape
-    series = {k: x[index.series[k]].astype(float) for k in ModelIndex.SERIES}
-    # Clean tiny solver round-off on the nonnegative power series.
-    for k in ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt"):
-        np.clip(series[k], 0.0, None, out=series[k])
-
-    sc = index.scenario
-    cfg, cder, pv, bess = sc.cfg, sc.cder, sc.pv, sc.bess
-    alpha = cfg.alpha
+    solved = {k: x[index.series[k]].astype(float) for k in ModelIndex.SERIES}
     inv = InvestmentDecision(
         s_pv=float(x[index.scalars["s_pv"]]),
         s_bess=float(x[index.scalars["s_bess"]]),
         p_cder_max=float(x[index.scalars["p_cder_max"]]))
 
-    capital = 0.0
-    if index.capital:
-        capital = (inv.p_cder_max * cder.capital + inv.s_pv * pv.capital
-                   + inv.s_bess * bess.capital)
-    cder_op = alpha * float(np.sum(series["p_cder"]) * cder.op_cost
-                            + np.sum(series["u_cder"]) * cder.no_load)
-    pv_deg = Y * pv.rep_frac * pv.capital * inv.s_pv * pv.deg_rate
-    bess_deg = alpha * bess.deg_cost_per_mwh * float(np.sum(series["p_dchg"]))
-    shed = alpha * cfg.ls_penalty * float(np.sum(series["p_ls"]))
-    imp_cost = alpha * float(np.sum(series["p_imp"] * sc.tariff.import_price[None]))
-    exp_rev = alpha * float(np.sum(series["p_exp"] * sc.tariff.export_price[None]))
-    costs = {"capital": capital, "cder_op": cder_op, "pv_deg": pv_deg,
-             "bess_deg": bess_deg, "shed_penalty": shed,
-             "import_cost": imp_cost, "export_revenue": exp_rev}
-
-    sol = DispatchSolution(series=series, e_init=float(x[index.scalars["e_init"]]),
-                           investment=inv, costs=costs,
-                           objective=result.objective, shape=(Y, D, T))
-    total = sol.cost_total
+    # The check prices the primal as solved: a shed of -4e-7 MW clipped to 0
+    # moves the breakdown by 0.4 USD at a 1e6 $/MWh penalty.
+    total = _cost_total(_costs(solved, inv, index))
     scale = max(1.0, abs(result.objective))
     if abs(total - result.objective) > 1e-6 * scale:
         raise ModelBuildError(
             f"cost breakdown {total} inconsistent with objective {result.objective}")
-    return sol
+
+    # The reported dispatch and its breakdown drop tiny solver round-off
+    # below zero on the nonnegative power series.
+    series = {k: np.clip(v, 0.0, None) if k in ModelIndex.POWER else v
+              for k, v in solved.items()}
+    return DispatchSolution(series=series, e_init=float(x[index.scalars["e_init"]]),
+                            investment=inv, costs=_costs(series, inv, index),
+                            objective=result.objective, shape=index.shape)

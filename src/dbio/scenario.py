@@ -117,6 +117,19 @@ class CycleLifeCurveSpec:
                  "bess.cycle_life_curve", "cycle counts must be strictly decreasing")
         _require(all(c > 0 for c in cycles), "bess.cycle_life_curve", "cycle counts must be > 0")
 
+    @property
+    def max_dod(self):
+        return float(self.points[-1][0])
+
+    @property
+    def cl_at_max(self):
+        return float(self.points[-1][1])
+
+    def cycle_life(self, dod):
+        """Interpolated cycle life at a DOD, clamped to the curve's span."""
+        pts = np.asarray(self.points, dtype=float)
+        return float(np.interp(dod, pts[:, 0], pts[:, 1]))
+
 
 @dataclass(frozen=True)
 class BessParams:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import milp
 from .planning import InvestmentDecision, build_integrated, extract_solution
 from .scenario import Scenario
-from .validation import DEFAULT_EUE_TOLERANCE, validate
+from .validation import DEFAULT_EUE_TOLERANCE, ValidationReport, validate
 
 DOUBLING_HARD_CAP = 1024.0  # multiple of the initial size
 
@@ -67,6 +67,7 @@ class SizingResult:
     method: str
     final_midpoint: float | None = None  # midpoint of the closing bracket (unverified)
     final_investment: InvestmentDecision | None = None
+    final_report: ValidationReport | None = None  # validation of final_investment
 
 
 def probe(size: float, scenario: Scenario):
@@ -84,33 +85,37 @@ def probe(size: float, scenario: Scenario):
 
 
 class _Probes:
-    """Probe log of one search: iteration records plus each size's outcome."""
+    """Probe log of one search: iteration records, plus (size, objective,
+    investment, report) of the last probe and of the last shed-free one."""
 
     def __init__(self, method, scenario, on_iteration):
         self.method = method
         self.scenario = scenario
         self.on_iteration = on_iteration
         self.iterations = []
-        self.outcomes = {}  # size -> (objective, investment)
+        self.last = None
+        self.last_shed_free = None
 
     def run(self, size, phase, lb, ub):
         """Probe ``size``, record it, and return whether it sheds."""
-        objective, eue, inv, _ = probe(size, self.scenario)
+        objective, eue, inv, report = probe(size, self.scenario)
         rec = IterationRecord(index=len(self.iterations), candidate_size=size,
                               objective=objective, total_eue=eue,
                               shed=eue > DEFAULT_EUE_TOLERANCE, lb=lb, ub=ub, phase=phase)
         self.iterations.append(rec)
-        self.outcomes[size] = (objective, inv)
+        self.last = (size, objective, inv, report)
+        if not rec.shed:
+            self.last_shed_free = self.last
         if self.on_iteration is not None:
             self.on_iteration(rec)
         return rec.shed
 
-    def result(self, final_size, converged, midpoint=None):
-        objective, inv = self.outcomes.get(final_size, (math.nan, None))
-        return SizingResult(final_size=final_size, final_objective=objective,
+    def result(self, final, converged, midpoint=None):
+        size, objective, inv, report = final
+        return SizingResult(final_size=size, final_objective=objective,
                             iterations=self.iterations, converged=converged,
                             method=self.method, final_midpoint=midpoint,
-                            final_investment=inv)
+                            final_investment=inv, final_report=report)
 
 
 def size_binary(initial: InvestmentDecision, scenario: Scenario,
@@ -131,7 +136,7 @@ def size_binary(initial: InvestmentDecision, scenario: Scenario,
     cap = DOUBLING_HARD_CAP * max(size, cfg.tolerance)
     while probes.run(size, "doubling", lb, math.inf):
         if len(probes.iterations) >= cfg.max_iterations:
-            return probes.result(size, converged=False)
+            return probes.result(probes.last, converged=False)
         lb = size
         size = max(2.0 * size, cfg.tolerance)
         if size > cap:
@@ -143,13 +148,14 @@ def size_binary(initial: InvestmentDecision, scenario: Scenario,
     # Phase 2: bisection; the invariant is lb sheds (or is 0), ub never sheds.
     while ub - lb >= cfg.tolerance:
         if len(probes.iterations) >= cfg.max_iterations:
-            return probes.result(ub, converged=False, midpoint=(lb + ub) / 2.0)
+            return probes.result(probes.last_shed_free, converged=False,
+                                 midpoint=(lb + ub) / 2.0)
         mid = (lb + ub) / 2.0
         if probes.run(mid, "bisection", lb, ub):
             lb = mid
         else:
             ub = mid
-    return probes.result(ub, converged=True, midpoint=(lb + ub) / 2.0)
+    return probes.result(probes.last_shed_free, converged=True, midpoint=(lb + ub) / 2.0)
 
 
 def size_fixed_step(initial: InvestmentDecision, scenario: Scenario,
@@ -168,8 +174,8 @@ def size_fixed_step(initial: InvestmentDecision, scenario: Scenario,
     for k in range(cfg.max_iterations):
         size = initial.s_bess * (1.0 + cfg.step_frac) ** k
         if not probes.run(size, "stepping", 0.0, size):
-            return probes.result(size, converged=True)
-    return probes.result(size, converged=False)
+            return probes.result(probes.last, converged=True)
+    return probes.result(probes.last, converged=False)
 
 
 def run_search(initial: InvestmentDecision, scenario: Scenario,

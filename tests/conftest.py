@@ -50,7 +50,7 @@ def solve_plan(scenario, mip_gap=None):
     opts = scenario.cfg.solver
     if mip_gap is not None:
         opts = dataclasses.replace(opts, mip_gap=mip_gap)
-    problem, index = build_integrated(scenario, profiles)
+    problem, index = build_integrated(scenario)
     result = milp.solve(problem, opts)
     assert result.has_solution, result.status
     return extract_solution(result, index), profiles, result

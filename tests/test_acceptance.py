@@ -17,14 +17,12 @@ import pytest
 from scipy.optimize import linprog
 
 from dbio import milp, rainflow
-from dbio.degradation import (DodHistogram, advance_state, degradation_factor,
-                              degradation_per_cycle, equivalent_full_cycles,
-                              fit_efficiency_model, CycleLifeCurve)
-from dbio.planning import (InvestmentDecision, YearOverrides, build_integrated,
-                           build_single_year, extract_solution)
-from dbio.scenario import (BessParams, CderParams, CycleLifeCurveSpec,
-                           MultiYearProfiles, PvParams, Scenario, ScenarioConfig,
-                           TariffSchedule)
+from dbio.degradation import (DegradationState, DodHistogram, advance_state,
+                              degradation_factor, degradation_per_cycle,
+                              equivalent_full_cycles, fit_efficiency_model)
+from dbio.planning import InvestmentDecision, build_single_year
+from dbio.scenario import (BessParams, CderParams, CycleLifeCurveSpec, PvParams,
+                           Scenario, ScenarioConfig, TariffSchedule)
 from dbio.sizing import SearchConfig, size_binary, size_fixed_step
 from dbio.validation import validate
 
@@ -142,8 +140,6 @@ def enumerate_dispatch(sc, inv):
 def test_criterion_1_enumeration_oracle():
     t0 = time.time()
     sc = t4_scenario()
-    profiles = MultiYearProfiles(load=T4_LOAD.reshape(1, 1, 4),
-                                 pv_cf=T4_CF.reshape(1, 1, 4))
     grid = [InvestmentDecision(s_pv, s_bess, p_max)
             for s_pv in (0.0, 0.5)
             for s_bess in (0.0, 0.4)
@@ -151,9 +147,9 @@ def test_criterion_1_enumeration_oracle():
     worst = 0.0
     model_best = oracle_best = math.inf
     for inv in grid:
-        overrides = YearOverrides(eta_pv=sc.pv.eta_init, eta_bess=sc.bess.eta_rt,
-                                  s_bess_y=inv.s_bess)
-        problem, index = build_single_year(sc, profiles, overrides, inv)
+        state = DegradationState(year=1, capacity=inv.s_bess, soh=sc.bess.soh_init,
+                                 eta_bess=sc.bess.eta_rt, eta_pv=sc.pv.eta_init)
+        problem, index = build_single_year(sc, state, inv)
         result = milp.solve(problem, OPTS)
         assert result.status == "optimal"
         oracle_obj = enumerate_dispatch(sc, inv)
@@ -219,7 +215,7 @@ def test_criterion_3_storage_capital_trend(grid_scenario):
 # -- 4. degradation unit suite ---------------------------------------------------
 
 def test_criterion_4_degradation_units():
-    curve = CycleLifeCurve.from_spec(CycleLifeCurveSpec())
+    curve = CycleLifeCurveSpec()
     ok = degradation_factor(curve.max_dod, curve) == 1.0
 
     hist = DodHistogram(bins={0.25: 3.0, 0.80: 1.5})
@@ -238,7 +234,6 @@ def test_criterion_4_degradation_units():
     bess, pv = BessParams(), PvParams()
     eff = fit_efficiency_model(bess.eff_model_points)
     rated = 5.0
-    from dbio.degradation import DegradationState
     state = DegradationState(year=1, capacity=rated, soh=1.0,
                              eta_bess=eff.predict(1.0), eta_pv=1.0)
     total = 0.0

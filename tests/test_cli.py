@@ -7,7 +7,7 @@ import pytest
 
 from dbio import milp
 from dbio.cli import load_investment, main
-from dbio.scenario import ScenarioError
+from dbio.scenario import ScenarioError, load_scenario
 
 SCENARIO = "sizing_threshold.json"
 
@@ -158,3 +158,54 @@ def test_solver_overrides_reach_every_solve(fixtures_dir, tmp_path, monkeypatch)
     # The plan and the probes solve "integrated" models, validation years "single_year".
     assert {name for name, _ in seen} == {"integrated", "single_year"}
     assert all(opts.time_limit == 77 for _, opts in seen)
+
+
+@pytest.mark.parametrize("content", [
+    None,                                            # missing file
+    "{not json",
+    json.dumps({"s_pv": 0.1, "s_bess": 0.2}),        # missing field
+    json.dumps({"s_pv": 0.1, "s_bess": -0.2, "p_cder_max": 0.3}),
+    json.dumps({"s_pv": float("nan"), "s_bess": 0.2, "p_cder_max": 0.3}),
+], ids=["missing", "invalid-json", "missing-field", "negative-size", "nan-size"])
+def test_bad_investment_file_exit_code(fixtures_dir, tmp_path, capsys, content):
+    inv_path = tmp_path / "inv.json"
+    if content is not None:
+        inv_path.write_text(content)
+    out = tmp_path / "o"
+    assert run(["--scenario", fixtures_dir / SCENARIO, "--out", out,
+                "--mode", "validate", "--investment", inv_path]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: investment file")
+    assert not (out / "manifest.json").exists()
+
+
+def test_validation_solver_failure_exits_one_with_manifest(fixtures_dir, tmp_path,
+                                                           monkeypatch, capsys):
+    inv_path = tmp_path / "inv.json"
+    inv_path.write_text(json.dumps({"s_pv": 0.0, "s_bess": 0.6, "p_cder_max": 0.6}))
+    monkeypatch.setattr(milp, "solve", lambda *a, **k: milp.SolveResult(
+        status=milp.TIME_LIMIT, objective=float("nan"), primal=None))
+    out = tmp_path / "val"
+    assert run(["--scenario", fixtures_dir / SCENARIO, "--out", out,
+                "--mode", "validate", "--investment", inv_path]) == 1
+    err = capsys.readouterr().err
+    assert "error: year 1: solver returned" in err and "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert not manifest["converged"]
+
+
+def test_size_mode_validates_each_probe_once(fixtures_dir, tmp_path, monkeypatch):
+    names = []
+    real_solve = milp.solve
+
+    def recording_solve(problem, opts=None, backend=None):
+        names.append(problem.name)
+        return real_solve(problem, opts, backend)
+
+    monkeypatch.setattr(milp, "solve", recording_solve)
+    out = tmp_path / "size"
+    assert run(["--scenario", fixtures_dir / SCENARIO, "--out", out,
+                "--mode", "size", "--tol", 0.05]) == 0
+    years = load_scenario(fixtures_dir / SCENARIO).cfg.planning_years
+    iterations = json.loads((out / "report.json").read_text())["sizing"]["iterations"]
+    assert names.count("single_year") == years * len(iterations)

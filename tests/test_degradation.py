@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from dbio.degradation import (BatteryExhaustedError, CycleLifeCurve,
-                              DegradationError, DegradationState, DodHistogram,
-                              advance_state, bin_midpoint, count_cycles,
-                              degradation_factor, degradation_per_cycle,
-                              equivalent_full_cycles, fit_efficiency_model,
-                              pv_degradation_cost, pv_efficiency)
+from dbio.degradation import (BatteryExhaustedError, DegradationError,
+                              DegradationState, DodHistogram, advance_state,
+                              bin_midpoint, count_cycles, degradation_factor,
+                              degradation_per_cycle, equivalent_full_cycles,
+                              fit_efficiency_model)
 from dbio.scenario import BessParams, CycleLifeCurveSpec, PvParams
 
-CURVE = CycleLifeCurve.from_spec(CycleLifeCurveSpec())
+CURVE = CycleLifeCurveSpec()
 
 
 def test_curve_interpolates_and_clamps():
@@ -132,17 +131,6 @@ def test_count_cycles_validation():
         count_cycles([0.5])
     with pytest.raises(DegradationError):
         count_cycles([0.5, 1.2])
-    with pytest.raises(DegradationError):
-        count_cycles([0.5, 0.6], bin_width=0.0)
-
-
-def test_histogram_merge():
-    a = DodHistogram(bins={0.25: 1.0})
-    b = DodHistogram(bins={0.25: 0.5, 0.50: 2.0})
-    merged = a.merged(b)
-    assert merged.bins == {0.25: 1.5, 0.50: 2.0}
-    with pytest.raises(DegradationError):
-        a.merged(DodHistogram(bins={}, bin_width=0.1))
 
 
 def test_advance_state_updates_chain():
@@ -171,19 +159,3 @@ def test_advance_state_exhaustion_raises():
     with pytest.raises(BatteryExhaustedError):
         advance_state(state, hist, CURVE, bess, PvParams(), eff,
                       rated=2.0, alpha=1.0)
-
-
-def test_pv_efficiency_geometric_fade():
-    pv = PvParams(eta_init=1.0, deg_rate=0.01)
-    assert pv_efficiency(1, pv) == 1.0
-    assert pv_efficiency(10, pv) == pytest.approx(0.99 ** 9, rel=1e-12)
-    with pytest.raises(DegradationError):
-        pv_efficiency(0, pv)
-
-
-def test_pv_degradation_cost_arithmetic():
-    pv = PvParams(capital=1_450_000.0, rep_frac=0.41, deg_rate=0.005)
-    assert pv_degradation_cost(2.0, pv) == pytest.approx(
-        0.41 * 1_450_000.0 * 2.0 * 0.005, rel=1e-12)
-    with pytest.raises(DegradationError):
-        pv_degradation_cost(-1.0, pv)

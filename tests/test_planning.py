@@ -8,22 +8,27 @@ import numpy as np
 import pytest
 
 from dbio import milp
-from dbio.planning import (InvestmentDecision, ModelBuildError, YearOverrides,
-                           build_integrated, build_single_year, extract_solution,
-                           pv_efficiency_schedule)
-from dbio.scenario import BessParams, CderParams, MultiYearProfiles, load_scenario
+from dbio.degradation import DegradationState
+from dbio.planning import (InvestmentDecision, ModelBuildError, build_integrated,
+                           build_single_year, extract_solution, pv_efficiency_schedule)
+from dbio.scenario import BessParams, CderParams, load_scenario
 
 from conftest import FIXTURES, check_dispatch_invariants, make_scenario
 
 OPTS = milp.SolveOptions(mip_gap=0.0, time_limit=300.0)
 
 
-def _solve(scenario, pin_s_bess=None, profiles=None):
-    profiles = profiles if profiles is not None else scenario.profiles()
-    problem, index = build_integrated(scenario, profiles, pin_s_bess=pin_s_bess)
+def _solve(scenario, pin_s_bess=None):
+    problem, index = build_integrated(scenario, pin_s_bess=pin_s_bess)
     result = milp.solve(problem, OPTS)
     assert result.has_solution, result.status
-    return extract_solution(result, index), profiles, result
+    return extract_solution(result, index), scenario.profiles(), result
+
+
+def _state(year, capacity, eta_pv, eta_bess):
+    """Degradation state of a single-year build; the build does not read ``soh``."""
+    return DegradationState(year=year, capacity=capacity, soh=1.0, eta_bess=eta_bess,
+                            eta_pv=eta_pv)
 
 
 def test_variable_count_single_day():
@@ -47,6 +52,24 @@ def test_cost_breakdown_matches_objective():
     sol, _, res = _solve(sc)
     assert sol.cost_total == pytest.approx(res.objective, rel=1e-9)
     assert sol.costs["capital"] > 0 and sol.costs["cder_op"] > 0
+
+
+def test_objective_check_prices_the_primal_as_solved():
+    # A load shed of -4e-7 MW is solver round-off; at the 1e6 $/MWh penalty
+    # it moves the objective by far more than the 1e-6 relative check allows.
+    sc = make_scenario(np.linspace(0.2, 0.8, 24), np.zeros(24))
+    problem, index = build_integrated(sc)
+    result = milp.solve(problem, OPTS)
+    x = result.primal.copy()
+    i = index.series["p_ls"][0, 0, 5]
+    shift = sc.cfg.alpha * sc.cfg.ls_penalty * (-4e-7 - x[i])
+    x[i] = -4e-7
+    perturbed = dataclasses.replace(result, primal=x, objective=result.objective + shift)
+    sol = extract_solution(perturbed, index)
+    assert sol.objective == perturbed.objective
+    # The reported dispatch, and the breakdown of it, have the shed clipped to 0.
+    assert np.min(sol.series["p_ls"]) == 0.0
+    assert sol.cost_total == pytest.approx(result.objective, rel=1e-9)
 
 
 def test_islanded_never_touches_grid():
@@ -121,9 +144,8 @@ def test_single_year_equals_integrated_minus_capital():
     sc = make_scenario(load, np.zeros(24))
     sol, prof, res = _solve(sc)
     inv = sol.investment
-    overrides = YearOverrides(eta_pv=sc.pv.eta_init, eta_bess=sc.bess.eta_rt,
-                              s_bess_y=inv.s_bess)
-    problem, index = build_single_year(sc, prof, overrides, inv)
+    state = _state(1, inv.s_bess, eta_pv=sc.pv.eta_init, eta_bess=sc.bess.eta_rt)
+    problem, index = build_single_year(sc, state, inv)
     r2 = milp.solve(problem, OPTS)
     assert r2.status == "optimal"
     assert r2.objective == pytest.approx(res.objective - sol.costs["capital"],
@@ -139,9 +161,8 @@ def test_degraded_capacity_shrinks_window():
     inv = sol.investment
     assert inv.s_bess > 0
     degraded = 0.5 * inv.s_bess
-    overrides = YearOverrides(eta_pv=sc.pv.eta_init, eta_bess=sc.bess.eta_rt,
-                              s_bess_y=degraded)
-    problem, index = build_single_year(sc, prof, overrides, inv)
+    state = _state(1, degraded, eta_pv=sc.pv.eta_init, eta_bess=sc.bess.eta_rt)
+    problem, index = build_single_year(sc, state, inv)
     r = milp.solve(problem, OPTS)
     d = extract_solution(r, index)
     assert np.max(d.series["e_bess"]) <= sc.bess.soc_max * degraded + 1e-7
@@ -171,16 +192,17 @@ def test_negative_investment_rejected():
 def test_override_capacity_cannot_exceed_rated():
     sc = make_scenario(np.full(24, 0.5), np.zeros(24))
     inv = InvestmentDecision(0.0, 0.2, 1.0)
-    overrides = YearOverrides(eta_pv=1.0, eta_bess=0.9, s_bess_y=0.3)
+    state = _state(1, 0.3, eta_pv=1.0, eta_bess=0.9)
     with pytest.raises(ModelBuildError, match="exceeds rated"):
-        build_single_year(sc, sc.profiles(), overrides, inv)
+        build_single_year(sc, state, inv)
 
 
-def test_profiles_horizon_mismatch_rejected():
+@pytest.mark.parametrize("year", [0, 3])
+def test_single_year_outside_horizon_rejected(year):
     sc = make_scenario(np.full(24, 0.5), np.zeros(24), years=2)
-    one_year = make_scenario(np.full(24, 0.5), np.zeros(24)).profiles()
-    with pytest.raises(ModelBuildError, match="span"):
-        build_integrated(sc, one_year)
+    inv = InvestmentDecision(0.0, 0.2, 1.0)
+    with pytest.raises(ModelBuildError, match="outside the horizon"):
+        build_single_year(sc, _state(year, 0.2, eta_pv=1.0, eta_bess=0.9), inv)
 
 
 def test_extract_requires_solution():
@@ -272,17 +294,15 @@ def _synthetic():
 
 
 def _build_mode(sc, mode):
-    prof = sc.profiles()
     if mode == "integrated":
-        return build_integrated(sc, prof)
+        return build_integrated(sc)
     if mode == "pinned":
-        return build_integrated(sc, prof, pin_s_bess=0.37)
+        return build_integrated(sc, pin_s_bess=0.37)
     # Last planning year, degraded below the rated 0.5 MWh.
     inv = InvestmentDecision(s_pv=0.25, s_bess=0.5, p_cder_max=0.75)
-    overrides = YearOverrides(eta_pv=0.97 * sc.pv.eta_init, eta_bess=0.98 * sc.bess.eta_rt,
-                              s_bess_y=0.4)
-    last = MultiYearProfiles(load=prof.load[-1:], pv_cf=prof.pv_cf[-1:])
-    return build_single_year(sc, last, overrides, inv)
+    state = _state(sc.cfg.planning_years, 0.4, eta_pv=0.97 * sc.pv.eta_init,
+                   eta_bess=0.98 * sc.bess.eta_rt)
+    return build_single_year(sc, state, inv)
 
 
 @pytest.mark.parametrize("case", [k for k in SEED_SOLVER_INPUT if "8760h" not in k])
@@ -305,6 +325,5 @@ def test_hourly_year_solver_input_matches_seed_builder(tmp_path):
     assert (problem.n_variables, problem.n_constraints) == (113_884, 140_527)
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT["islanded_base_8760h/integrated"]
     inv = InvestmentDecision(s_pv=0.11, s_bess=0.077, p_cder_max=0.8)
-    overrides = YearOverrides(eta_pv=1.0, eta_bess=0.9, s_bess_y=0.07)
-    problem, _ = build_single_year(sc, sc.profiles(), overrides, inv)
+    problem, _ = build_single_year(sc, _state(1, 0.07, eta_pv=1.0, eta_bess=0.9), inv)
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT["islanded_base_8760h/single_year"]

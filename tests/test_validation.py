@@ -64,6 +64,23 @@ def test_degradation_off_baseline(highuse_scenario, highuse_plan):
         assert b == pytest.approx(a * (1.0 - rate), rel=1e-12)
 
 
+def test_zero_size_battery_keeps_a_frozen_chain(sizing_scenario):
+    rate = 0.01
+    sc = dataclasses.replace(sizing_scenario,
+                             pv=dataclasses.replace(sizing_scenario.pv, deg_rate=rate))
+    inv = InvestmentDecision(s_pv=0.5, s_bess=0.0, p_cder_max=0.6)
+    report = validate(inv, sc)
+    assert len(report.per_year) == sc.cfg.planning_years
+    assert not report.truncated
+    eta_bess = report.per_year[0].state_in.eta_bess
+    for r in report.per_year:
+        assert r.state_in.capacity == r.state_out.capacity == 0.0
+        assert r.state_out.efc == r.state_out.deg == 0.0
+        assert r.state_out.eta_bess == eta_bess
+        assert r.state_out.eta_pv == pytest.approx(r.state_in.eta_pv * (1.0 - rate),
+                                                   rel=1e-12)
+
+
 def test_truncation_on_battery_exhaustion(highuse_scenario, highuse_plan):
     sol, _, _ = highuse_plan
     # A cycle-life curve three orders of magnitude harsher exhausts the
