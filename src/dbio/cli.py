@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=float, default=None,
                    help="override the scenario's per-solve time limit, seconds")
     p.add_argument("--dump-lp", action="store_true",
-                   help="write each solved model in LP format to the output dir")
+                   help="write the integrated model to <out>/integrated.lp (plan and size modes)")
     p.add_argument("--no-cyclic-soc", action="store_true",
                    help="drop the end-of-day stored-energy closure constraint")
     return p
@@ -134,7 +134,11 @@ def main(argv=None) -> int:
             if not args.investment:
                 raise ScenarioError("--investment is required in validate mode")
             investment = load_investment(args.investment)
-    except ScenarioError as exc:
+        if args.mode == "size":
+            search_cfg = SearchConfig(
+                method="binary" if args.method == "binary" else "fixed_step",
+                tolerance=args.tol, step_frac=args.step)
+    except (ScenarioError, SizingError) as exc:
         _progress(f"error: {exc}")
         return 2
 
@@ -165,9 +169,6 @@ def main(argv=None) -> int:
 
         # size mode: plan, then search, then report everything.
         sol = _plan(scenario, out_dir, args.dump_lp)
-        search_cfg = SearchConfig(
-            method="binary" if args.method == "binary" else "fixed_step",
-            tolerance=args.tol, step_frac=args.step)
 
         def on_iteration(rec):
             _progress(f"iter {rec.index} [{rec.phase}] size={rec.candidate_size:.6g} "

@@ -37,10 +37,6 @@ class DodHistogram:
 
     bins: dict
 
-    @property
-    def total(self):
-        return sum(self.bins.values())
-
 
 @dataclass(frozen=True)
 class EfficiencyModel:

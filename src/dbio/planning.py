@@ -87,8 +87,6 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
     has the same structure. ``capital`` puts capital costs in the objective."""
     cfg, cder, pv, bess = scenario.cfg, scenario.cder, scenario.pv, scenario.bess
     Y, D, T = load.shape
-    if scenario.tariff.import_price.shape != (D, T):
-        raise ModelBuildError("tariff shape mismatch")
 
     prob = MilpProblem(name=name)
     alpha = cfg.alpha
@@ -252,10 +250,10 @@ def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSol
         raise ModelBuildError(f"no solution to extract (status {result.status})")
     x = result.primal
     solved = {k: x[index.series[k]].astype(float) for k in ModelIndex.SERIES}
-    inv = InvestmentDecision(
-        s_pv=float(x[index.scalars["s_pv"]]),
-        s_bess=float(x[index.scalars["s_bess"]]),
-        p_cder_max=float(x[index.scalars["p_cder_max"]]))
+    # Adding 0.0 turns a solver's -0.0 into 0.0, so no report shows "-0".
+    s_pv, s_bess, p_cder_max, e_init = (float(x[index.scalars[k]]) + 0.0
+                                        for k in ("s_pv", "s_bess", "p_cder_max", "e_init"))
+    inv = InvestmentDecision(s_pv=s_pv, s_bess=s_bess, p_cder_max=p_cder_max)
 
     # The check prices the primal as solved: a shed of -4e-7 MW clipped to 0
     # moves the breakdown by 0.4 USD at a 1e6 $/MWh penalty.
@@ -269,6 +267,6 @@ def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSol
     # below zero on the nonnegative power series.
     series = {k: np.clip(v, 0.0, None) if k in ModelIndex.POWER else v
               for k, v in solved.items()}
-    return DispatchSolution(series=series, e_init=float(x[index.scalars["e_init"]]),
+    return DispatchSolution(series=series, e_init=e_init,
                             investment=inv, costs=_costs(series, inv, index),
                             objective=result.objective, shape=index.shape)

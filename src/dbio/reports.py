@@ -17,11 +17,12 @@ from .validation import ValidationReport
 
 
 def fmt_usd(x: float) -> str:
-    return f"{x:.2f}"
+    text = f"{x:.2f}"
+    return "0.00" if text == "-0.00" else text  # e.g. -0.004 or -0.0
 
 
 def fmt_qty(x: float) -> str:
-    return f"{x:.6g}"
+    return f"{x + 0.0:.6g}"  # + 0.0 turns -0.0 into 0.0; .6g rounds nothing else to zero
 
 
 def _write_csv(path: Path, header, rows):
@@ -116,7 +117,6 @@ def _solution_json(sol: DispatchSolution) -> dict:
         "e_init_mwh": sol.e_init,
         "objective_usd": sol.objective,
         "costs": sol.costs,
-        "series": {k: v.tolist() for k, v in sol.series.items()},
     }
 
 

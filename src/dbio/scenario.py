@@ -20,6 +20,7 @@ from .milp import MilpError, SolveOptions
 
 HOURS_PER_YEAR = 8760
 DAYS_PER_YEAR = 365
+HOURS_PER_DAY = 24
 
 
 class ScenarioError(ValueError):
@@ -36,11 +37,9 @@ def _require(cond, field_path, message):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Horizon and system-level settings."""
+    """Horizon and system-level settings (the day/hour resolution is the profiles' shape)."""
 
     planning_years: int = 25
-    rep_days: int = DAYS_PER_YEAR
-    hours_per_day: int = 24
     alpha: float = 1.0          # profile repetitions per year (365/rep_days)
     load_growth: float = 0.005  # fraction per year
     ls_penalty: float = 1e6     # $/MWh, must dominate all marginal supply costs
@@ -49,18 +48,13 @@ class ScenarioConfig:
     cyclic_soc: bool = True     # end-of-day stored energy returns to initial level
     solver: SolveOptions = field(default_factory=SolveOptions)
 
-    def validate(self):
+    def __post_init__(self):
         _require(self.planning_years >= 1, "horizon.planning_years", "must be >= 1")
-        _require(1 <= self.rep_days <= DAYS_PER_YEAR, "horizon.rep_days", "must be in [1, 365]")
-        _require(self.hours_per_day == 24, "horizon.hours_per_day", "must be 24")
         _require(self.alpha > 0, "horizon.alpha", "must be > 0")
+        _require(self.load_growth > -1, "horizon.load_growth", "must be > -1")
         _require(self.big_m > 0, "horizon.big_m", "must be > 0")
         _require(self.tie_limit >= 0, "horizon.tie_limit", "must be >= 0")
         _require(self.ls_penalty >= 0, "horizon.ls_penalty", "must be >= 0")
-
-    @property
-    def steps_per_year(self):
-        return self.rep_days * self.hours_per_day
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,7 @@ class CderParams:
     p_min: float = 0.0            # MW minimum output when committed
     max_size: float = math.inf    # MW cap on installed capacity
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("capital", "op_cost", "no_load", "p_min"):
             _require(getattr(self, name) >= 0, f"cder.{name}", "must be >= 0")
         _require(self.max_size > 0, "cder.max_size", "must be > 0")
@@ -88,7 +82,7 @@ class PvParams:
     deg_rate: float = 0.005       # efficiency decline per year
     eta_init: float = 1.0         # initial conversion efficiency
 
-    def validate(self):
+    def __post_init__(self):
         _require(self.capital >= 0, "pv.capital", "must be >= 0")
         _require(0 <= self.rep_frac <= 1, "pv.rep_frac", "must be in [0, 1]")
         _require(0 <= self.deg_rate < 1, "pv.deg_rate", "must be in [0, 1)")
@@ -106,7 +100,7 @@ class CycleLifeCurveSpec:
         (1.00, 2_000.0),
     )
 
-    def validate(self):
+    def __post_init__(self):
         _require(len(self.points) >= 2, "bess.cycle_life_curve", "needs >= 2 points")
         dods = [p[0] for p in self.points]
         cycles = [p[1] for p in self.points]
@@ -149,7 +143,7 @@ class BessParams:
     # (SOH, roundtrip efficiency) samples for the linear efficiency-vs-SOH fit
     eff_model_points: tuple = ((1.0, 0.90), (0.8, 0.86))
 
-    def validate(self):
+    def __post_init__(self):
         _require(self.capital >= 0, "bess.capital", "must be >= 0")
         _require(0 <= self.rep_frac <= 1, "bess.rep_frac", "must be in [0, 1]")
         _require(0 < self.eta_rt <= 1, "bess.eta_rt", "must be in (0, 1]")
@@ -161,8 +155,8 @@ class BessParams:
         _require(self.eol_frac < self.soh_init <= 1, "bess.soh_init",
                  "must be in (eol_frac, 1]")
         _require(self.deg_cost_cycle_life > 0, "bess.deg_cost_cycle_life", "must be > 0")
-        self.cycle_life_curve.validate()
-        _require(len(self.eff_model_points) >= 2, "bess.eff_model_points", "needs >= 2 points")
+        _require(len({soh for soh, _ in self.eff_model_points}) >= 2, "bess.eff_model_points",
+                 "needs >= 2 distinct SOH values")
 
     @property
     def deg_cost_per_mwh(self):
@@ -177,7 +171,7 @@ TARIFF_MODES = ("fixed", "tou", "wholesale")
 class TariffSchedule:
     """Hourly grid import price and export valuation factor.
 
-    ``import_price`` is a (rep_days, 24) array in $/MWh; the export price is
+    ``import_price`` is a (days, hours) array in $/MWh; the export price is
     ``export_factor`` times the import price at the same hour.
     """
 
@@ -185,7 +179,7 @@ class TariffSchedule:
     import_price: np.ndarray
     export_factor: float = 0.8
 
-    def validate(self):
+    def __post_init__(self):
         _require(self.mode in TARIFF_MODES, "tariff.mode", f"must be one of {TARIFF_MODES}")
         _require(0 <= self.export_factor <= 1, "tariff.export_factor", "must be in [0, 1]")
         _require(np.all(self.import_price >= 0), "tariff.import_price", "must be >= 0 everywhere")
@@ -202,12 +196,6 @@ class MultiYearProfiles:
     load: np.ndarray   # (Y, D, T)
     pv_cf: np.ndarray  # (Y, D, T)
 
-    def validate(self):
-        _require(self.load.shape == self.pv_cf.shape, "profiles", "shape mismatch")
-        _require(np.all(self.load >= 0), "profiles.load", "must be >= 0")
-        _require(np.all((self.pv_cf >= 0) & (self.pv_cf <= 1)),
-                 "profiles.pv_cf", "must be in [0, 1]")
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -221,8 +209,23 @@ class Scenario:
     base_load: np.ndarray   # (D, T) MW
     base_pv_cf: np.ndarray  # (D, T)
 
+    def __post_init__(self):
+        shape = np.shape(self.base_load)
+        _require(len(shape) == 2 and np.shape(self.base_pv_cf) == shape
+                 and np.shape(self.tariff.import_price) == shape, "profiles",
+                 "base_load, base_pv_cf and tariff.import_price need one (days, hours) shape")
+        _require(np.all(self.base_load >= 0), "profiles.load_file", "negative load values")
+        _require(np.all((self.base_pv_cf >= 0) & (self.base_pv_cf <= 1)),
+                 "profiles.pv_cf_file", "capacity factors must be in [0, 1]")
+
     def profiles(self) -> MultiYearProfiles:
-        return generate_multi_year(self.base_load.ravel(), self.base_pv_cf.ravel(), self.cfg)
+        """Base profiles over the horizon: load grows by ``load_growth`` a year; PV
+        capacity factors stay constant (PV aging is the yearly efficiency)."""
+        years = self.cfg.planning_years
+        growth = (1.0 + self.cfg.load_growth) ** np.arange(years)
+        return MultiYearProfiles(
+            load=growth[:, None, None] * self.base_load,
+            pv_cf=np.tile(np.asarray(self.base_pv_cf, dtype=float), (years, 1, 1)))
 
 
 def representative_day_indices(n_days: int, rep_days: int) -> np.ndarray:
@@ -246,32 +249,32 @@ def reduce_to_representative_days(series, rep_days: int) -> np.ndarray:
     return days[representative_day_indices(DAYS_PER_YEAR, rep_days)].ravel()
 
 
-def generate_multi_year(base_load, base_cf, cfg: ScenarioConfig) -> MultiYearProfiles:
-    """Replicate base-year profiles across the horizon with compounding load growth.
-
-    The base profiles are at model resolution (``cfg.steps_per_year`` hours).
-    PV capacity factors are held constant across years; PV aging is applied
-    through the yearly efficiency parameter, not the capacity factor.
-    """
-    base_load = np.asarray(base_load, dtype=float)
-    base_cf = np.asarray(base_cf, dtype=float)
-    n = cfg.steps_per_year
-    for name, arr in (("load", base_load), ("pv_cf", base_cf)):
-        if arr.size != n:
-            raise ScenarioError(f"profiles.{name}: length {arr.size}, expected {n}")
-    shape = (cfg.planning_years, cfg.rep_days, cfg.hours_per_day)
-    growth = (1.0 + cfg.load_growth) ** np.arange(cfg.planning_years)
-    load = growth[:, None, None] * base_load.reshape(1, cfg.rep_days, cfg.hours_per_day)
-    pv_cf = np.broadcast_to(base_cf.reshape(1, cfg.rep_days, cfg.hours_per_day), shape).copy()
-    out = MultiYearProfiles(load=load, pv_cf=pv_cf)
-    out.validate()
-    return out
+def _number(value, default, path):
+    """``value`` of a document field whose default is ``default``, checked: a
+    bool field takes a bool, an int field an int and a float field an int or a
+    float, and a number must be finite unless it equals an infinite default."""
+    if isinstance(default, bool):
+        _require(isinstance(value, bool), path, f"must be true or false, got {value!r}")
+        return value
+    kinds = int if isinstance(default, int) else (int, float)
+    _require(isinstance(value, kinds) and not isinstance(value, bool), path,
+             f"must be {'an integer' if kinds is int else 'a number'}, got {value!r}")
+    _require(math.isfinite(value) or value == default, path, f"must be finite, got {value!r}")
+    return value
 
 
-def _read_profile(path: Path, cfg: ScenarioConfig) -> np.ndarray:
-    """Read an ``hour,value`` CSV at model resolution.
+def _points(value, path):
+    """A document's list of [x, y] number pairs, as a tuple of float pairs."""
+    ok = isinstance(value, list) and all(isinstance(p, list) and len(p) == 2 for p in value)
+    _require(ok, path, "must be a list of [x, y] pairs")
+    return tuple((float(_number(x, 0.0, path)), float(_number(y, 0.0, path)))
+                 for x, y in value)
 
-    The file holds either ``cfg.steps_per_year`` rows or a full 8760-hour
+
+def _read_profile(path: Path, rep_days: int) -> np.ndarray:
+    """Read an ``hour,value`` CSV as a (rep_days, 24) array.
+
+    The file holds either ``rep_days`` days of hours or a full 8760-hour
     year, which is reduced to the representative days.
     """
     if not path.exists():
@@ -289,30 +292,36 @@ def _read_profile(path: Path, cfg: ScenarioConfig) -> np.ndarray:
                 values.append(float(row[1]))
             except (IndexError, ValueError) as exc:
                 raise ScenarioError(f"{path}: bad row {row!r}") from exc
+            if not math.isfinite(values[-1]):
+                raise ScenarioError(f"{path}: non-finite value in row {row!r}")
     arr = np.asarray(values, dtype=float)
-    expected_lengths = {cfg.steps_per_year, HOURS_PER_YEAR}
+    expected_lengths = {rep_days * HOURS_PER_DAY, HOURS_PER_YEAR}
     if arr.size not in expected_lengths:
         raise ScenarioError(
             f"{path}: {arr.size} rows, expected one of {sorted(expected_lengths)}")
-    if arr.size != cfg.steps_per_year:
-        arr = reduce_to_representative_days(arr, cfg.rep_days)
-    return arr
+    if arr.size != rep_days * HOURS_PER_DAY:
+        arr = reduce_to_representative_days(arr, rep_days)
+    return arr.reshape(rep_days, HOURS_PER_DAY)
 
 
 def _build(cls, doc, path_prefix):
-    """Construct a dataclass from a dict, rejecting unknown keys."""
-    known = {f for f in cls.__dataclass_fields__}
-    unknown = set(doc) - known
-    if unknown:
-        raise ScenarioError(f"{path_prefix}: unknown field(s) {sorted(unknown)}")
+    """Construct a dataclass from a dict, rejecting unknown keys and numbers
+    that fail :func:`_number` against the field's default."""
+    fields = cls.__dataclass_fields__
+    unknown = set(doc) - set(fields)
+    _require(not unknown, path_prefix, f"unknown field(s) {sorted(unknown)}")
+    for key, value in doc.items():
+        if isinstance(fields[key].default, (int, float)):  # bool is an int
+            _number(value, fields[key].default, f"{path_prefix}.{key}")
     return cls(**doc)
 
 
 def load_scenario(config_path) -> Scenario:
-    """Load and validate a scenario JSON document and its referenced CSV files.
+    """Load a scenario JSON document and its referenced CSV files.
 
     Relative file references are resolved against the config's directory.
-    Missing optional fields take the documented defaults.
+    Missing optional fields take the documented defaults. ``horizon.rep_days``
+    sets the days the CSV files are read or reduced to and the default ``alpha``.
     """
     config_path = Path(config_path)
     if not config_path.exists():
@@ -328,60 +337,43 @@ def load_scenario(config_path) -> Scenario:
         solver = _build(SolveOptions, doc.get("solver", {}), "solver")
     except MilpError as exc:
         raise ScenarioError(f"solver: {exc}") from exc
-    rep_days = int(horizon.get("rep_days", DAYS_PER_YEAR))
-    if "alpha" not in horizon:
-        horizon["alpha"] = DAYS_PER_YEAR / rep_days
+    rep_days = _number(horizon.pop("rep_days", DAYS_PER_YEAR), DAYS_PER_YEAR, "horizon.rep_days")
+    _require(1 <= rep_days <= DAYS_PER_YEAR, "horizon.rep_days", "must be in [1, 365]")
+    horizon.setdefault("alpha", DAYS_PER_YEAR / rep_days)
     cfg = _build(ScenarioConfig, {**horizon, "solver": solver}, "horizon")
-    cfg.validate()
 
     cder_doc = dict(doc.get("cder", {}))
     if cder_doc.get("max_size") is None:
         cder_doc.pop("max_size", None)
     cder = _build(CderParams, cder_doc, "cder")
-    cder.validate()
     pv = _build(PvParams, doc.get("pv", {}), "pv")
-    pv.validate()
 
     bess_doc = dict(doc.get("bess", {}))
     if "cycle_life_curve" in bess_doc:
         bess_doc["cycle_life_curve"] = CycleLifeCurveSpec(
-            points=tuple((float(d), float(c)) for d, c in bess_doc["cycle_life_curve"]))
+            points=_points(bess_doc["cycle_life_curve"], "bess.cycle_life_curve"))
     if "eff_model_points" in bess_doc:
-        bess_doc["eff_model_points"] = tuple(
-            (float(s), float(e)) for s, e in bess_doc["eff_model_points"])
+        bess_doc["eff_model_points"] = _points(bess_doc["eff_model_points"],
+                                               "bess.eff_model_points")
     bess = _build(BessParams, bess_doc, "bess")
-    bess.validate()
 
-    tariff = _load_tariff(doc.get("tariff", {}), cfg, base)
-    tariff.validate()
+    tariff = _load_tariff(doc.get("tariff", {}), rep_days, base)
 
     prof = doc.get("profiles", {})
     for key in ("load_file", "pv_cf_file"):
-        if key not in prof:
-            raise ScenarioError(f"profiles.{key}: required")
-    base_load = _read_profile(base / prof["load_file"], cfg)
-    base_cf = _read_profile(base / prof["pv_cf_file"], cfg)
-    if np.any(base_load < 0):
-        raise ScenarioError("profiles.load_file: negative load values")
-    if np.any((base_cf < 0) | (base_cf > 1)):
-        raise ScenarioError("profiles.pv_cf_file: capacity factors must be in [0, 1]")
-
-    shape = (cfg.rep_days, cfg.hours_per_day)
+        _require(key in prof, f"profiles.{key}", "required")
     return Scenario(cfg=cfg, cder=cder, pv=pv, bess=bess, tariff=tariff,
-                    base_load=base_load.reshape(shape), base_pv_cf=base_cf.reshape(shape))
+                    base_load=_read_profile(base / prof["load_file"], rep_days),
+                    base_pv_cf=_read_profile(base / prof["pv_cf_file"], rep_days))
 
 
-def _load_tariff(doc, cfg: ScenarioConfig, base: Path) -> TariffSchedule:
+def _load_tariff(doc, rep_days: int, base: Path) -> TariffSchedule:
     mode = doc.get("mode", "fixed")
-    export_factor = float(doc.get("export_factor", 0.8))
-    shape = (cfg.rep_days, cfg.hours_per_day)
-    if mode == "fixed":
-        price = float(doc.get("import_price", 0.0))
-        import_price = np.full(shape, price)
-    elif mode in ("tou", "wholesale"):
-        if "price_file" not in doc:
-            raise ScenarioError(f"tariff.price_file: required for mode '{mode}'")
-        import_price = _read_profile(base / doc["price_file"], cfg).reshape(shape)
-    else:
-        raise ScenarioError(f"tariff.mode: unknown mode '{mode}'")
+    export_factor = float(_number(doc.get("export_factor", 0.8), 0.8, "tariff.export_factor"))
+    if mode in ("tou", "wholesale"):
+        _require("price_file" in doc, "tariff.price_file", f"required for mode '{mode}'")
+        import_price = _read_profile(base / doc["price_file"], rep_days)
+    else:  # "fixed"; TariffSchedule rejects an unknown mode
+        price = float(_number(doc.get("import_price", 0.0), 0.0, "tariff.import_price"))
+        import_price = np.full((rep_days, HOURS_PER_DAY), price)
     return TariffSchedule(mode=mode, import_price=import_price, export_factor=export_factor)

@@ -28,14 +28,14 @@ class UnservableLoadError(SizingError):
     """Doubling exceeded the hard cap: the shortfall is not curable by storage."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
     method: str = "binary"          # "binary" or "fixed_step"
     tolerance: float = 0.01         # MWh, binary convergence width
     step_frac: float = 0.01         # fixed-step relative increment
     max_iterations: int = 100
 
-    def validate(self):
+    def __post_init__(self):
         if self.method not in ("binary", "fixed_step"):
             raise SizingError(f"unknown method {self.method!r}")
         if self.tolerance <= 0:
@@ -127,7 +127,6 @@ def size_binary(initial: InvestmentDecision, scenario: Scenario,
     reported alongside for reference.
     """
     cfg = cfg or SearchConfig(method="binary")
-    cfg.validate()
     probes = _Probes("binary", scenario, on_iteration)
 
     # Phase 1: establish a shed-free upper bound by doubling.
@@ -166,7 +165,6 @@ def size_fixed_step(initial: InvestmentDecision, scenario: Scenario,
     the last probe, unconverged.
     """
     cfg = cfg or SearchConfig(method="fixed_step")
-    cfg.validate()
     if initial.s_bess <= 0:
         raise SizingError("fixed-step search needs a positive initial size")
 

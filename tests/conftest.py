@@ -8,8 +8,7 @@ import pytest
 
 from dbio import milp
 from dbio.planning import build_integrated, extract_solution, pv_efficiency_schedule
-from dbio.scenario import (BessParams, CderParams, CycleLifeCurveSpec,
-                           MultiYearProfiles, PvParams, Scenario, ScenarioConfig,
+from dbio.scenario import (BessParams, CderParams, PvParams, Scenario, ScenarioConfig,
                            TariffSchedule, load_scenario)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -78,18 +77,16 @@ def highuse_plan(highuse_scenario):
 
 def make_scenario(load, pv_cf, *, years=1, alpha=365.0, tie=0.0, big_m=10.0,
                   ls_penalty=1e6, load_growth=0.0, import_price=0.0,
-                  cder=None, pv=None, bess=None, cyclic_soc=True,
-                  hours_per_day=24):
+                  cder=None, pv=None, bess=None, cyclic_soc=True):
     """Small in-code scenario for unit tests; one representative day."""
-    load = np.asarray(load, dtype=float).reshape(1, hours_per_day)
-    pv_cf = np.asarray(pv_cf, dtype=float).reshape(1, hours_per_day)
-    cfg = ScenarioConfig(planning_years=years, rep_days=1,
-                         hours_per_day=hours_per_day, alpha=alpha,
+    load = np.asarray(load, dtype=float).reshape(1, -1)
+    pv_cf = np.asarray(pv_cf, dtype=float).reshape(1, -1)
+    cfg = ScenarioConfig(planning_years=years, alpha=alpha,
                          load_growth=load_growth, ls_penalty=ls_penalty,
                          tie_limit=tie, big_m=big_m, cyclic_soc=cyclic_soc,
                          solver=milp.SolveOptions(mip_gap=0.0))
     tariff = TariffSchedule(mode="fixed",
-                            import_price=np.full((1, hours_per_day), float(import_price)))
+                            import_price=np.full(load.shape, float(import_price)))
     return Scenario(cfg=cfg,
                     cder=cder or CderParams(capital=1e5, op_cost=50.0,
                                             no_load=0.0, p_min=0.0),

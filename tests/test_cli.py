@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from dbio import milp
+from dbio import milp, reports
 from dbio.cli import load_investment, main
 from dbio.scenario import ScenarioError, load_scenario
 
@@ -209,3 +209,24 @@ def test_size_mode_validates_each_probe_once(fixtures_dir, tmp_path, monkeypatch
     years = load_scenario(fixtures_dir / SCENARIO).cfg.planning_years
     iterations = json.loads((out / "report.json").read_text())["sizing"]["iterations"]
     assert names.count("single_year") == years * len(iterations)
+
+
+@pytest.mark.parametrize("flags", [("--tol", 0), ("--method", "fixed", "--step", 0)],
+                         ids=["tol-0", "step-0"])
+def test_bad_search_setting_exits_before_solving(fixtures_dir, tmp_path, monkeypatch,
+                                                 capsys, flags):
+    solves = []
+    monkeypatch.setattr(milp, "solve", lambda *a, **k: solves.append(a))
+    out = tmp_path / "o"
+    assert run(["--scenario", fixtures_dir / SCENARIO, "--out", out,
+                "--mode", "size", *flags]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not solves and not (out / "manifest.json").exists()
+
+
+def test_reports_never_print_negative_zero():
+    assert [reports.fmt_qty(x) for x in (-0.0, 0.0, -1e-20, -2.5)] == ["0", "0", "-1e-20",
+                                                                       "-2.5"]
+    assert [reports.fmt_usd(x) for x in (-0.0, -0.004, 0.0, -0.005001, -3.0)] == [
+        "0.00", "0.00", "0.00", "-0.01", "-3.00"]

@@ -118,7 +118,7 @@ def test_bin_midpoint_half_up():
 def test_count_cycles_hand_trace():
     hist = count_cycles([1.0, 0.5, 1.0, 0.5, 1.0])
     assert list(hist.bins) == [pytest.approx(0.50)]
-    assert hist.total == pytest.approx(2.0)
+    assert sum(hist.bins.values()) == pytest.approx(2.0)
 
 
 def test_count_cycles_drops_flat_noise():

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -70,6 +71,16 @@ def test_objective_check_prices_the_primal_as_solved():
     # The reported dispatch, and the breakdown of it, have the shed clipped to 0.
     assert np.min(sol.series["p_ls"]) == 0.0
     assert sol.cost_total == pytest.approx(result.objective, rel=1e-9)
+
+
+def test_extracted_sizes_have_no_negative_zero():
+    sc = make_scenario(np.linspace(0.2, 0.8, 24), np.zeros(24))
+    problem, index = build_integrated(sc, pin_s_bess=0.0)
+    result = milp.solve(problem, OPTS)
+    x = result.primal.copy()
+    x[index.scalars["s_bess"]] = x[index.scalars["e_init"]] = -0.0
+    sol = extract_solution(dataclasses.replace(result, primal=x), index)
+    assert math.copysign(1.0, sol.investment.s_bess) == math.copysign(1.0, sol.e_init) == 1.0
 
 
 def test_islanded_never_touches_grid():

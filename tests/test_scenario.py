@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from dbio.scenario import (BessParams, CderParams, ScenarioConfig, ScenarioError,
-                           TariffSchedule, generate_multi_year, load_scenario,
-                           reduce_to_representative_days,
+from dbio.scenario import (BessParams, CderParams, ScenarioError, TariffSchedule,
+                           load_scenario, reduce_to_representative_days,
                            representative_day_indices)
+
+from conftest import make_scenario
 
 
 def test_representative_day_indices_identity():
@@ -43,9 +44,7 @@ def test_reduce_rejects_bad_length():
 
 
 def test_growth_compounds_per_year():
-    cfg = ScenarioConfig(planning_years=4, rep_days=1, alpha=365.0, load_growth=0.02)
-    base = np.full(24, 2.0)
-    prof = generate_multi_year(base, np.zeros(24), cfg)
+    prof = make_scenario(np.full(24, 2.0), np.zeros(24), years=4, load_growth=0.02).profiles()
     for y in range(4):
         assert prof.load[y] == pytest.approx(2.0 * 1.02 ** y, rel=1e-12)
     # PV capacity factors do not grow.
@@ -62,7 +61,7 @@ def test_islanded_fixture_peak_load(islanded_scenario):
 
 def test_alpha_defaults_to_rep_day_ratio(islanded_scenario):
     cfg = islanded_scenario.cfg
-    assert cfg.alpha == pytest.approx(365.0 / cfg.rep_days)
+    assert cfg.alpha == pytest.approx(365.0 / islanded_scenario.base_load.shape[0])
 
 
 def test_export_factor_default():
@@ -88,7 +87,8 @@ def _write_sizing_doc(tmp_path, fixtures_dir, edit):
     return path
 
 
-@pytest.mark.parametrize("section, key", [("cder", "banana"), ("solver", "thread")])
+@pytest.mark.parametrize("section, key", [("cder", "banana"), ("solver", "thread"),
+                                          ("horizon", "hours_per_day")])
 def test_load_scenario_rejects_unknown_field(tmp_path, fixtures_dir, section, key):
     path = _write_sizing_doc(tmp_path, fixtures_dir, lambda doc: doc[section].update({key: 1}))
     with pytest.raises(ScenarioError, match=f"{section}: unknown field.*{key}"):
@@ -102,6 +102,38 @@ def test_load_scenario_rejects_bad_solver_value(tmp_path, fixtures_dir, key, val
         load_scenario(path)
 
 
+BAD_VALUES = [
+    ("horizon", "ls_penalty", float("inf")),
+    ("cder", "capital", float("inf")),
+    ("tariff", "import_price", float("inf")),
+    ("horizon", "planning_years", 2.5),
+    ("horizon", "rep_days", 3.7),
+    ("bess", "cycle_life_curve", [[0.1]]),
+    ("tariff", "export_factor", "high"),
+    ("horizon", "tie_limit", float("inf")),
+    ("horizon", "load_growth", -2),
+    ("bess", "eff_model_points", [[0.9, 0.8], [0.9, 0.7]]),
+    ("horizon", "cyclic_soc", "yes"),
+    ("bess", "t_chg", float("inf")),
+]
+
+
+@pytest.mark.parametrize("section, key, value", BAD_VALUES,
+                         ids=[f"{section}.{key}" for section, key, _ in BAD_VALUES])
+def test_load_scenario_rejects_bad_value(tmp_path, fixtures_dir, section, key, value):
+    path = _write_sizing_doc(tmp_path, fixtures_dir,
+                             lambda doc: doc[section].update({key: value}))
+    with pytest.raises(ScenarioError, match=f"{section}.{key}"):
+        load_scenario(path)
+
+
+def test_replace_checks_the_new_record(sizing_scenario):
+    with pytest.raises(ScenarioError, match="horizon.load_growth"):
+        dataclasses.replace(sizing_scenario.cfg, load_growth=-2.0)
+    with pytest.raises(ScenarioError, match="one \\(days, hours\\) shape"):
+        dataclasses.replace(sizing_scenario, base_pv_cf=sizing_scenario.base_pv_cf[:, :12])
+
+
 def test_load_scenario_requires_profiles(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"horizon": {"planning_years": 1, "rep_days": 1}}))
@@ -111,20 +143,27 @@ def test_load_scenario_requires_profiles(tmp_path):
 
 def test_soc_window_must_be_ordered():
     with pytest.raises(ScenarioError, match="soc_min"):
-        BessParams(soc_min=0.9, soc_max=0.1).validate()
+        BessParams(soc_min=0.9, soc_max=0.1)
 
 
 def test_cycle_life_curve_must_decrease():
     from dbio.scenario import CycleLifeCurveSpec
     with pytest.raises(ScenarioError, match="decreasing"):
-        CycleLifeCurveSpec(points=((0.1, 100.0), (0.5, 200.0))).validate()
+        CycleLifeCurveSpec(points=((0.1, 100.0), (0.5, 200.0)))
 
 
 def test_cder_defaults_and_validation():
     cder = CderParams()
-    cder.validate()
     with pytest.raises(ScenarioError, match="op_cost"):
-        dataclasses.replace(cder, op_cost=-1.0).validate()
+        dataclasses.replace(cder, op_cost=-1.0)
+
+
+def test_profile_values_must_be_finite(tmp_path, fixtures_dir):
+    path = _write_sizing_doc(tmp_path, fixtures_dir, lambda doc: None)
+    rows = [f"{t},{'inf' if t == 5 else 0.0}" for t in range(24)]
+    (tmp_path / "pv_zero_24.csv").write_text("hour,value\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ScenarioError, match="non-finite"):
+        load_scenario(path)
 
 
 def test_profiles_validate_capacity_factor_range(tmp_path, fixtures_dir):

@@ -133,13 +133,13 @@ def test_fixed_step_rejects_zero_initial(sizing_scenario):
 
 def test_search_config_validation():
     with pytest.raises(SizingError):
-        SearchConfig(method="golden").validate()
+        SearchConfig(method="golden")
     with pytest.raises(SizingError):
-        SearchConfig(tolerance=0.0).validate()
+        SearchConfig(tolerance=0.0)
     with pytest.raises(SizingError):
-        SearchConfig(step_frac=-0.1).validate()
+        SearchConfig(step_frac=-0.1)
     with pytest.raises(SizingError):
-        SearchConfig(max_iterations=0).validate()
+        SearchConfig(max_iterations=0)
 
 
 def test_run_search_dispatches(sizing_scenario, start, binary_result):
