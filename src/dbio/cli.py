@@ -62,8 +62,6 @@ def load_investment(path) -> InvestmentDecision:
         doc = json.loads(Path(path).read_text())
         if "plan" in doc and "investment" in doc.get("plan", {}):
             doc = doc["plan"]["investment"]
-        elif "investment" in doc:
-            doc = doc["investment"]
         return InvestmentDecision(s_pv=float(doc["s_pv"]),
                                   s_bess=float(doc["s_bess"]),
                                   p_cder_max=float(doc["p_cder_max"]))

@@ -154,6 +154,6 @@ def advance_state(prev: DegradationState, hist: DodHistogram, curve: CycleLifeCu
         capacity=capacity,
         soh=soh,
         eta_bess=eff_model.predict(soh),
-        eta_pv=prev.eta_pv * (1.0 - pv.deg_rate),
+        eta_pv=float(pv.efficiency_schedule(prev.year + 1)[prev.year]),
         efc=efc,
         deg=deg)

@@ -48,10 +48,10 @@ class SolveOptions:
     time_limit: float = 3600.0
 
     def __post_init__(self):
-        if self.mip_gap < 0:
-            raise MilpError("mip_gap must be >= 0")
-        if self.time_limit <= 0:
-            raise MilpError("time_limit must be > 0")
+        if not (math.isfinite(self.mip_gap) and self.mip_gap >= 0):
+            raise MilpError(f"mip_gap must be finite and >= 0, got {self.mip_gap!r}")
+        if not (math.isfinite(self.time_limit) and self.time_limit > 0):
+            raise MilpError(f"time_limit must be finite and > 0, got {self.time_limit!r}")
 
 
 OPTIMAL = "optimal"

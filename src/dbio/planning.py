@@ -75,11 +75,6 @@ def _cost_total(costs):
             + costs["shed_penalty"] + costs["import_cost"] - costs["export_revenue"])
 
 
-def pv_efficiency_schedule(pv, years: int) -> np.ndarray:
-    """eta_init * (1 - deg_rate)^(y-1) for y = 1..years."""
-    return pv.eta_init * (1.0 - pv.deg_rate) ** np.arange(years)
-
-
 def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
            size_lo, size_hi, capital: bool):
     """Assemble the MILP over (Y, D, T) ``load`` and ``pv_cf``. ``size_lo``/``size_hi``
@@ -89,7 +84,7 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
     Y, D, T = load.shape
 
     prob = MilpProblem(name=name)
-    alpha = cfg.alpha
+    alpha = scenario.alpha
     big_m = cfg.big_m
     tie = cfg.tie_limit
     imp_price = scenario.tariff.import_price
@@ -187,7 +182,7 @@ def build_integrated(scenario: Scenario, *, pin_s_bess: float | None = None):
     """Build the full-horizon planning MILP (capital costs included).
 
     Battery state of health is held at its initial value; PV efficiency is
-    precomputed per year from the geometric fade recursion. ``pin_s_bess``
+    precomputed per year by :meth:`PvParams.efficiency_schedule`. ``pin_s_bess``
     fixes the battery capacity and leaves the other sizes free, which is what
     the sizing search probes use.
     """
@@ -196,7 +191,7 @@ def build_integrated(scenario: Scenario, *, pin_s_bess: float | None = None):
     lo, hi = (0.0, INF) if pin_s_bess is None else (pin_s_bess, pin_s_bess)
     profiles = scenario.profiles()
     return _build(scenario, profiles.load, profiles.pv_cf,
-                  pv_efficiency_schedule(scenario.pv, scenario.cfg.planning_years),
+                  scenario.pv.efficiency_schedule(scenario.cfg.planning_years),
                   scenario.bess.eta_rt, "integrated", size_lo=(0.0, lo, 0.0),
                   size_hi=(INF, hi, scenario.cder.max_size), capital=True)
 
@@ -227,7 +222,7 @@ def _costs(series, inv: InvestmentDecision, index: ModelIndex) -> dict:
     """Cost breakdown of a dispatch, component name -> $."""
     sc = index.scenario
     cfg, cder, pv, bess = sc.cfg, sc.cder, sc.pv, sc.bess
-    alpha = cfg.alpha
+    alpha = sc.alpha
     capital = 0.0
     if index.capital:
         capital = (inv.p_cder_max * cder.capital + inv.s_pv * pv.capital

@@ -61,7 +61,7 @@ def write_sizing(inv: InvestmentDecision, out_dir: Path) -> Path:
     return path
 
 
-def write_dispatch(sol: DispatchSolution, out_dir: Path, prefix="dispatch") -> list:
+def write_dispatch(sol: DispatchSolution, out_dir: Path) -> list:
     """One hourly CSV per modeled year."""
     Y, D, T = sol.shape
     names = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt", "e_bess")
@@ -71,7 +71,7 @@ def write_dispatch(sol: DispatchSolution, out_dir: Path, prefix="dispatch") -> l
         for d in range(D):
             for t in range(T):
                 rows.append((d, t) + tuple(fmt_qty(sol.series[n][y, d, t]) for n in names))
-        path = out_dir / f"{prefix}_y{y + 1}.csv"
+        path = out_dir / f"dispatch_y{y + 1}.csv"
         _write_csv(path, ("day", "hour") + names, rows)
         paths.append(path)
     return paths

@@ -2,8 +2,9 @@
 
 A scenario is a JSON document describing the planning horizon, technology
 parameters, grid tariff, and references to hourly load / PV capacity-factor
-CSV files. Loaded scenarios are immutable value objects; profile generation
-replicates the base year with a compounding load growth rate.
+CSV files. Its sections and keys are closed: an unknown one is an error.
+Loaded scenarios are immutable value objects; profile generation replicates
+the base year with a compounding load growth rate.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .milp import MilpError, SolveOptions
 HOURS_PER_YEAR = 8760
 DAYS_PER_YEAR = 365
 HOURS_PER_DAY = 24
+SECTIONS = ("horizon", "solver", "cder", "pv", "bess", "tariff", "profiles")
 
 
 class ScenarioError(ValueError):
@@ -40,7 +42,6 @@ class ScenarioConfig:
     """Horizon and system-level settings (the day/hour resolution is the profiles' shape)."""
 
     planning_years: int = 25
-    alpha: float = 1.0          # profile repetitions per year (365/rep_days)
     load_growth: float = 0.005  # fraction per year
     ls_penalty: float = 1e6     # $/MWh, must dominate all marginal supply costs
     tie_limit: float = 0.0      # MW; 0 = islanded
@@ -50,7 +51,6 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _require(self.planning_years >= 1, "horizon.planning_years", "must be >= 1")
-        _require(self.alpha > 0, "horizon.alpha", "must be > 0")
         _require(self.load_growth > -1, "horizon.load_growth", "must be > -1")
         _require(self.big_m > 0, "horizon.big_m", "must be > 0")
         _require(self.tie_limit >= 0, "horizon.tie_limit", "must be >= 0")
@@ -87,6 +87,11 @@ class PvParams:
         _require(0 <= self.rep_frac <= 1, "pv.rep_frac", "must be in [0, 1]")
         _require(0 <= self.deg_rate < 1, "pv.deg_rate", "must be in [0, 1)")
         _require(0 < self.eta_init <= 1, "pv.eta_init", "must be in (0, 1]")
+
+    def efficiency_schedule(self, years: int) -> np.ndarray:
+        """eta_init * (1 - deg_rate)^(y-1) for y = 1..years. The plan and the
+        validation both read a year's PV efficiency from this one array."""
+        return self.eta_init * (1.0 - self.deg_rate) ** np.arange(years)
 
 
 @dataclass(frozen=True)
@@ -164,23 +169,19 @@ class BessParams:
         return self.capital * self.rep_frac / self.deg_cost_cycle_life
 
 
-TARIFF_MODES = ("fixed", "tou", "wholesale")
-
-
 @dataclass(frozen=True)
 class TariffSchedule:
     """Hourly grid import price and export valuation factor.
 
-    ``import_price`` is a (days, hours) array in $/MWh; the export price is
-    ``export_factor`` times the import price at the same hour.
+    ``import_price`` is a (days, hours) array in $/MWh, one flat price or an
+    hourly price file; the export price is ``export_factor`` times the import
+    price at the same hour.
     """
 
-    mode: str
     import_price: np.ndarray
     export_factor: float = 0.8
 
     def __post_init__(self):
-        _require(self.mode in TARIFF_MODES, "tariff.mode", f"must be one of {TARIFF_MODES}")
         _require(0 <= self.export_factor <= 1, "tariff.export_factor", "must be in [0, 1]")
         _require(np.all(self.import_price >= 0), "tariff.import_price", "must be >= 0 everywhere")
 
@@ -217,6 +218,11 @@ class Scenario:
         _require(np.all(self.base_load >= 0), "profiles.load_file", "negative load values")
         _require(np.all((self.base_pv_cf >= 0) & (self.base_pv_cf <= 1)),
                  "profiles.pv_cf_file", "capacity factors must be in [0, 1]")
+
+    @property
+    def alpha(self) -> float:
+        """Profile repetitions per year: 365 over the representative days."""
+        return DAYS_PER_YEAR / self.base_load.shape[0]
 
     def profiles(self) -> MultiYearProfiles:
         """Base profiles over the horizon: load grows by ``load_growth`` a year; PV
@@ -271,14 +277,16 @@ def _points(value, path):
                  for x, y in value)
 
 
-def _read_profile(path: Path, rep_days: int) -> np.ndarray:
-    """Read an ``hour,value`` CSV as a (rep_days, 24) array.
+def _read_profile(base: Path, name, field_path: str, rep_days: int) -> np.ndarray:
+    """Read the ``hour,value`` CSV that document field ``field_path`` names
+    (relative to ``base``) as a (rep_days, 24) array.
 
     The file holds either ``rep_days`` days of hours or a full 8760-hour
     year, which is reduced to the representative days.
     """
-    if not path.exists():
-        raise ScenarioError(f"profiles: file not found: {path}")
+    _require(isinstance(name, str), field_path, f"must be a file name, got {name!r}")
+    path = base / name
+    _require(path.exists(), field_path, f"file not found: {path}")
     values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -304,24 +312,32 @@ def _read_profile(path: Path, rep_days: int) -> np.ndarray:
     return arr.reshape(rep_days, HOURS_PER_DAY)
 
 
-def _build(cls, doc, path_prefix):
-    """Construct a dataclass from a dict, rejecting unknown keys and numbers
-    that fail :func:`_number` against the field's default."""
-    fields = cls.__dataclass_fields__
-    unknown = set(doc) - set(fields)
-    _require(not unknown, path_prefix, f"unknown field(s) {sorted(unknown)}")
-    for key, value in doc.items():
+def _known(doc, keys, path):
+    """``doc`` if it is an object whose keys are all in ``keys``."""
+    _require(isinstance(doc, dict), path, "must be an object")
+    unknown = set(doc) - set(keys)
+    _require(not unknown, path, f"unknown field(s) {sorted(unknown)}")
+    return doc
+
+
+def _build(cls, doc, path_prefix, **parts):
+    """Construct a dataclass from a document section plus the already built
+    ``parts``, rejecting unknown keys and numbers that fail :func:`_number`
+    against the field's default."""
+    fields = {k: f for k, f in cls.__dataclass_fields__.items() if k not in parts}
+    for key, value in _known(doc, fields, path_prefix).items():
         if isinstance(fields[key].default, (int, float)):  # bool is an int
             _number(value, fields[key].default, f"{path_prefix}.{key}")
-    return cls(**doc)
+    return cls(**doc, **parts)
 
 
 def load_scenario(config_path) -> Scenario:
     """Load a scenario JSON document and its referenced CSV files.
 
     Relative file references are resolved against the config's directory.
-    Missing optional fields take the documented defaults. ``horizon.rep_days``
-    sets the days the CSV files are read or reduced to and the default ``alpha``.
+    Missing optional fields take the documented defaults; an unknown section
+    or key is an error. ``horizon.rep_days`` sets the days the CSV files are
+    read or reduced to, and so :attr:`Scenario.alpha`.
     """
     config_path = Path(config_path)
     if not config_path.exists():
@@ -331,6 +347,8 @@ def load_scenario(config_path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{config_path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     base = config_path.parent
+    for name, section in _known(doc, SECTIONS, "scenario").items():
+        _require(isinstance(section, dict), name, "must be an object")
 
     horizon = dict(doc.get("horizon", {}))
     try:
@@ -339,8 +357,7 @@ def load_scenario(config_path) -> Scenario:
         raise ScenarioError(f"solver: {exc}") from exc
     rep_days = _number(horizon.pop("rep_days", DAYS_PER_YEAR), DAYS_PER_YEAR, "horizon.rep_days")
     _require(1 <= rep_days <= DAYS_PER_YEAR, "horizon.rep_days", "must be in [1, 365]")
-    horizon.setdefault("alpha", DAYS_PER_YEAR / rep_days)
-    cfg = _build(ScenarioConfig, {**horizon, "solver": solver}, "horizon")
+    cfg = _build(ScenarioConfig, horizon, "horizon", solver=solver)
 
     cder_doc = dict(doc.get("cder", {}))
     if cder_doc.get("max_size") is None:
@@ -359,21 +376,25 @@ def load_scenario(config_path) -> Scenario:
 
     tariff = _load_tariff(doc.get("tariff", {}), rep_days, base)
 
-    prof = doc.get("profiles", {})
+    prof = _known(doc.get("profiles", {}), ("load_file", "pv_cf_file"), "profiles")
     for key in ("load_file", "pv_cf_file"):
         _require(key in prof, f"profiles.{key}", "required")
     return Scenario(cfg=cfg, cder=cder, pv=pv, bess=bess, tariff=tariff,
-                    base_load=_read_profile(base / prof["load_file"], rep_days),
-                    base_pv_cf=_read_profile(base / prof["pv_cf_file"], rep_days))
+                    base_load=_read_profile(base, prof["load_file"], "profiles.load_file",
+                                            rep_days),
+                    base_pv_cf=_read_profile(base, prof["pv_cf_file"], "profiles.pv_cf_file",
+                                             rep_days))
 
 
 def _load_tariff(doc, rep_days: int, base: Path) -> TariffSchedule:
-    mode = doc.get("mode", "fixed")
-    export_factor = float(_number(doc.get("export_factor", 0.8), 0.8, "tariff.export_factor"))
-    if mode in ("tou", "wholesale"):
-        _require("price_file" in doc, "tariff.price_file", f"required for mode '{mode}'")
-        import_price = _read_profile(base / doc["price_file"], rep_days)
-    else:  # "fixed"; TariffSchedule rejects an unknown mode
-        price = float(_number(doc.get("import_price", 0.0), 0.0, "tariff.import_price"))
-        import_price = np.full((rep_days, HOURS_PER_DAY), price)
-    return TariffSchedule(mode=mode, import_price=import_price, export_factor=export_factor)
+    """The import price is ``price_file``'s hourly prices or the flat ``import_price``."""
+    doc = dict(_known(doc, ("import_price", "price_file", "export_factor"), "tariff"))
+    _require("import_price" not in doc or "price_file" not in doc, "tariff",
+             "give import_price or price_file, not both")
+    if "price_file" in doc:
+        import_price = _read_profile(base, doc.pop("price_file"), "tariff.price_file",
+                                     rep_days)
+    else:
+        price = _number(doc.pop("import_price", 0.0), 0.0, "tariff.import_price")
+        import_price = np.full((rep_days, HOURS_PER_DAY), float(price))
+    return _build(TariffSchedule, doc, "tariff", import_price=import_price)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import milp
 from .planning import InvestmentDecision, build_integrated, extract_solution
 from .scenario import Scenario
-from .validation import DEFAULT_EUE_TOLERANCE, ValidationReport, validate
+from .validation import ValidationReport, validate
 
 DOUBLING_HARD_CAP = 1024.0  # multiple of the initial size
 
@@ -101,7 +101,7 @@ class _Probes:
         objective, eue, inv, report = probe(size, self.scenario)
         rec = IterationRecord(index=len(self.iterations), candidate_size=size,
                               objective=objective, total_eue=eue,
-                              shed=eue > DEFAULT_EUE_TOLERANCE, lb=lb, ub=ub, phase=phase)
+                              shed=not report.feasible, lb=lb, ub=ub, phase=phase)
         self.iterations.append(rec)
         self.last = (size, objective, inv, report)
         if not rec.shed:

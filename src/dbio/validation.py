@@ -14,7 +14,7 @@ import numpy as np
 
 from . import milp
 from .degradation import (BatteryExhaustedError, DegradationState, DodHistogram,
-                          advance_state, count_cycles, fit_efficiency_model)
+                          EfficiencyModel, advance_state, count_cycles, fit_efficiency_model)
 from .planning import DispatchSolution, InvestmentDecision, build_single_year, extract_solution
 from .scenario import Scenario
 
@@ -50,8 +50,8 @@ def compute_eue(dispatch: DispatchSolution, alpha: float) -> float:
     return alpha * float(np.sum(dispatch.series["p_ls"]))
 
 
-def initial_state(scenario: Scenario, investment: InvestmentDecision) -> DegradationState:
-    eff_model = fit_efficiency_model(scenario.bess.eff_model_points)
+def initial_state(scenario: Scenario, investment: InvestmentDecision,
+                  eff_model: EfficiencyModel) -> DegradationState:
     return DegradationState(
         year=1,
         capacity=investment.s_bess,
@@ -74,7 +74,7 @@ def validate(investment: InvestmentDecision, scenario: Scenario, *,
     eff_model = fit_efficiency_model(bess.eff_model_points)
     rated = investment.s_bess
 
-    state = initial_state(scenario, investment)
+    state = initial_state(scenario, investment, eff_model)
     per_year = []
     truncated = False
     while not truncated and state.year <= cfg.planning_years:
@@ -90,14 +90,14 @@ def validate(investment: InvestmentDecision, scenario: Scenario, *,
             hist = count_cycles(np.clip(trace, 0.0, 1.0))
         try:
             state_out = advance_state(state, hist, bess.cycle_life_curve, bess,
-                                      scenario.pv, eff_model, rated, cfg.alpha)
+                                      scenario.pv, eff_model, rated, scenario.alpha)
         except BatteryExhaustedError:
             truncated = True
             state_out = state
 
         per_year.append(YearlyResult(year=state.year, dispatch=dispatch, state_in=state,
                                      state_out=state_out,
-                                     eue_y=compute_eue(dispatch, cfg.alpha),
+                                     eue_y=compute_eue(dispatch, scenario.alpha),
                                      operating_cost_y=result.objective))
         if on_year is not None:
             on_year(per_year[-1])

@@ -1,13 +1,14 @@
 """Shared fixtures: scenario loaders, cached plan solves, invariant checks."""
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dbio import milp
-from dbio.planning import build_integrated, extract_solution, pv_efficiency_schedule
+from dbio.planning import build_integrated, extract_solution
 from dbio.scenario import (BessParams, CderParams, PvParams, Scenario, ScenarioConfig,
                            TariffSchedule, load_scenario)
 
@@ -43,6 +44,18 @@ def highuse_scenario():
     return _load("highuse_degradation.json")
 
 
+def write_sizing_doc(tmp_path, edit):
+    """Copy of the sizing fixture with ``edit`` applied to its document."""
+    doc = json.loads((FIXTURES / "sizing_threshold.json").read_text())
+    edit(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    # Profile files resolve relative to the config location.
+    for f in ("load_deficit_24.csv", "pv_zero_24.csv"):
+        (tmp_path / f).write_text((FIXTURES / f).read_text())
+    return path
+
+
 def solve_plan(scenario, mip_gap=None):
     """One integrated planning solve; returns (solution, profiles, result)."""
     profiles = scenario.profiles()
@@ -75,18 +88,16 @@ def highuse_plan(highuse_scenario):
     return solve_plan(highuse_scenario)
 
 
-def make_scenario(load, pv_cf, *, years=1, alpha=365.0, tie=0.0, big_m=10.0,
+def make_scenario(load, pv_cf, *, years=1, tie=0.0, big_m=10.0,
                   ls_penalty=1e6, load_growth=0.0, import_price=0.0,
                   cder=None, pv=None, bess=None, cyclic_soc=True):
-    """Small in-code scenario for unit tests; one representative day."""
+    """Small in-code scenario for unit tests; one representative day (alpha = 365)."""
     load = np.asarray(load, dtype=float).reshape(1, -1)
     pv_cf = np.asarray(pv_cf, dtype=float).reshape(1, -1)
-    cfg = ScenarioConfig(planning_years=years, alpha=alpha,
-                         load_growth=load_growth, ls_penalty=ls_penalty,
+    cfg = ScenarioConfig(planning_years=years, load_growth=load_growth, ls_penalty=ls_penalty,
                          tie_limit=tie, big_m=big_m, cyclic_soc=cyclic_soc,
                          solver=milp.SolveOptions(mip_gap=0.0))
-    tariff = TariffSchedule(mode="fixed",
-                            import_price=np.full(load.shape, float(import_price)))
+    tariff = TariffSchedule(import_price=np.full(load.shape, float(import_price)))
     return Scenario(cfg=cfg,
                     cder=cder or CderParams(capital=1e5, op_cost=50.0,
                                             no_load=0.0, p_min=0.0),
@@ -109,7 +120,7 @@ def check_dispatch_invariants(sol, scenario, profiles, eta_pv_by_year=None,
     tol = 1e-6
     bal_tol = tol * max(1.0, float(load.max()))
     if eta_pv_by_year is None:
-        eta_pv_by_year = pv_efficiency_schedule(scenario.pv, Y)
+        eta_pv_by_year = scenario.pv.efficiency_schedule(Y)
 
     pv_power = (np.asarray(eta_pv_by_year)[:, None, None] * profiles.pv_cf
                 * sol.investment.s_pv)

@@ -46,7 +46,7 @@ T4_CF = np.array([0.0, 0.8, 0.9, 0.1])
 
 
 def t4_scenario():
-    cfg = ScenarioConfig(planning_years=1, alpha=1.0, load_growth=0.0, ls_penalty=1000.0,
+    cfg = ScenarioConfig(planning_years=1, load_growth=0.0, ls_penalty=1000.0,
                          tie_limit=0.0, big_m=5.0, cyclic_soc=True,
                          solver=milp.SolveOptions(mip_gap=0.0))
     return Scenario(
@@ -54,7 +54,7 @@ def t4_scenario():
         cder=CderParams(capital=1e5, op_cost=50.0, no_load=3.0, p_min=0.2),
         pv=PvParams(capital=8e4, rep_frac=0.4, deg_rate=0.01, eta_init=1.0),
         bess=BessParams(capital=5e4, eta_rt=0.9, soc_min=0.1, soc_max=0.9),
-        tariff=TariffSchedule(mode="fixed", import_price=np.zeros((1, 4))),
+        tariff=TariffSchedule(import_price=np.zeros((1, 4))),
         base_load=T4_LOAD.reshape(1, 4), base_pv_cf=T4_CF.reshape(1, 4))
 
 
@@ -99,11 +99,11 @@ def enumerate_dispatch(sc, inv):
             bounds[col(t, 3)] = (0.0, load[t])
             bounds[col(t, 4)] = (0.0, pv_avail[t])
             bounds[col(t, 5)] = (e_lo, e_hi)
-            fixed_cost += cfg.alpha * cder.no_load * uc
+            fixed_cost += sc.alpha * cder.no_load * uc
 
-            c[col(t, 0)] = cfg.alpha * cder.op_cost
-            c[col(t, 2)] = cfg.alpha * deg
-            c[col(t, 3)] = cfg.alpha * cfg.ls_penalty
+            c[col(t, 0)] = sc.alpha * cder.op_cost
+            c[col(t, 2)] = sc.alpha * deg
+            c[col(t, 3)] = sc.alpha * cfg.ls_penalty
 
             row = np.zeros(n)
             row[col(t, 0)] = 1.0   # generation
@@ -351,7 +351,7 @@ def test_criterion_9_full_scale(fixtures_dir, tmp_path):
     from dbio.sizing import run_search
 
     doc = json.loads((fixtures_dir / "islanded_base.json").read_text())
-    doc["horizon"].update(planning_years=25, rep_days=365, alpha=1.0)
+    doc["horizon"].update(planning_years=25, rep_days=365)
     doc["solver"].update(mip_gap=0.0, time_limit=3600.0)
     doc["cder"].update(capital=1_150_000.0, op_cost=44.75)
     doc["pv"].update(capital=1_450_000.0, rep_frac=0.41)

@@ -9,6 +9,8 @@ from dbio import milp, reports
 from dbio.cli import load_investment, main
 from dbio.scenario import ScenarioError, load_scenario
 
+from conftest import FIXTURES, write_sizing_doc
+
 SCENARIO = "sizing_threshold.json"
 
 
@@ -132,7 +134,9 @@ def test_no_cyclic_soc_flag(fixtures_dir, tmp_path):
     assert manifest["cyclic_soc_disabled"]
 
 
-@pytest.mark.parametrize("flag, value", [("--mip-gap", -1), ("--time-limit", 0)])
+@pytest.mark.parametrize("flag, value", [
+    ("--mip-gap", -1), ("--time-limit", 0), ("--mip-gap", "inf"), ("--mip-gap", "nan"),
+    ("--time-limit", "nan"), ("--time-limit", "inf")])
 def test_bad_solver_override_exit_code(fixtures_dir, tmp_path, monkeypatch, capsys,
                                        flag, value):
     solves = []
@@ -141,6 +145,39 @@ def test_bad_solver_override_exit_code(fixtures_dir, tmp_path, monkeypatch, caps
     assert run(["--scenario", fixtures_dir / SCENARIO, "--out", out, flag, value]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "solver" in err[0]
+    assert not solves and not (out / "manifest.json").exists()
+
+
+TOU = str(FIXTURES / "tou_prices.csv")
+# Documents that loaded without error while the scenario format restated alpha
+# and the tariff mode and did not close every section; each is an error now.
+BAD_DOCUMENTS = {
+    "section-bes": (lambda doc: doc.update(bes=doc.pop("bess")), "scenario", "bes"),
+    "tariff-import_prize": (lambda doc: doc["tariff"].update(import_prize=500),
+                            "tariff", "import_prize"),
+    "tariff-fixed-with-file": (lambda doc: doc.update(tariff={"mode": "fixed",
+                                                              "price_file": TOU}),
+                               "tariff", "mode"),
+    "tariff-tou-with-price": (lambda doc: doc["tariff"].update(
+        mode="tou", price_file=TOU, import_price=999), "tariff", "mode"),
+    "horizon-alpha": (lambda doc: doc["horizon"].update(alpha=1.0), "horizon", "alpha"),
+    "profiles-extra": (lambda doc: doc["profiles"].update(extra="x.csv"),
+                       "profiles", "extra"),
+    "tariff-fixed": (lambda doc: doc["tariff"].update(mode="fixed"), "tariff", "mode"),
+    "tariff-both-sources": (lambda doc: doc["tariff"].update(price_file=TOU),
+                            "tariff", "price_file"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DOCUMENTS)
+def test_bad_scenario_document_exits_before_solving(tmp_path, monkeypatch, capsys, case):
+    edit, section, key = BAD_DOCUMENTS[case]
+    solves = []
+    monkeypatch.setattr(milp, "solve", lambda *a, **k: solves.append(a))
+    out = tmp_path / "o"
+    assert run(["--scenario", write_sizing_doc(tmp_path, edit), "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {section}:") and key in err[0]
     assert not solves and not (out / "manifest.json").exists()
 
 
@@ -166,7 +203,9 @@ def test_solver_overrides_reach_every_solve(fixtures_dir, tmp_path, monkeypatch)
     json.dumps({"s_pv": 0.1, "s_bess": 0.2}),        # missing field
     json.dumps({"s_pv": 0.1, "s_bess": -0.2, "p_cder_max": 0.3}),
     json.dumps({"s_pv": float("nan"), "s_bess": 0.2, "p_cder_max": 0.3}),
-], ids=["missing", "invalid-json", "missing-field", "negative-size", "nan-size"])
+    json.dumps({"investment": {"s_pv": 0.1, "s_bess": 0.2, "p_cder_max": 0.3}}),
+], ids=["missing", "invalid-json", "missing-field", "negative-size", "nan-size",
+        "unknown-shape"])
 def test_bad_investment_file_exit_code(fixtures_dir, tmp_path, capsys, content):
     inv_path = tmp_path / "inv.json"
     if content is not None:

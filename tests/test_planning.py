@@ -11,10 +11,10 @@ import pytest
 from dbio import milp
 from dbio.degradation import DegradationState
 from dbio.planning import (InvestmentDecision, ModelBuildError, build_integrated,
-                           build_single_year, extract_solution, pv_efficiency_schedule)
-from dbio.scenario import BessParams, CderParams, load_scenario
+                           build_single_year, extract_solution)
+from dbio.scenario import BessParams, CderParams, load_scenario, representative_day_indices
 
-from conftest import FIXTURES, check_dispatch_invariants, make_scenario
+from conftest import FIXTURES, check_dispatch_invariants, make_scenario, write_sizing_doc
 
 OPTS = milp.SolveOptions(mip_gap=0.0, time_limit=300.0)
 
@@ -55,6 +55,25 @@ def test_cost_breakdown_matches_objective():
     assert sol.costs["capital"] > 0 and sol.costs["cder_op"] > 0
 
 
+@pytest.mark.parametrize("price_file", ["tou_prices.csv", "wholesale_prices.csv"])
+def test_price_file_tariff_prices_the_imports(tmp_path, price_file):
+    def grid_tied_with_price_file(doc):
+        doc["tariff"] = {"price_file": str(FIXTURES / price_file)}
+        doc["horizon"]["tie_limit"] = 0.5
+
+    sc = load_scenario(write_sizing_doc(tmp_path, grid_tied_with_price_file))
+    # The one representative day is the file's day 182 of 365.
+    year = np.loadtxt(FIXTURES / price_file, delimiter=",", skiprows=1)[:, 1]
+    day = year.reshape(365, 24)[representative_day_indices(365, 1)]
+    np.testing.assert_array_equal(sc.tariff.import_price, day)
+    if price_file == "tou_prices.csv":
+        assert sc.tariff.import_price[0, 0] == 80.0
+    sol, _, _ = _solve(sc)
+    assert np.sum(sol.series["p_imp"]) > 0
+    assert sol.costs["import_cost"] == pytest.approx(
+        365.0 * np.sum(sol.series["p_imp"] * day), rel=1e-12)
+
+
 def test_objective_check_prices_the_primal_as_solved():
     # A load shed of -4e-7 MW is solver round-off; at the 1e6 $/MWh penalty
     # it moves the objective by far more than the 1e-6 relative check allows.
@@ -63,7 +82,7 @@ def test_objective_check_prices_the_primal_as_solved():
     result = milp.solve(problem, OPTS)
     x = result.primal.copy()
     i = index.series["p_ls"][0, 0, 5]
-    shift = sc.cfg.alpha * sc.cfg.ls_penalty * (-4e-7 - x[i])
+    shift = sc.alpha * sc.cfg.ls_penalty * (-4e-7 - x[i])
     x[i] = -4e-7
     perturbed = dataclasses.replace(result, primal=x, objective=result.objective + shift)
     sol = extract_solution(perturbed, index)
@@ -146,7 +165,7 @@ def test_pv_displaces_generation():
 def test_pv_efficiency_schedule_values():
     from dbio.scenario import PvParams
     pv = PvParams(eta_init=0.95, deg_rate=0.01)
-    sched = pv_efficiency_schedule(pv, 3)
+    sched = pv.efficiency_schedule(3)
     np.testing.assert_allclose(sched, [0.95, 0.95 * 0.99, 0.95 * 0.99 ** 2])
 
 

@@ -10,7 +10,7 @@ from dbio.scenario import (BessParams, CderParams, ScenarioError, TariffSchedule
                            load_scenario, reduce_to_representative_days,
                            representative_day_indices)
 
-from conftest import make_scenario
+from conftest import FIXTURES, make_scenario, write_sizing_doc
 
 
 def test_representative_day_indices_identity():
@@ -59,13 +59,13 @@ def test_islanded_fixture_peak_load(islanded_scenario):
     assert float(prof.load.min()) > 0.0
 
 
-def test_alpha_defaults_to_rep_day_ratio(islanded_scenario):
-    cfg = islanded_scenario.cfg
-    assert cfg.alpha == pytest.approx(365.0 / islanded_scenario.base_load.shape[0])
+def test_alpha_is_days_per_year_over_rep_days(islanded_scenario, sizing_scenario):
+    assert islanded_scenario.base_load.shape[0] == 7 and islanded_scenario.alpha == 365 / 7
+    assert sizing_scenario.alpha == 365.0
 
 
 def test_export_factor_default():
-    tariff = TariffSchedule(mode="fixed", import_price=np.full((1, 24), 100.0))
+    tariff = TariffSchedule(import_price=np.full((1, 24), 100.0))
     assert tariff.export_factor == 0.8
     assert np.all(tariff.export_price == 80.0)
 
@@ -75,29 +75,56 @@ def test_load_scenario_missing_file(tmp_path):
         load_scenario(tmp_path / "nope.json")
 
 
-def _write_sizing_doc(tmp_path, fixtures_dir, edit):
-    """Copy of the sizing fixture with ``edit`` applied to its document."""
-    doc = json.loads((fixtures_dir / "sizing_threshold.json").read_text())
-    edit(doc)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    # Profile files resolve relative to the config location.
-    for f in ("load_deficit_24.csv", "pv_zero_24.csv"):
-        (tmp_path / f).write_text((fixtures_dir / f).read_text())
-    return path
-
-
-@pytest.mark.parametrize("section, key", [("cder", "banana"), ("solver", "thread"),
-                                          ("horizon", "hours_per_day")])
-def test_load_scenario_rejects_unknown_field(tmp_path, fixtures_dir, section, key):
-    path = _write_sizing_doc(tmp_path, fixtures_dir, lambda doc: doc[section].update({key: 1}))
+@pytest.mark.parametrize("section, key", [
+    ("cder", "banana"), ("solver", "thread"), ("horizon", "hours_per_day"),
+    ("horizon", "alpha"),       # derived: 365 over the representative days
+    ("horizon", "solver"),      # the solver settings are their own section
+    ("tariff", "mode"),         # the price source is import_price or price_file
+    ("tariff", "import_prize"), ("profiles", "extra")])
+def test_load_scenario_rejects_unknown_field(tmp_path, section, key):
+    path = write_sizing_doc(tmp_path, lambda doc: doc[section].update({key: 1}))
     with pytest.raises(ScenarioError, match=f"{section}: unknown field.*{key}"):
         load_scenario(path)
 
 
+def test_load_scenario_rejects_unknown_section(tmp_path):
+    path = write_sizing_doc(tmp_path, lambda doc: doc.update(bes=doc.pop("bess")))
+    with pytest.raises(ScenarioError, match="scenario: unknown field.*'bes'"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("section, key, name", [
+    ("profiles", "load_file", 5), ("profiles", "pv_cf_file", "missing.csv"),
+    ("tariff", "price_file", "missing.csv")])
+def test_load_scenario_rejects_bad_file_field(tmp_path, section, key, name):
+    def edit(doc):
+        doc[section].pop("import_price", None)
+        doc[section][key] = name
+    path = write_sizing_doc(tmp_path, edit)
+    with pytest.raises(ScenarioError,
+                       match=f"{section}.{key}: (must be a file name|file not found)"):
+        load_scenario(path)
+
+
+def test_load_scenario_rejects_non_object(tmp_path):
+    path = write_sizing_doc(tmp_path, lambda doc: doc.update(pv=[]))
+    with pytest.raises(ScenarioError, match="pv: must be an object"):
+        load_scenario(path)
+    path.write_text("[]")
+    with pytest.raises(ScenarioError, match="scenario: must be an object"):
+        load_scenario(path)
+
+
+def test_tariff_takes_one_price_source(tmp_path):
+    path = write_sizing_doc(tmp_path, lambda doc: doc["tariff"].update(
+        price_file=str(FIXTURES / "tou_prices.csv")))
+    with pytest.raises(ScenarioError, match="tariff: give import_price or price_file"):
+        load_scenario(path)
+
+
 @pytest.mark.parametrize("key, value", [("mip_gap", -0.1), ("time_limit", 0.0)])
-def test_load_scenario_rejects_bad_solver_value(tmp_path, fixtures_dir, key, value):
-    path = _write_sizing_doc(tmp_path, fixtures_dir, lambda doc: doc["solver"].update({key: value}))
+def test_load_scenario_rejects_bad_solver_value(tmp_path, key, value):
+    path = write_sizing_doc(tmp_path, lambda doc: doc["solver"].update({key: value}))
     with pytest.raises(ScenarioError, match=f"solver: {key}"):
         load_scenario(path)
 
@@ -120,9 +147,8 @@ BAD_VALUES = [
 
 @pytest.mark.parametrize("section, key, value", BAD_VALUES,
                          ids=[f"{section}.{key}" for section, key, _ in BAD_VALUES])
-def test_load_scenario_rejects_bad_value(tmp_path, fixtures_dir, section, key, value):
-    path = _write_sizing_doc(tmp_path, fixtures_dir,
-                             lambda doc: doc[section].update({key: value}))
+def test_load_scenario_rejects_bad_value(tmp_path, section, key, value):
+    path = write_sizing_doc(tmp_path, lambda doc: doc[section].update({key: value}))
     with pytest.raises(ScenarioError, match=f"{section}.{key}"):
         load_scenario(path)
 
@@ -158,8 +184,8 @@ def test_cder_defaults_and_validation():
         dataclasses.replace(cder, op_cost=-1.0)
 
 
-def test_profile_values_must_be_finite(tmp_path, fixtures_dir):
-    path = _write_sizing_doc(tmp_path, fixtures_dir, lambda doc: None)
+def test_profile_values_must_be_finite(tmp_path):
+    path = write_sizing_doc(tmp_path, lambda doc: None)
     rows = [f"{t},{'inf' if t == 5 else 0.0}" for t in range(24)]
     (tmp_path / "pv_zero_24.csv").write_text("hour,value\n" + "\n".join(rows) + "\n")
     with pytest.raises(ScenarioError, match="non-finite"):

@@ -19,8 +19,8 @@ def highuse_validation(highuse_scenario, highuse_plan):
 
 def test_initial_state_matches_configuration(highuse_scenario):
     inv = InvestmentDecision(0.0, 1.5, 0.5)
-    state = initial_state(highuse_scenario, inv)
     eff = fit_efficiency_model(highuse_scenario.bess.eff_model_points)
+    state = initial_state(highuse_scenario, inv, eff)
     assert state.year == 1
     assert state.capacity == 1.5
     assert state.soh == highuse_scenario.bess.soh_init
@@ -62,6 +62,16 @@ def test_degradation_off_baseline(highuse_scenario, highuse_plan):
     rate = highuse_scenario.pv.deg_rate
     for a, b in zip(etas, etas[1:]):
         assert b == pytest.approx(a * (1.0 - rate), rel=1e-12)
+
+
+def test_pv_efficiency_follows_the_plan_schedule(islanded_scenario):
+    inv = InvestmentDecision(s_pv=0.11, s_bess=0.077, p_cder_max=0.8)
+    report = validate(inv, islanded_scenario)
+    years = islanded_scenario.cfg.planning_years
+    assert len(report.per_year) == years
+    # Bit for bit: the plan prices year y's PV at this schedule's entry.
+    schedule = islanded_scenario.pv.efficiency_schedule(years)
+    assert [r.state_in.eta_pv for r in report.per_year] == schedule.tolist()
 
 
 def test_zero_size_battery_keeps_a_frozen_chain(sizing_scenario):
