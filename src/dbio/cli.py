@@ -163,7 +163,7 @@ def main(argv=None) -> int:
             reports.write_costs(last, out_dir)
             reports.write_report_json(out_dir, validation=report)
             write_manifest(args, out_dir, converged=report.feasible)
-            return 0 if report.feasible and not report.truncated else 1
+            return 0 if report.feasible else 1
 
         # size mode: plan, then search, then report everything.
         sol = _plan(scenario, out_dir, args.dump_lp)

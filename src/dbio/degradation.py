@@ -2,8 +2,7 @@
 
 Rainflow cycle counting of battery state-of-charge traces,
 depth-of-discharge weighted equivalent full cycles, per-cycle capacity loss,
-the year-over-year capacity / state-of-health / PV-efficiency chain, and the
-linear efficiency-vs-SOH regression.
+and the year-over-year capacity / state-of-health / efficiency chain.
 
 Depth of discharge is measured relative to rated capacity: traces handed to
 :func:`count_cycles` are stored energy divided by rated MWh, so cycle ranges
@@ -32,24 +31,6 @@ class BatteryExhaustedError(DegradationError):
 
 
 @dataclass(frozen=True)
-class DodHistogram:
-    """Cycle counts keyed by DOD bin midpoint; half cycles contribute 0.5."""
-
-    bins: dict
-
-
-@dataclass(frozen=True)
-class EfficiencyModel:
-    """Linear roundtrip-efficiency-vs-SOH model; predictions clamped to (0, 1]."""
-
-    w: float
-    b: float
-
-    def predict(self, soh):
-        return min(1.0, max(1e-9, self.w * soh + self.b))
-
-
-@dataclass(frozen=True)
 class DegradationState:
     """Battery and PV condition entering a given year."""
 
@@ -67,12 +48,12 @@ def bin_midpoint(dod_range: float, bin_width: float) -> float:
     return math.floor(dod_range / bin_width + 0.5) * bin_width
 
 
-def count_cycles(soc_series) -> DodHistogram:
+def count_cycles(soc_series) -> dict:
     """Rainflow-count a normalized state-of-charge trace into ``BIN_WIDTH`` DOD bins.
 
-    Interior cycles count 1.0, residual half cycles 0.5. Ranges smaller than
-    half a bin (solver round-off on a flat trace) fall into the zero bin and
-    are dropped.
+    Returns ``{dod_midpoint: cycles}``: interior cycles count 1.0, residual
+    half cycles 0.5. Ranges smaller than half a bin (solver round-off on a
+    flat trace) fall into the zero bin and are dropped.
     """
     soc = np.asarray(soc_series, dtype=float)
     if soc.size < 2:
@@ -86,7 +67,7 @@ def count_cycles(soc_series) -> DodHistogram:
         if mid <= 0.0:
             continue
         bins[mid] = bins.get(mid, 0.0) + float(w)
-    return DodHistogram(bins=bins)
+    return bins
 
 
 def degradation_factor(dod: float, curve: CycleLifeCurveSpec) -> float:
@@ -96,11 +77,12 @@ def degradation_factor(dod: float, curve: CycleLifeCurveSpec) -> float:
     return curve.cl_at_max / curve.cycle_life(min(dod, 1.0))
 
 
-def equivalent_full_cycles(hist: DodHistogram, curve: CycleLifeCurveSpec,
+def equivalent_full_cycles(hist: dict, curve: CycleLifeCurveSpec,
                            alpha: float = 1.0) -> float:
-    """DOD-weighted cycle count, scaled by the profile repetition factor."""
+    """DOD-weighted cycle count of a :func:`count_cycles` histogram, scaled by
+    the profile repetition factor."""
     return alpha * sum((degradation_factor(dod, curve) * n
-                        for dod, n in hist.bins.items()), 0.0)
+                        for dod, n in hist.items()), 0.0)
 
 
 def degradation_per_cycle(rated: float, eol_frac: float, cycles_at_max_dod: float) -> float:
@@ -112,34 +94,21 @@ def degradation_per_cycle(rated: float, eol_frac: float, cycles_at_max_dod: floa
     return (1.0 - eol_frac) * rated / cycles_at_max_dod
 
 
-def fit_efficiency_model(points) -> EfficiencyModel:
-    """Least-squares line through (SOH, efficiency) samples.
-
-    With exactly two distinct points the fit passes through both.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise DegradationError("need at least 2 (soh, efficiency) points")
-    soh, eta = pts[:, 0], pts[:, 1]
-    if np.ptp(soh) == 0:
-        raise DegradationError("degenerate fit: all SOH values equal")
-    w, b = np.polyfit(soh, eta, 1)
-    return EfficiencyModel(w=float(w), b=float(b))
-
-
-def advance_state(prev: DegradationState, hist: DodHistogram, curve: CycleLifeCurveSpec,
-                  bess: BessParams, pv: PvParams, eff_model: EfficiencyModel,
+def advance_state(prev: DegradationState, hist: dict, bess: BessParams, pv: PvParams,
                   rated: float, alpha: float = 1.0) -> DegradationState:
     """Apply one year of cycling wear and PV fade to the condition chain.
 
-    ``rated`` is the as-built battery capacity in MWh; capacity loss is
-    equivalent full cycles times the per-cycle loss. An empty histogram
+    ``hist`` is the year's :func:`count_cycles` histogram and ``rated`` the
+    as-built battery capacity in MWh; capacity loss is equivalent full cycles
+    (weighted by ``bess.cycle_life_curve``) times the per-cycle loss, and the
+    next efficiency is ``bess.efficiency`` at the new SOH. An empty histogram
     leaves the battery as it was, which is also the step of a battery of
     zero size. Raises :class:`BatteryExhaustedError` instead of clamping
     when a loss would take the capacity to zero or below.
     """
     if prev.capacity < 0 or (prev.capacity == 0 and rated > 0):
         raise DegradationError("prev.capacity must be > 0 (or 0 with rated == 0)")
+    curve = bess.cycle_life_curve
     efc = equivalent_full_cycles(hist, curve, alpha)
     dpc = degradation_per_cycle(rated, bess.eol_frac, curve.cl_at_max) if rated > 0 else 0.0
     deg = efc * dpc
@@ -153,7 +122,7 @@ def advance_state(prev: DegradationState, hist: DodHistogram, curve: CycleLifeCu
         year=prev.year + 1,
         capacity=capacity,
         soh=soh,
-        eta_bess=eff_model.predict(soh),
+        eta_bess=bess.efficiency(soh),
         eta_pv=float(pv.efficiency_schedule(prev.year + 1)[prev.year]),
         efc=efc,
         deg=deg)

@@ -181,18 +181,20 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
 def build_integrated(scenario: Scenario, *, pin_s_bess: float | None = None):
     """Build the full-horizon planning MILP (capital costs included).
 
-    Battery state of health is held at its initial value; PV efficiency is
-    precomputed per year by :meth:`PvParams.efficiency_schedule`. ``pin_s_bess``
+    Battery state of health is held at its initial value, so every year
+    charges at ``bess.efficiency(bess.soh_init)``, the efficiency validation
+    year 1 starts from; PV efficiency is precomputed per year by
+    :meth:`PvParams.efficiency_schedule`. ``pin_s_bess``
     fixes the battery capacity and leaves the other sizes free, which is what
     the sizing search probes use.
     """
     if pin_s_bess is not None and pin_s_bess < 0:
         raise ModelBuildError("pin_s_bess must be >= 0")
     lo, hi = (0.0, INF) if pin_s_bess is None else (pin_s_bess, pin_s_bess)
-    profiles = scenario.profiles()
+    profiles, bess = scenario.profiles(), scenario.bess
     return _build(scenario, profiles.load, profiles.pv_cf,
                   scenario.pv.efficiency_schedule(scenario.cfg.planning_years),
-                  scenario.bess.eta_rt, "integrated", size_lo=(0.0, lo, 0.0),
+                  bess.efficiency(bess.soh_init), "integrated", size_lo=(0.0, lo, 0.0),
                   size_hi=(INF, hi, scenario.cder.max_size), capital=True)
 
 

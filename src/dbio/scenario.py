@@ -132,11 +132,15 @@ class CycleLifeCurveSpec:
 
 @dataclass(frozen=True)
 class BessParams:
-    """Battery storage cost, operating window, and degradation characteristics."""
+    """Battery storage cost, operating window, and degradation characteristics.
+
+    The roundtrip efficiency (applied on charge) is :meth:`efficiency`, the
+    efficiency-vs-SOH line through ``eff_model_points``: the plan and
+    validation year 1 charge at its value at ``soh_init``.
+    """
 
     capital: float = 469_000.0  # $/MWh
     rep_frac: float = 0.79      # replacement cost as fraction of capital
-    eta_rt: float = 0.90        # roundtrip efficiency (applied on charge)
     t_chg: float = 1.0          # hours to full charge at rated power
     t_dchg: float = 1.0         # hours to full discharge at rated power
     soc_min: float = 0.1
@@ -151,7 +155,6 @@ class BessParams:
     def __post_init__(self):
         _require(self.capital >= 0, "bess.capital", "must be >= 0")
         _require(0 <= self.rep_frac <= 1, "bess.rep_frac", "must be in [0, 1]")
-        _require(0 < self.eta_rt <= 1, "bess.eta_rt", "must be in (0, 1]")
         _require(self.t_chg > 0, "bess.t_chg", "must be > 0")
         _require(self.t_dchg > 0, "bess.t_dchg", "must be > 0")
         _require(0 <= self.soc_min < self.soc_max <= 1, "bess.soc_min",
@@ -162,6 +165,15 @@ class BessParams:
         _require(self.deg_cost_cycle_life > 0, "bess.deg_cost_cycle_life", "must be > 0")
         _require(len({soh for soh, _ in self.eff_model_points}) >= 2, "bess.eff_model_points",
                  "needs >= 2 distinct SOH values")
+        _require(all(0 < v <= 1 for point in self.eff_model_points for v in point),
+                 "bess.eff_model_points", "SOH and efficiency must be in (0, 1]")
+
+    def efficiency(self, soh: float) -> float:
+        """Roundtrip efficiency at ``soh``: the least-squares line through
+        ``eff_model_points``, clamped to [1e-9, 1]."""
+        pts = np.asarray(self.eff_model_points, dtype=float)
+        w, b = np.polyfit(pts[:, 0], pts[:, 1], 1)
+        return min(1.0, max(1e-9, float(w) * soh + float(b)))
 
     @property
     def deg_cost_per_mwh(self):

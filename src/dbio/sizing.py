@@ -4,7 +4,8 @@ Each probe pins the candidate capacity, re-solves the full-horizon planning
 model (other sizes re-optimize), then validates the resulting investment
 year by year under degradation. Binary search doubles until a shed-free
 upper bound exists, then bisects; fixed-step grows the size geometrically
-until the first shed-free probe.
+until the first shed-free probe. A probe is shed-free when its validation is
+feasible, so a battery exhausted before the horizon ends counts as shedding.
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import milp
-from .degradation import (BatteryExhaustedError, DegradationState, DodHistogram,
-                          EfficiencyModel, advance_state, count_cycles, fit_efficiency_model)
+from .degradation import BatteryExhaustedError, DegradationState, advance_state, count_cycles
 from .planning import DispatchSolution, InvestmentDecision, build_single_year, extract_solution
 from .scenario import Scenario
 
@@ -40,7 +39,7 @@ class ValidationReport:
     per_year: list
     total_eue: float
     total_cost: float
-    feasible: bool
+    feasible: bool          # every year validated and total_eue within eue_tolerance
     eue_tolerance: float
     truncated: bool = False  # battery exhausted before the horizon ended
 
@@ -50,13 +49,13 @@ def compute_eue(dispatch: DispatchSolution, alpha: float) -> float:
     return alpha * float(np.sum(dispatch.series["p_ls"]))
 
 
-def initial_state(scenario: Scenario, investment: InvestmentDecision,
-                  eff_model: EfficiencyModel) -> DegradationState:
+def initial_state(scenario: Scenario, investment: InvestmentDecision) -> DegradationState:
+    """Year 1 charges at the plan's efficiency, ``bess.efficiency(soh_init)``."""
     return DegradationState(
         year=1,
         capacity=investment.s_bess,
         soh=scenario.bess.soh_init,
-        eta_bess=eff_model.predict(scenario.bess.soh_init),
+        eta_bess=scenario.bess.efficiency(scenario.bess.soh_init),
         eta_pv=scenario.pv.eta_init)
 
 
@@ -68,13 +67,13 @@ def validate(investment: InvestmentDecision, scenario: Scenario, *,
     solve, count the cycles of its state-of-charge trace and advance the
     state, which is the next year's input. ``apply_degradation=False``
     freezes the battery chain (PV fade still follows its configured rate)
-    and exists for degradation-off baselines.
+    and exists for degradation-off baselines. A run whose battery is
+    exhausted before the horizon ends is ``truncated`` and never feasible.
     """
-    cfg, bess = scenario.cfg, scenario.bess
-    eff_model = fit_efficiency_model(bess.eff_model_points)
+    cfg = scenario.cfg
     rated = investment.s_bess
 
-    state = initial_state(scenario, investment, eff_model)
+    state = initial_state(scenario, investment)
     per_year = []
     truncated = False
     while not truncated and state.year <= cfg.planning_years:
@@ -84,13 +83,13 @@ def validate(investment: InvestmentDecision, scenario: Scenario, *,
             raise ValidationError(f"year {state.year}: solver returned {result.status}")
         dispatch = extract_solution(result, index)
 
-        hist = DodHistogram(bins={})
+        hist = {}
         if apply_degradation and rated > 0:
             trace = dispatch.series["e_bess"].ravel() / rated
             hist = count_cycles(np.clip(trace, 0.0, 1.0))
         try:
-            state_out = advance_state(state, hist, bess.cycle_life_curve, bess,
-                                      scenario.pv, eff_model, rated, scenario.alpha)
+            state_out = advance_state(state, hist, scenario.bess, scenario.pv, rated,
+                                      scenario.alpha)
         except BatteryExhaustedError:
             truncated = True
             state_out = state
@@ -107,6 +106,6 @@ def validate(investment: InvestmentDecision, scenario: Scenario, *,
     total_cost = sum(r.operating_cost_y for r in per_year)
     return ValidationReport(per_year=per_year, total_eue=total_eue,
                             total_cost=total_cost,
-                            feasible=total_eue <= DEFAULT_EUE_TOLERANCE,
+                            feasible=not truncated and total_eue <= DEFAULT_EUE_TOLERANCE,
                             eue_tolerance=DEFAULT_EUE_TOLERANCE,
                             truncated=truncated)

@@ -18,9 +18,8 @@ import pytest
 from scipy.optimize import linprog
 
 from dbio import milp, rainflow
-from dbio.degradation import (DegradationState, DodHistogram, advance_state,
-                              degradation_factor, degradation_per_cycle,
-                              equivalent_full_cycles, fit_efficiency_model)
+from dbio.degradation import (DegradationState, advance_state, degradation_factor,
+                              degradation_per_cycle, equivalent_full_cycles)
 from dbio.planning import InvestmentDecision, build_single_year
 from dbio.scenario import (BessParams, CderParams, CycleLifeCurveSpec, PvParams,
                            Scenario, ScenarioConfig, TariffSchedule)
@@ -53,7 +52,7 @@ def t4_scenario():
         cfg=cfg,
         cder=CderParams(capital=1e5, op_cost=50.0, no_load=3.0, p_min=0.2),
         pv=PvParams(capital=8e4, rep_frac=0.4, deg_rate=0.01, eta_init=1.0),
-        bess=BessParams(capital=5e4, eta_rt=0.9, soc_min=0.1, soc_max=0.9),
+        bess=BessParams(capital=5e4, soc_min=0.1, soc_max=0.9),
         tariff=TariffSchedule(import_price=np.zeros((1, 4))),
         base_load=T4_LOAD.reshape(1, 4), base_pv_cf=T4_CF.reshape(1, 4))
 
@@ -70,7 +69,7 @@ def enumerate_dispatch(sc, inv):
     cfg, cder, bess, pv = sc.cfg, sc.cder, sc.bess, sc.pv
     load = T4_LOAD
     pv_avail = pv.eta_init * T4_CF * inv.s_pv
-    eta = bess.eta_rt
+    eta = bess.efficiency(bess.soh_init)
     cap = inv.s_bess
     e_lo, e_hi = bess.soc_min * cap, bess.soh_init * bess.soc_max * cap
     chg_cap = min(cfg.big_m, cap / bess.t_chg)
@@ -148,7 +147,8 @@ def test_criterion_1_enumeration_oracle():
     model_best = oracle_best = math.inf
     for inv in grid:
         state = DegradationState(year=1, capacity=inv.s_bess, soh=sc.bess.soh_init,
-                                 eta_bess=sc.bess.eta_rt, eta_pv=sc.pv.eta_init)
+                                 eta_bess=sc.bess.efficiency(sc.bess.soh_init),
+                                 eta_pv=sc.pv.eta_init)
         problem, index = build_single_year(sc, state, inv)
         result = milp.solve(problem, OPTS)
         assert result.status == "optimal"
@@ -218,7 +218,7 @@ def test_criterion_4_degradation_units():
     curve = CycleLifeCurveSpec()
     ok = degradation_factor(curve.max_dod, curve) == 1.0
 
-    hist = DodHistogram(bins={0.25: 3.0, 0.80: 1.5})
+    hist = {0.25: 3.0, 0.80: 1.5}
     base = equivalent_full_cycles(hist, curve, alpha=1.0)
     for alpha in (2.0, 52.142857, 365.0):
         val = equivalent_full_cycles(hist, curve, alpha=alpha)
@@ -231,22 +231,19 @@ def test_criterion_4_degradation_units():
         cl = float(rng.uniform(100.0, 20000.0))
         ok = ok and degradation_per_cycle(rated, eol, cl) == (1 - eol) * rated / cl
 
-    bess, pv = BessParams(), PvParams()
-    eff = fit_efficiency_model(bess.eff_model_points)
+    bess, pv = BessParams(cycle_life_curve=curve), PvParams()
     rated = 5.0
     state = DegradationState(year=1, capacity=rated, soh=1.0,
-                             eta_bess=eff.predict(1.0), eta_pv=1.0)
+                             eta_bess=bess.efficiency(bess.soh_init), eta_pv=1.0)
     total = 0.0
     for _ in range(100):
-        h = DodHistogram(bins={0.25: float(rng.uniform(0, 10)),
-                               0.60: float(rng.uniform(0, 4))})
-        state = advance_state(state, h, curve, bess, pv, eff, rated)
+        h = {0.25: float(rng.uniform(0, 10)), 0.60: float(rng.uniform(0, 4))}
+        state = advance_state(state, h, bess, pv, rated)
         total += state.deg
     ok = ok and abs((rated - state.capacity) - total) <= 1e-12 * rated
 
-    model = fit_efficiency_model(((1.0, 0.90), (0.8, 0.86)))
-    ok = ok and abs(model.predict(1.0) - 0.90) <= 1e-12 \
-        and abs(model.predict(0.8) - 0.86) <= 1e-12
+    eff = BessParams(eff_model_points=((1.0, 0.90), (0.8, 0.86))).efficiency
+    ok = ok and abs(eff(1.0) - 0.90) <= 1e-12 and abs(eff(0.8) - 0.86) <= 1e-12
 
     verdict(4, ok, "cycle weighting, per-cycle loss, capacity-chain "
                    "conservation, and efficiency fit identities hold")

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from dbio.degradation import (BatteryExhaustedError, DegradationError,
-                              DegradationState, DodHistogram, advance_state,
-                              bin_midpoint, count_cycles, degradation_factor,
-                              degradation_per_cycle, equivalent_full_cycles,
-                              fit_efficiency_model)
-from dbio.scenario import BessParams, CycleLifeCurveSpec, PvParams
+                              DegradationState, advance_state, bin_midpoint,
+                              count_cycles, degradation_factor,
+                              degradation_per_cycle, equivalent_full_cycles)
+from dbio.scenario import BessParams, CycleLifeCurveSpec, PvParams, ScenarioError
 
 CURVE = CycleLifeCurveSpec()
 
@@ -39,7 +38,7 @@ def test_degradation_factor_rejects_nonpositive_dod():
 
 
 def test_efc_linear_in_alpha():
-    hist = DodHistogram(bins={0.25: 3.0, 0.80: 1.5})
+    hist = {0.25: 3.0, 0.80: 1.5}
     base = equivalent_full_cycles(hist, CURVE, alpha=1.0)
     for alpha in (2.0, 52.142857, 365.0):
         scaled = equivalent_full_cycles(hist, CURVE, alpha=alpha)
@@ -71,40 +70,39 @@ def test_dpc_input_validation():
 def test_capacity_chain_conserves_total_loss():
     bess = BessParams()
     pv = PvParams()
-    eff = fit_efficiency_model(bess.eff_model_points)
     rng = np.random.default_rng(17)
     rated = 5.0
     state = DegradationState(year=1, capacity=rated, soh=1.0,
-                             eta_bess=eff.predict(1.0), eta_pv=1.0)
+                             eta_bess=bess.efficiency(1.0), eta_pv=1.0)
     total_deg = 0.0
     for _ in range(100):
-        hist = DodHistogram(bins={0.25: float(rng.uniform(0, 10)),
-                                  0.60: float(rng.uniform(0, 4))})
-        state = advance_state(state, hist, CURVE, bess, pv, eff, rated, alpha=1.0)
+        hist = {0.25: float(rng.uniform(0, 10)), 0.60: float(rng.uniform(0, 4))}
+        state = advance_state(state, hist, bess, pv, rated, alpha=1.0)
         total_deg += state.deg
     assert rated - state.capacity == pytest.approx(total_deg, rel=1e-12)
     assert state.soh == pytest.approx(state.capacity / rated * bess.soh_init, rel=1e-12)
 
 
 def test_two_point_efficiency_fit_is_exact():
-    model = fit_efficiency_model(((1.0, 0.90), (0.8, 0.86)))
-    assert model.w == pytest.approx(0.2, rel=1e-9)
-    assert model.b == pytest.approx(0.70, rel=1e-9)
-    assert model.predict(1.0) == pytest.approx(0.90, rel=1e-12)
-    assert model.predict(0.8) == pytest.approx(0.86, rel=1e-12)
+    eff = BessParams(eff_model_points=((1.0, 0.90), (0.8, 0.86))).efficiency
+    # Slope w = eff(1) - eff(0), intercept b = eff(0).
+    assert eff(1.0) - eff(0.0) == pytest.approx(0.2, rel=1e-9)
+    assert eff(0.0) == pytest.approx(0.70, rel=1e-9)
+    assert eff(1.0) == pytest.approx(0.90, rel=1e-12)
+    assert eff(0.8) == pytest.approx(0.86, rel=1e-12)
 
 
 def test_efficiency_fit_validation():
-    with pytest.raises(DegradationError, match="degenerate"):
-        fit_efficiency_model(((0.9, 0.8), (0.9, 0.7)))
-    with pytest.raises(DegradationError):
-        fit_efficiency_model(((0.9, 0.8),))
+    with pytest.raises(ScenarioError, match="distinct SOH"):
+        BessParams(eff_model_points=((0.9, 0.8), (0.9, 0.7)))
+    with pytest.raises(ScenarioError):
+        BessParams(eff_model_points=((0.9, 0.8),))
 
 
 def test_prediction_clamped_to_unit_interval():
-    model = fit_efficiency_model(((1.0, 0.90), (0.8, 0.86)))
-    assert model.predict(3.0) == 1.0
-    assert model.predict(-100.0) == 1e-9
+    eff = BessParams(eff_model_points=((1.0, 0.90), (0.8, 0.86))).efficiency
+    assert eff(3.0) == 1.0
+    assert eff(-100.0) == 1e-9
 
 
 def test_bin_midpoint_half_up():
@@ -117,13 +115,13 @@ def test_bin_midpoint_half_up():
 
 def test_count_cycles_hand_trace():
     hist = count_cycles([1.0, 0.5, 1.0, 0.5, 1.0])
-    assert list(hist.bins) == [pytest.approx(0.50)]
-    assert sum(hist.bins.values()) == pytest.approx(2.0)
+    assert list(hist) == [pytest.approx(0.50)]
+    assert sum(hist.values()) == pytest.approx(2.0)
 
 
 def test_count_cycles_drops_flat_noise():
     trace = 0.5 + 1e-9 * np.sin(np.arange(50))
-    assert count_cycles(np.clip(trace, 0, 1)).bins == {}
+    assert count_cycles(np.clip(trace, 0, 1)) == {}
 
 
 def test_count_cycles_validation():
@@ -135,27 +133,22 @@ def test_count_cycles_validation():
 
 def test_advance_state_updates_chain():
     bess = BessParams()
-    eff = fit_efficiency_model(bess.eff_model_points)
     state = DegradationState(year=1, capacity=2.0, soh=1.0,
                              eta_bess=0.9, eta_pv=1.0)
-    hist = DodHistogram(bins={1.0: 10.0})
-    out = advance_state(state, hist, CURVE, bess, PvParams(deg_rate=0.005),
-                        eff, rated=2.0, alpha=1.0)
+    out = advance_state(state, {1.0: 10.0}, bess, PvParams(deg_rate=0.005),
+                        rated=2.0, alpha=1.0)
     # 10 full-DOD cycles at DF=1; loss = 10 * (1-0.8)*2/2000.
     assert out.efc == pytest.approx(10.0)
     assert out.deg == pytest.approx(10.0 * 0.2 * 2.0 / 2000.0, rel=1e-12)
     assert out.capacity == pytest.approx(2.0 - out.deg, rel=1e-12)
     assert out.eta_pv == pytest.approx(0.995)
     assert out.year == 2
-    assert out.eta_bess == pytest.approx(eff.predict(out.soh), rel=1e-12)
+    assert out.eta_bess == pytest.approx(bess.efficiency(out.soh), rel=1e-12)
 
 
 def test_advance_state_exhaustion_raises():
     bess = BessParams()
-    eff = fit_efficiency_model(bess.eff_model_points)
     state = DegradationState(year=1, capacity=0.001, soh=0.0005,
                              eta_bess=0.9, eta_pv=1.0)
-    hist = DodHistogram(bins={1.0: 100.0})
     with pytest.raises(BatteryExhaustedError):
-        advance_state(state, hist, CURVE, bess, PvParams(), eff,
-                      rated=2.0, alpha=1.0)
+        advance_state(state, {1.0: 100.0}, bess, PvParams(), rated=2.0, alpha=1.0)

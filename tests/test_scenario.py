@@ -142,11 +142,13 @@ BAD_VALUES = [
     ("bess", "eff_model_points", [[0.9, 0.8], [0.9, 0.7]]),
     ("horizon", "cyclic_soc", "yes"),
     ("bess", "t_chg", float("inf")),
+    ("bess", "eff_model_points", [[1.0, 1.2], [0.8, 0.9]]),  # an efficiency above 1
 ]
+BAD_IDS = [f"{section}.{key}" for section, key, _ in BAD_VALUES]
+BAD_IDS[-1] += "-range"  # the first eff_model_points case is a degenerate fit
 
 
-@pytest.mark.parametrize("section, key, value", BAD_VALUES,
-                         ids=[f"{section}.{key}" for section, key, _ in BAD_VALUES])
+@pytest.mark.parametrize("section, key, value", BAD_VALUES, ids=BAD_IDS)
 def test_load_scenario_rejects_bad_value(tmp_path, section, key, value):
     path = write_sizing_doc(tmp_path, lambda doc: doc[section].update({key: value}))
     with pytest.raises(ScenarioError, match=f"{section}.{key}"):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dbio.planning import InvestmentDecision
+from dbio.scenario import CycleLifeCurveSpec
 from dbio.sizing import (SearchConfig, SizingError, UnservableLoadError, probe,
                          run_search, size_binary, size_fixed_step)
 
@@ -105,6 +106,19 @@ def test_unservable_load_raises(sizing_scenario):
     start = InvestmentDecision(s_pv=0.0, s_bess=0.05, p_cder_max=0.2)
     with pytest.raises(UnservableLoadError):
         size_binary(start, hopeless, cfg)
+
+
+def test_exhausted_battery_is_never_shed_free(sizing_scenario):
+    # Three cycles of life at full depth: every probe exhausts its battery in
+    # year 1 without shedding, so no probe may count as shed-free.
+    worn = dataclasses.replace(sizing_scenario, bess=dataclasses.replace(
+        sizing_scenario.bess,
+        cycle_life_curve=CycleLifeCurveSpec(points=((0.1, 30.0), (1.0, 3.0)))))
+    big = InvestmentDecision(s_pv=0.0, s_bess=0.8, p_cder_max=0.6)
+    res = size_binary(big, worn, SearchConfig(method="binary", tolerance=0.02,
+                                              max_iterations=3))
+    assert [r.shed for r in res.iterations] == [True] * 3
+    assert not res.converged and res.final_report.truncated
 
 
 def test_zero_initial_size_is_searchable(sizing_scenario):

@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dbio.degradation import fit_efficiency_model
-from dbio.planning import InvestmentDecision
-from dbio.scenario import CycleLifeCurveSpec
+from dbio.planning import InvestmentDecision, build_integrated
+from dbio.scenario import CycleLifeCurveSpec, load_scenario
 from dbio.validation import compute_eue, initial_state, validate
+
+from conftest import FIXTURES
 
 
 @pytest.fixture(scope="module")
@@ -19,13 +20,26 @@ def highuse_validation(highuse_scenario, highuse_plan):
 
 def test_initial_state_matches_configuration(highuse_scenario):
     inv = InvestmentDecision(0.0, 1.5, 0.5)
-    eff = fit_efficiency_model(highuse_scenario.bess.eff_model_points)
-    state = initial_state(highuse_scenario, inv, eff)
+    state = initial_state(highuse_scenario, inv)
     assert state.year == 1
     assert state.capacity == 1.5
     assert state.soh == highuse_scenario.bess.soh_init
-    assert state.eta_bess == pytest.approx(eff.predict(state.soh))
+    assert state.eta_bess == pytest.approx(highuse_scenario.bess.efficiency(state.soh))
     assert state.eta_pv == highuse_scenario.pv.eta_init
+
+
+@pytest.mark.parametrize("fixture", ["grid_fixed", "islanded_base", "highuse_degradation",
+                                     "sizing_threshold"])
+def test_plan_and_first_validation_year_charge_at_one_efficiency(fixture):
+    sc = load_scenario(FIXTURES / f"{fixture}.json")
+    problem, index = build_integrated(sc)
+    # A p_chg column holds -1 (balance), 1 (chg_on, chg_rate) and the
+    # energy-tracking charge coefficient, -efficiency.
+    cols = problem.constraint_matrix()[0].tocsc()[:, index.series["p_chg"].ravel()]
+    charge = cols.data[np.abs(cols.data) != 1.0]
+    assert charge.size == index.series["p_chg"].size
+    eta = initial_state(sc, InvestmentDecision(0.0, 1.0, 0.0)).eta_bess
+    assert set(charge.tolist()) == {-eta}
 
 
 def test_states_thread_year_to_year(highuse_validation):
@@ -103,6 +117,7 @@ def test_truncation_on_battery_exhaustion(highuse_scenario, highuse_plan):
     report = validate(sol.investment, brutal)
     assert report.truncated
     assert len(report.per_year) < highuse_scenario.cfg.planning_years
+    assert not report.feasible
 
 
 def test_eue_monotone_in_capacity(sizing_scenario):
