@@ -115,7 +115,7 @@ def _plan(scenario, out_dir, dump_lp):
               f"{problem.n_constraints} rows)...")
     result = milp.solve(problem, scenario.cfg.solver)
     _progress(f"  status={result.status} objective={result.objective:.2f} "
-              f"gap={result.achieved_gap:.2%} ({result.runtime:.1f}s)")
+              f"gap={result.achieved_gap:.2%} path={result.path} ({result.runtime:.1f}s)")
     if not result.has_solution:
         raise milp.MilpError(f"integrated solve failed: status {result.status}")
     return extract_solution(result, index)
@@ -153,7 +153,7 @@ def main(argv=None) -> int:
         if args.mode == "validate":
             def on_year(r):
                 _progress(f"year {r.year}: eue={r.eue_y:.6g} MWh "
-                          f"capacity={r.state_in.capacity:.6g} MWh")
+                          f"capacity={r.state_in.capacity:.6g} MWh path={r.solve_path}")
 
             report = validate(investment, scenario, on_year=on_year)
             reports.write_degradation(report, out_dir)

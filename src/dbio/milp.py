@@ -3,10 +3,15 @@
 The planning model builds a :class:`MilpProblem`; solving goes through a
 pluggable backend chosen by the ``DBIO_SOLVER`` environment variable:
 
-* ``highs`` (default) — scipy's HiGHS-based MILP solver.
+* ``highs`` (default) — the LP relaxation with an optimality certificate,
+  HiGHS branch-and-bound when the certificate fails. The relaxation's optimum
+  with every positive binary set to 1 is returned as a proven optimum (path
+  ``certified``) when it lies within the variable bounds, meets every row and
+  costs no more than the relaxation's bound. Otherwise branch-and-bound
+  (path ``highs``) solves the MILP within what is left of the time limit.
 * ``enum`` — exhaustive enumeration over binary assignments (<= 20 binaries),
   each reduced to an LP. Exists so the test suite never depends on the
-  branch-and-bound path it is checking.
+  solver paths it is checking.
 
 An optional export to the industry-standard LP text format is provided for
 debugging.
@@ -67,7 +72,8 @@ class SolveResult:
     objective: float
     primal: np.ndarray | None
     achieved_gap: float = 0.0
-    runtime: float = 0.0
+    runtime: float = 0.0  # seconds, every solver call of the solve together
+    path: str = "highs"  # what produced the answer: certified, highs or enum
 
     @property
     def has_solution(self):
@@ -301,17 +307,23 @@ class MilpProblem:
 # -- backends ----------------------------------------------------------------
 
 
-def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
+def _highs_args(problem: MilpProblem) -> dict:
+    """Objective, constraints and bounds as scipy's ``milp`` takes them."""
     constraints = []
     if problem.n_constraints:
         A, lb, ub = problem.constraint_matrix()
         constraints.append(_LinCon(A, lb, ub))
+    return {"c": problem.c, "constraints": constraints,
+            "bounds": _Bounds(problem.lower, problem.upper)}
+
+
+def _branch_and_bound(problem: MilpProblem, opts: SolveOptions, time_limit=None,
+                      args=None) -> SolveResult:
+    """HiGHS branch-and-bound within ``time_limit`` (default ``opts.time_limit``)."""
     t0 = time.perf_counter()
-    res = milp(c=problem.c, constraints=constraints,
-               bounds=_Bounds(problem.lower, problem.upper),
-               integrality=problem.integrality,
+    res = milp(**(args or _highs_args(problem)), integrality=problem.integrality,
                options={"mip_rel_gap": opts.mip_gap,
-                        "time_limit": opts.time_limit,
+                        "time_limit": opts.time_limit if time_limit is None else time_limit,
                         "presolve": True, "disp": False})
     runtime = time.perf_counter() - t0
     gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
@@ -328,7 +340,48 @@ def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
     primal = np.asarray(res.x) if res.x is not None else None
     objective = (float(res.fun) + problem.objective_constant) if res.fun is not None else math.nan
     return SolveResult(status=status, objective=objective, primal=primal,
-                       achieved_gap=gap, runtime=runtime)
+                       achieved_gap=gap, runtime=runtime, path="highs")
+
+
+def _certify(problem: MilpProblem, x, bound):
+    """The LP optimum ``x`` with each positive binary set to 1, and its
+    objective, if that point proves itself a MILP optimum; else None.
+
+    The point must lie within the variable bounds, meet every row to 1e-6
+    and cost no more than the relaxation's bound ``bound``, which no
+    integer point can beat.
+    """
+    x = np.array(x, dtype=float)
+    b = problem.binary_indices
+    x[b] = x[b] > 0
+    residuals, objective = problem.evaluate(x)
+    if (np.all((problem.lower <= x) & (x <= problem.upper))
+            and residuals.max(initial=0.0) <= 1e-6
+            and objective <= bound + 1e-9 * max(1.0, abs(bound))):
+        return x, objective
+    return None
+
+
+def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
+    """LP relaxation first; branch-and-bound only when it certifies nothing.
+
+    Both calls share ``opts.time_limit``: the fallback gets what the
+    relaxation left of it.
+    """
+    t0 = time.perf_counter()
+    args = _highs_args(problem)
+    lp = milp(**args, integrality=np.zeros(problem.n_variables, dtype=int),
+              options={"time_limit": opts.time_limit, "presolve": True, "disp": False})
+    if lp.status == 0:
+        certified = _certify(problem, lp.x, float(lp.fun) + problem.objective_constant)
+        if certified is not None:
+            x, objective = certified
+            return SolveResult(status=OPTIMAL, objective=objective, primal=x,
+                               runtime=time.perf_counter() - t0, path="certified")
+    left = max(opts.time_limit - (time.perf_counter() - t0), 0.0)
+    result = _branch_and_bound(problem, opts, time_limit=left, args=args)
+    result.runtime = time.perf_counter() - t0
+    return result
 
 
 def _enum_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
@@ -363,7 +416,7 @@ def _enum_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
                       bounds=np.column_stack([lo, hi]), method="highs")
         if res.status == 3:
             return SolveResult(status=UNBOUNDED, objective=-INF, primal=None,
-                               runtime=time.perf_counter() - t0)
+                               runtime=time.perf_counter() - t0, path="enum")
         if res.status != 0:
             continue
         any_feasible = True
@@ -372,10 +425,11 @@ def _enum_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
     runtime = time.perf_counter() - t0
     if not any_feasible:
         return SolveResult(status=INFEASIBLE, objective=math.nan, primal=None,
-                           runtime=runtime)
+                           runtime=runtime, path="enum")
     return SolveResult(status=OPTIMAL,
                        objective=float(best.fun) + problem.objective_constant,
-                       primal=np.asarray(best.x), achieved_gap=0.0, runtime=runtime)
+                       primal=np.asarray(best.x), achieved_gap=0.0, runtime=runtime,
+                       path="enum")
 
 
 _BACKENDS = {"highs": _highs_solve, "enum": _enum_solve}

@@ -104,10 +104,11 @@ def write_validation_summary(report: ValidationReport, out_dir: Path) -> Path:
 def write_iterations(result: SizingResult, out_dir: Path) -> Path:
     rows = [(r.index, r.phase, fmt_qty(r.candidate_size), fmt_usd(r.objective),
              fmt_qty(r.total_eue), "YES" if r.shed else "NO",
+             "YES" if r.truncated else "NO",
              fmt_qty(r.lb), fmt_qty(r.ub)) for r in result.iterations]
     path = out_dir / "iterations.csv"
     _write_csv(path, ("iter", "phase", "size_mwh", "objective_usd", "eue_mwh",
-                      "shed", "lb", "ub"), rows)
+                      "shed", "truncated", "lb", "ub"), rows)
     return path
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import milp
 from .planning import InvestmentDecision, build_integrated, extract_solution
 from .scenario import Scenario
-from .validation import ValidationReport, validate
+from .validation import DEFAULT_EUE_TOLERANCE, ValidationReport, validate
 
 DOUBLING_HARD_CAP = 1024.0  # multiple of the initial size
 
@@ -26,7 +26,8 @@ class SizingError(RuntimeError):
 
 
 class UnservableLoadError(SizingError):
-    """Doubling exceeded the hard cap: the shortfall is not curable by storage."""
+    """Doubling exceeded the hard cap: storage cures neither the shortfall nor,
+    where nothing was shed, the battery's wearing out before the horizon ends."""
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,7 @@ class IterationRecord:
     objective: float       # $ (planning objective at the candidate)
     total_eue: float       # MWh
     shed: bool
+    truncated: bool        # the battery was exhausted before the horizon ended
     lb: float
     ub: float
     phase: str             # doubling | bisection | stepping
@@ -102,7 +104,8 @@ class _Probes:
         objective, eue, inv, report = probe(size, self.scenario)
         rec = IterationRecord(index=len(self.iterations), candidate_size=size,
                               objective=objective, total_eue=eue,
-                              shed=not report.feasible, lb=lb, ub=ub, phase=phase)
+                              shed=not report.feasible, truncated=report.truncated,
+                              lb=lb, ub=ub, phase=phase)
         self.iterations.append(rec)
         self.last = (size, objective, inv, report)
         if not rec.shed:
@@ -140,9 +143,13 @@ def size_binary(initial: InvestmentDecision, scenario: Scenario,
         lb = size
         size = max(2.0 * size, cfg.tolerance)
         if size > cap:
-            raise UnservableLoadError(
-                f"no shed-free size found up to {size:.6g} MWh "
-                f"({DOUBLING_HARD_CAP:g}x the initial size or the tolerance)")
+            msg = (f"no shed-free size found up to {size:.6g} MWh "
+                   f"({DOUBLING_HARD_CAP:g}x the initial size or the tolerance)")
+            if all(r.truncated and r.total_eue <= DEFAULT_EUE_TOLERANCE
+                   for r in probes.iterations):
+                msg += (": the battery wore out before the horizon ended at every "
+                        "size probed, and no load was shed")
+            raise UnservableLoadError(msg)
     ub = size
 
     # Phase 2: bisection; the invariant is lb sheds (or is 0), ub never sheds.

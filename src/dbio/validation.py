@@ -32,6 +32,7 @@ class YearlyResult:
     state_out: DegradationState
     eue_y: float            # MWh
     operating_cost_y: float  # $
+    solve_path: str         # milp.SolveResult.path of the year's solve
 
 
 @dataclass
@@ -97,7 +98,8 @@ def validate(investment: InvestmentDecision, scenario: Scenario, *,
         per_year.append(YearlyResult(year=state.year, dispatch=dispatch, state_in=state,
                                      state_out=state_out,
                                      eue_y=compute_eue(dispatch, scenario.alpha),
-                                     operating_cost_y=result.objective))
+                                     operating_cost_y=result.objective,
+                                     solve_path=result.path))
         if on_year is not None:
             on_year(per_year[-1])
         state = state_out

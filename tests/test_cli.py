@@ -99,7 +99,7 @@ def test_size_mode(fixtures_dir, tmp_path):
     assert report["sizing"]["converged"]
     assert (out / "iterations.csv").exists()
     rows = (out / "iterations.csv").read_text().strip().splitlines()
-    assert rows[0] == "iter,phase,size_mwh,objective_usd,eue_mwh,shed,lb,ub"
+    assert rows[0] == "iter,phase,size_mwh,objective_usd,eue_mwh,shed,truncated,lb,ub"
     assert len(rows) - 1 == len(report["sizing"]["iterations"])
 
 

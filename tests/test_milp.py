@@ -33,23 +33,73 @@ def test_lp_optimum(backend):
     assert res.primal[y] == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_small_milp_optimum(backend):
-    # Fixed-charge problem: producing anything costs a 10-unit commitment fee.
+def fixed_charge():
+    # Producing anything costs a 10-unit commitment fee. The LP relaxation
+    # commits only u = 0.4 for its 2 units, at cost 6 against the MILP's 12.
     p = MilpProblem("fc")
     u = p.add_variable("u", 0, 1, binary=True)
     x = p.add_variable("x", 0.0, 5.0)
     p.add_constraint([(x, 1.0), (u, -5.0)], LE, 0.0, "on")
     p.add_constraint([(x, 1.0)], GE, 2.0, "demand")
     p.set_objective([(x, 1.0), (u, 10.0)])
+    return p, u
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_small_milp_optimum(backend):
+    p, u = fixed_charge()
     res = solve(p, backend=backend)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(12.0, abs=1e-6)
     assert res.primal[u] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_fractional_relaxation_falls_back_to_branch_and_bound():
+    p, u = fixed_charge()
+    res = solve(p, backend="highs")
+    assert res.path == "highs" and res.status == "optimal"
+    assert res.objective == pytest.approx(solve(p, backend="enum").objective, abs=1e-6)
+    assert res.primal[u] == 1.0
+
+
+def test_exact_relaxation_is_certified():
+    p, x, y = simple_lp()
+    u = p.add_variable("u", 0, 1, binary=True)
+    p.add_constraint([(x, 1.0), (u, -10.0)], LE, 0.0, "on")  # free to switch on
+    res = solve(p, backend="highs")
+    assert (res.path, res.status, res.achieved_gap) == ("certified", "optimal", 0.0)
+    assert res.primal[u] == 1.0 and res.objective == pytest.approx(3.0, abs=1e-9)
+    assert res.runtime > 0
+
+
+def _outcome(run):
+    try:
+        res = run()
+    except MilpError as exc:
+        return f"error: {exc}"
+    assert not res.has_solution, res  # a result cut short never passes as a solution
+    return res.status
+
+
+@pytest.mark.parametrize("problem, expected", [("fixed-charge", "Time limit reached"),
+                                               ("infeasible", "infeasible")],
+                         ids=["fixed-charge", "infeasible"])
+def test_tiny_time_limit_ends_as_branch_and_bound_does(problem, expected):
+    if problem == "fixed-charge":
+        p, _ = fixed_charge()
+    else:
+        p = MilpProblem()
+        b = p.add_variable("b", 0, 1, binary=True)
+        p.add_constraint([(b, 1.0)], GE, 2.0)
+    opts = SolveOptions(time_limit=1e-9)
+    got = _outcome(lambda: solve(p, opts, backend="highs"))
+    assert got == _outcome(lambda: milp._branch_and_bound(p, opts))
+    assert expected in got
+
+
 def test_backends_agree_on_random_milps():
     rng = np.random.default_rng(7)
+    paths = set()
     for trial in range(10):
         p = MilpProblem(f"rand{trial}")
         n_bin, n_cont = 4, 4
@@ -63,8 +113,12 @@ def test_backends_agree_on_random_milps():
         p.set_objective(list(zip(allv, obj)))
         a = solve(p, backend="highs")
         b = solve(p, backend="enum")
-        assert a.status == b.status == "optimal"
+        bb = milp._branch_and_bound(p, SolveOptions())
+        assert a.status == b.status == bb.status == "optimal"
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
+        assert a.objective == pytest.approx(bb.objective, abs=1e-6)
+        paths.add(a.path)
+    assert paths == {"certified", "highs"}  # both ways to the answer are exercised
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

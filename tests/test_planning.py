@@ -13,6 +13,7 @@ from dbio.degradation import DegradationState
 from dbio.planning import (InvestmentDecision, ModelBuildError, build_integrated,
                            build_single_year, extract_solution)
 from dbio.scenario import BessParams, CderParams, load_scenario, representative_day_indices
+from dbio.validation import validate
 
 from conftest import FIXTURES, check_dispatch_invariants, make_scenario, write_sizing_doc
 
@@ -365,3 +366,21 @@ def test_hourly_year_solver_input_matches_seed_builder(tmp_path):
     inv = InvestmentDecision(s_pv=0.11, s_bess=0.077, p_cder_max=0.8)
     problem, _ = build_single_year(sc, _state(1, 0.07, eta_pv=1.0, eta_bess=0.9), inv)
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT["islanded_base_8760h/single_year"]
+
+
+@pytest.mark.parametrize("prefix", ["islanded", "grid", "sizing", "highuse"],
+                         ids=["islanded_base", "grid_fixed", "sizing_threshold",
+                              "highuse_degradation"])
+def test_fixture_solves_are_certified(request, prefix):
+    # Each fixture's LP relaxation is exact: its plan and every validation year
+    # come from the certificate, and the plan is branch-and-bound's.
+    scenario = request.getfixturevalue(f"{prefix}_scenario")
+    sol, _, result = request.getfixturevalue(f"{prefix}_plan")
+    assert result.path == "certified"
+    problem, index = build_integrated(scenario)
+    bb = extract_solution(milp._branch_and_bound(problem, scenario.cfg.solver), index)
+    assert sol.objective == pytest.approx(bb.objective, rel=1e-9)
+    assert dataclasses.astuple(sol.investment) == pytest.approx(
+        dataclasses.astuple(bb.investment), rel=1e-9)
+    report = validate(sol.investment, scenario)
+    assert {r.solve_path for r in report.per_year} == {"certified"}

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from dbio import sizing
 from dbio.planning import InvestmentDecision
 from dbio.scenario import CycleLifeCurveSpec
 from dbio.sizing import (SearchConfig, SizingError, UnservableLoadError, probe,
@@ -104,8 +105,25 @@ def test_unservable_load_raises(sizing_scenario):
         cder=dataclasses.replace(sizing_scenario.cder, max_size=0.2))
     cfg = SearchConfig(method="binary", tolerance=0.01)
     start = InvestmentDecision(s_pv=0.0, s_bess=0.05, p_cder_max=0.2)
-    with pytest.raises(UnservableLoadError):
+    with pytest.raises(UnservableLoadError) as exc:
         size_binary(start, hopeless, cfg)
+    assert "wore out" not in str(exc.value)
+
+
+def test_worn_out_battery_error_says_no_load_was_shed(islanded_scenario, monkeypatch):
+    # Three cycles of life at full depth wear every probed battery out before
+    # the horizon ends while nothing is shed; a cap of 4x stops after 3 probes.
+    monkeypatch.setattr(sizing, "DOUBLING_HARD_CAP", 4.0)
+    worn = dataclasses.replace(islanded_scenario, bess=dataclasses.replace(
+        islanded_scenario.bess,
+        cycle_life_curve=CycleLifeCurveSpec(points=((0.1, 30.0), (1.0, 3.0)))))
+    start = InvestmentDecision(s_pv=0.11, s_bess=0.077, p_cder_max=0.8)
+    seen = []
+    with pytest.raises(UnservableLoadError, match="battery wore out .* no load was shed"):
+        size_binary(start, worn, SearchConfig(method="binary", tolerance=0.05),
+                    on_iteration=seen.append)
+    assert [(r.shed, r.truncated) for r in seen] == [(True, True)] * 3
+    assert all(r.total_eue <= 1e-6 for r in seen)
 
 
 def test_exhausted_battery_is_never_shed_free(sizing_scenario):
@@ -117,7 +135,7 @@ def test_exhausted_battery_is_never_shed_free(sizing_scenario):
     big = InvestmentDecision(s_pv=0.0, s_bess=0.8, p_cder_max=0.6)
     res = size_binary(big, worn, SearchConfig(method="binary", tolerance=0.02,
                                               max_iterations=3))
-    assert [r.shed for r in res.iterations] == [True] * 3
+    assert [(r.shed, r.truncated) for r in res.iterations] == [(True, True)] * 3
     assert not res.converged and res.final_report.truncated
 
 
