@@ -16,7 +16,8 @@ from pathlib import Path
 
 from . import __version__, milp, reports
 from .degradation import DegradationError
-from .planning import InvestmentDecision, ModelBuildError, build_integrated, extract_solution
+from .planning import (InvestmentDecision, ModelBuildError, build_integrated, extract_solution,
+                       solve_dispatch)
 from .scenario import ScenarioError, load_scenario
 from .sizing import SearchConfig, SizingError, run_search
 from .validation import ValidationError, validate
@@ -113,7 +114,7 @@ def _plan(scenario, out_dir, dump_lp):
         problem.write_lp(out_dir / "integrated.lp")
     _progress(f"solving integrated model ({problem.n_variables} vars, "
               f"{problem.n_constraints} rows)...")
-    result = milp.solve(problem, scenario.cfg.solver)
+    result = solve_dispatch(problem, index, scenario.cfg.solver)
     _progress(f"  status={result.status} objective={result.objective:.2f} "
               f"gap={result.achieved_gap:.2%} path={result.path} ({result.runtime:.1f}s)")
     if not result.has_solution:

@@ -3,12 +3,9 @@
 The planning model builds a :class:`MilpProblem`; solving goes through a
 pluggable backend chosen by the ``DBIO_SOLVER`` environment variable:
 
-* ``highs`` (default) — the LP relaxation with an optimality certificate,
-  HiGHS branch-and-bound when the certificate fails. The relaxation's optimum
-  with every positive binary set to 1 is returned as a proven optimum (path
-  ``certified``) when it lies within the variable bounds, meets every row and
-  costs no more than the relaxation's bound. Otherwise branch-and-bound
-  (path ``highs``) solves the MILP within what is left of the time limit.
+* ``highs`` (default) — one call to scipy's HiGHS. A problem without
+  binaries is solved as an LP (path ``lp``), one with binaries by
+  branch-and-bound (path ``highs``).
 * ``enum`` — exhaustive enumeration over binary assignments (<= 20 binaries),
   each reduced to an LP. Exists so the test suite never depends on the
   solver paths it is checking.
@@ -73,7 +70,7 @@ class SolveResult:
     primal: np.ndarray | None
     achieved_gap: float = 0.0
     runtime: float = 0.0  # seconds, every solver call of the solve together
-    path: str = "highs"  # what produced the answer: certified, highs or enum
+    path: str = "highs"  # what produced the answer: lp, highs (B&B) or enum
 
     @property
     def has_solution(self):
@@ -94,8 +91,9 @@ class MilpProblem:
     (:meth:`add_variables`, :meth:`add_constraints`), each checked with one
     vectorized pass; :meth:`add_variable` and :meth:`add_constraint` are
     one-element blocks. A block's names may be given as a function that is
-    only called for LP export and error messages. The problem is treated as
-    immutable once handed to :func:`solve`.
+    only called for LP export and error messages. Blocks may be appended
+    after a solve, as the planning model does with its charge/discharge
+    exclusion; each solve reads the problem as it is at the call.
     """
 
     def __init__(self, name="problem"):
@@ -108,9 +106,6 @@ class MilpProblem:
         self.lb = np.zeros(0)
         self.ub = np.zeros(0)
         self.objective_constant = 0.0
-        # Place of each entry of ``A`` among its row's terms as they were
-        # given (``A`` keeps each row's columns sorted); LP export uses it.
-        self._term_rank = np.zeros(0, dtype=np.int64)
         self._var_names: list = []  # one entry per block, see _names
         self._row_names: list = []
 
@@ -207,13 +202,8 @@ class MilpProblem:
         rows = np.concatenate([np.repeat(r, c.shape[1]) for r, c, _ in parts])
         cols = np.concatenate([c.ravel() for _, c, _ in parts])
         data = np.concatenate([v.ravel() for _, _, v in parts])
-        rank = np.concatenate([np.tile(np.arange(c.shape[1]), len(r)) for r, c, _ in parts])
         block = sp.csr_matrix((data, (rows, cols)), shape=(n, n_vars))
-        # The same (row, column) pattern puts every entry at the same place,
-        # so this lines each term's given position up with ``block.data``.
-        rank = sp.csr_matrix((rank, (rows, cols)), shape=(n, n_vars)).data
         self.A = sp.vstack([self.A, block], format="csr")
-        self._term_rank = np.concatenate([self._term_rank, rank])
         self.lb = np.concatenate([self.lb, lb])
         self.ub = np.concatenate([self.ub, ub])
         self._row_names.append(names)
@@ -261,7 +251,7 @@ class MilpProblem:
         return residuals, float(self.c @ primal) + self.objective_constant
 
     def to_lp_string(self) -> str:
-        """Render in CPLEX LP text format."""
+        """Render in CPLEX LP text format; each row's terms in column order."""
 
         def term(c, name, first):
             mag = f"{abs(c):.17g}" + (f" {name}" if name else "")
@@ -278,11 +268,9 @@ class MilpProblem:
         lines[-1] += " " + (" ".join(parts) if parts else "0")
         lines.append("Subject To")
         A = self.A
-        entry_row = np.repeat(np.arange(self.n_constraints), np.diff(A.indptr))
-        given = np.lexsort((self._term_rank, entry_row))  # each row's terms as given
         for r, name in enumerate(_names(self._row_names)):
-            body = [term(A.data[e], var[A.indices[e]], k == 0)
-                    for k, e in enumerate(given[A.indptr[r]:A.indptr[r + 1]])]
+            body = [term(A.data[e], var[A.indices[e]], e == A.indptr[r])
+                    for e in range(A.indptr[r], A.indptr[r + 1])]
             lo, hi = self.lb[r], self.ub[r]
             op, rhs = (EQ, lo) if lo == hi else (LE, hi) if lo == -INF else (GE, lo)
             lines.append(f" {name}: {' '.join(body) or '0'} {op} {rhs:.17g}")
@@ -307,29 +295,21 @@ class MilpProblem:
 # -- backends ----------------------------------------------------------------
 
 
-def _highs_args(problem: MilpProblem) -> dict:
-    """Objective, constraints and bounds as scipy's ``milp`` takes them."""
+def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
+    """One HiGHS call: the LP when there are no binaries, else branch-and-bound."""
     constraints = []
     if problem.n_constraints:
-        A, lb, ub = problem.constraint_matrix()
-        constraints.append(_LinCon(A, lb, ub))
-    return {"c": problem.c, "constraints": constraints,
-            "bounds": _Bounds(problem.lower, problem.upper)}
-
-
-def _branch_and_bound(problem: MilpProblem, opts: SolveOptions, time_limit=None,
-                      args=None) -> SolveResult:
-    """HiGHS branch-and-bound within ``time_limit`` (default ``opts.time_limit``)."""
+        constraints.append(_LinCon(*problem.constraint_matrix()))
     t0 = time.perf_counter()
-    res = milp(**(args or _highs_args(problem)), integrality=problem.integrality,
-               options={"mip_rel_gap": opts.mip_gap,
-                        "time_limit": opts.time_limit if time_limit is None else time_limit,
+    res = milp(problem.c, constraints=constraints,
+               bounds=_Bounds(problem.lower, problem.upper), integrality=problem.integrality,
+               options={"mip_rel_gap": opts.mip_gap, "time_limit": opts.time_limit,
                         "presolve": True, "disp": False})
     runtime = time.perf_counter() - t0
     gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
     if res.status == 0:
         status = OPTIMAL if gap <= max(opts.mip_gap, 1e-9) else FEASIBLE_GAP
-    elif res.status == 1 and res.x is not None:
+    elif res.status == 1:  # time limit, with or without an incumbent
         status = TIME_LIMIT
     elif res.status == 2:
         status = INFEASIBLE
@@ -340,48 +320,8 @@ def _branch_and_bound(problem: MilpProblem, opts: SolveOptions, time_limit=None,
     primal = np.asarray(res.x) if res.x is not None else None
     objective = (float(res.fun) + problem.objective_constant) if res.fun is not None else math.nan
     return SolveResult(status=status, objective=objective, primal=primal,
-                       achieved_gap=gap, runtime=runtime, path="highs")
-
-
-def _certify(problem: MilpProblem, x, bound):
-    """The LP optimum ``x`` with each positive binary set to 1, and its
-    objective, if that point proves itself a MILP optimum; else None.
-
-    The point must lie within the variable bounds, meet every row to 1e-6
-    and cost no more than the relaxation's bound ``bound``, which no
-    integer point can beat.
-    """
-    x = np.array(x, dtype=float)
-    b = problem.binary_indices
-    x[b] = x[b] > 0
-    residuals, objective = problem.evaluate(x)
-    if (np.all((problem.lower <= x) & (x <= problem.upper))
-            and residuals.max(initial=0.0) <= 1e-6
-            and objective <= bound + 1e-9 * max(1.0, abs(bound))):
-        return x, objective
-    return None
-
-
-def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
-    """LP relaxation first; branch-and-bound only when it certifies nothing.
-
-    Both calls share ``opts.time_limit``: the fallback gets what the
-    relaxation left of it.
-    """
-    t0 = time.perf_counter()
-    args = _highs_args(problem)
-    lp = milp(**args, integrality=np.zeros(problem.n_variables, dtype=int),
-              options={"time_limit": opts.time_limit, "presolve": True, "disp": False})
-    if lp.status == 0:
-        certified = _certify(problem, lp.x, float(lp.fun) + problem.objective_constant)
-        if certified is not None:
-            x, objective = certified
-            return SolveResult(status=OPTIMAL, objective=objective, primal=x,
-                               runtime=time.perf_counter() - t0, path="certified")
-    left = max(opts.time_limit - (time.perf_counter() - t0), 0.0)
-    result = _branch_and_bound(problem, opts, time_limit=left, args=args)
-    result.runtime = time.perf_counter() - t0
-    return result
+                       achieved_gap=gap, runtime=runtime,
+                       path="highs" if problem.binary_indices.size else "lp")
 
 
 def _enum_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:

@@ -1,14 +1,24 @@
-"""Multi-year microgrid planning MILP and its single-year fixed-investment variant.
+"""Multi-year microgrid planning model and its single-year fixed-investment variant.
 
 Decision variables per (year, day, hour): controllable-generator output,
-battery charge/discharge power and stored energy, load shed, PV curtailment,
-grid import/export, and the five commitment/status binaries. Global variables:
-PV size (MW), battery capacity (MWh), generator capacity (MW), and the shared
-initial battery energy level.
+battery charge/discharge power and stored energy, load shed, PV curtailment
+and grid import/export. Global variables: PV size (MW), battery capacity
+(MWh), generator capacity (MW), and the shared initial battery energy level.
 
-Big-M linearization removes the products of binaries with the (variable)
-installed capacities; the battery power limits and PV terms stay linear
-because installed sizes enter with constant coefficients.
+The model carries binaries only where the data needs them:
+
+* The generator has a commitment binary per hour only when it has a minimum
+  output or a no-load cost.
+* Grid import and export have none. :func:`extract_solution` nets an hour
+  that does both, which keeps the power balance and the tie-line bounds and
+  never raises the cost, because export is never worth more than import.
+* Charge and discharge have none either. :func:`solve_dispatch` checks the
+  optimum and, if some hour charges and discharges at once, appends the
+  exclusion binaries and solves again.
+
+``horizon.big_m`` appears only in the commitment rows and those exclusion
+rows; the PV and battery terms are linear because installed sizes enter with
+constant coefficients.
 """
 
 from __future__ import annotations
@@ -43,14 +53,12 @@ class ModelIndex:
     """Variable index maps plus the data needed to interpret a primal vector."""
 
     shape: tuple  # (Y, D, T)
-    series: dict  # name -> int array of shape (Y, D, T)
+    series: dict  # name -> int array of shape (Y, D, T); SERIES, plus u_cder if committed
     scalars: dict  # name -> int
     scenario: Scenario
     capital: bool  # capital costs are in the objective (sizes are decisions)
 
-    SERIES = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt",
-              "e_bess", "u_cder", "u_chg", "u_dchg", "u_imp", "u_exp")
-    BINARIES = ("u_cder", "u_chg", "u_dchg", "u_imp", "u_exp")
+    SERIES = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt", "e_bess")
     POWER = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt")  # MW, >= 0
 
 
@@ -77,36 +85,33 @@ def _cost_total(costs):
 
 def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
            size_lo, size_hi, capital: bool):
-    """Assemble the MILP over (Y, D, T) ``load`` and ``pv_cf``. ``size_lo``/``size_hi``
+    """Assemble the model over (Y, D, T) ``load`` and ``pv_cf``. ``size_lo``/``size_hi``
     bound (s_pv, s_bess, p_cder_max); a pinned size has lo == hi, so every build
     has the same structure. ``capital`` puts capital costs in the objective."""
     cfg, cder, pv, bess = scenario.cfg, scenario.cder, scenario.pv, scenario.bess
     Y, D, T = load.shape
+    commit = cder.p_min > 0 or cder.no_load > 0
 
     prob = MilpProblem(name=name)
     alpha = scenario.alpha
-    big_m = cfg.big_m
     tie = cfg.tie_limit
-    imp_price = scenario.tariff.import_price
-    exp_price = scenario.tariff.export_price
 
-    # Variables: the four sizes, then the 13 series of each flattened hour h
-    # at ids 4 + 13*h + j (j = position in ModelIndex.SERIES).
+    # Variables: the four sizes, then the S series of each flattened hour h
+    # at ids 4 + S*h + j (j = position in ``names``).
     s_pv, s_bess, p_cder_max, e_init = (int(i) for i in prob.add_variables(
         4, lower=[*size_lo, 0.0], upper=[*size_hi, INF],
         names=["s_pv", "s_bess", "p_cder_max", "e_init"], family="sizes"))
-    u_grid_ub = 1.0 if tie > 0 else 0.0
-    upper = {"p_ls": load, "p_imp": tie, "p_exp": tie, "u_cder": 1.0, "u_chg": 1.0,
-             "u_dchg": 1.0, "u_imp": u_grid_ub, "u_exp": u_grid_ub}
-    S = len(ModelIndex.SERIES)
+    names = ModelIndex.SERIES + ("u_cder",) * commit
+    upper = {"p_ls": load, "p_imp": tie, "p_exp": tie, "u_cder": 1.0}
+    S = len(names)
     ids = prob.add_variables(
         Y * D * T * S,
         upper=np.stack([np.broadcast_to(upper.get(k, INF), (Y, D, T))
-                        for k in ModelIndex.SERIES], axis=-1).ravel(),
-        binary=np.tile([k in ModelIndex.BINARIES for k in ModelIndex.SERIES], Y * D * T),
+                        for k in names], axis=-1).ravel(),
+        binary=np.tile([k == "u_cder" for k in names], Y * D * T),
         names=lambda: [f"{k}_{y}_{d}_{t}" for y, d, t in np.ndindex(Y, D, T)
-                       for k in ModelIndex.SERIES], family="dispatch")
-    v = {k: ids[j::S].reshape(Y, D, T) for j, k in enumerate(ModelIndex.SERIES)}
+                       for k in names], family="dispatch")
+    v = {k: ids[j::S].reshape(Y, D, T) for j, k in enumerate(names)}
 
     soc_lo = bess.soc_min
     soc_hi = bess.soh_init * bess.soc_max
@@ -120,29 +125,25 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
         ("balance", [(v["p_cder"], 1.0), (v["p_dchg"], 1.0), (s_pv, pv_avail),
                      (v["p_ls"], 1.0), (v["p_imp"], 1.0), (v["p_chg"], -1.0),
                      (v["p_curt"], -1.0), (v["p_exp"], -1.0)], EQ, load),
-        # Generator limits against variable installed capacity (big-M form).
-        ("cder_on", [(v["p_cder"], 1.0), (v["u_cder"], -big_m)], LE, 0.0),
+        # Generator output within the installed capacity.
         ("cder_cap", [(v["p_cder"], 1.0), (p_cder_max, -1.0)], LE, 0.0),
-        ("cder_min", [(v["p_cder"], 1.0), (v["u_cder"], -big_m)], GE, cder.p_min - big_m),
         # Curtailment cannot exceed available PV power.
         ("curt_cap", [(v["p_curt"], 1.0), (s_pv, -pv_avail)], LE, 0.0),
         # Stored-energy window.
         ("soc_lo", [(v["e_bess"], 1.0), (s_bess, -soc_lo)], GE, 0.0),
         ("soc_hi", [(v["e_bess"], 1.0), (s_bess, -soc_hi)], LE, 0.0),
-        # No simultaneous charge and discharge.
-        ("excl_bess", [(v["u_chg"], 1.0), (v["u_dchg"], 1.0)], LE, 1.0),
-        # Charge/discharge power: big-M on status, rate limit on capacity.
-        ("chg_on", [(v["p_chg"], 1.0), (v["u_chg"], -big_m)], LE, 0.0),
+        # Charge/discharge rate limits on capacity.
         ("chg_rate", [(v["p_chg"], 1.0), (s_bess, -1.0 / bess.t_chg)], LE, 0.0),
-        ("dchg_on", [(v["p_dchg"], 1.0), (v["u_dchg"], -big_m)], LE, 0.0),
         ("dchg_rate", [(v["p_dchg"], 1.0), (s_bess, -1.0 / bess.t_dchg)], LE, 0.0),
         ("etrack", [(v["e_bess"], 1.0), (e_prev, -1.0), (v["p_chg"], -eta_bess),
                     (v["p_dchg"], 1.0)], EQ, 0.0),
-        # Grid limits and exclusivity.
-        ("imp_cap", [(v["p_imp"], 1.0), (v["u_imp"], -tie)], LE, 0.0),
-        ("exp_cap", [(v["p_exp"], 1.0), (v["u_exp"], -tie)], LE, 0.0),
-        ("excl_grid", [(v["u_imp"], 1.0), (v["u_exp"], 1.0)], LE, 1.0),
     ]
+    if commit:
+        hourly += [
+            # Committed output lies in [p_min, big_m]; uncommitted output is 0.
+            ("cder_on", [(v["p_cder"], 1.0), (v["u_cder"], -cfg.big_m)], LE, 0.0),
+            ("cder_min", [(v["p_cder"], 1.0), (v["u_cder"], -cder.p_min)], GE, 0.0),
+        ]
     # Rows: einit_lo, einit_hi, then for each flattened day g the K rows of
     # each hour t at 2 + g*per_day + K*t + k, then the day's cyclic row.
     K = len(hourly)
@@ -165,9 +166,12 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
     if capital:
         obj += [(p_cder_max, cder.capital), (s_pv, pv.capital), (s_bess, bess.capital)]
     obj.append((s_pv, Y * pv.rep_frac * pv.capital * pv.deg_rate))
-    obj += [(v["p_cder"], alpha * cder.op_cost), (v["u_cder"], alpha * cder.no_load),
+    obj += [(v["p_cder"], alpha * cder.op_cost),
             (v["p_dchg"], alpha * bess.deg_cost_per_mwh), (v["p_ls"], alpha * cfg.ls_penalty),
-            (v["p_imp"], alpha * imp_price), (v["p_exp"], -alpha * exp_price)]
+            (v["p_imp"], alpha * scenario.tariff.import_price),
+            (v["p_exp"], -alpha * scenario.tariff.export_price)]
+    if commit:
+        obj.append((v["u_cder"], alpha * cder.no_load))
     prob.set_objective(obj)
 
     index = ModelIndex(
@@ -179,7 +183,7 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
 
 
 def build_integrated(scenario: Scenario, *, pin_s_bess: float | None = None):
-    """Build the full-horizon planning MILP (capital costs included).
+    """Build the full-horizon planning model (capital costs included).
 
     Battery state of health is held at its initial value, so every year
     charges at ``bess.efficiency(bess.soh_init)``, the efficiency validation
@@ -230,7 +234,7 @@ def _costs(series, inv: InvestmentDecision, index: ModelIndex) -> dict:
         capital = (inv.p_cder_max * cder.capital + inv.s_pv * pv.capital
                    + inv.s_bess * bess.capital)
     cder_op = alpha * float(np.sum(series["p_cder"]) * cder.op_cost
-                            + np.sum(series["u_cder"]) * cder.no_load)
+                            + np.sum(series.get("u_cder", 0.0)) * cder.no_load)
     pv_deg = index.shape[0] * pv.rep_frac * pv.capital * inv.s_pv * pv.deg_rate
     bess_deg = alpha * bess.deg_cost_per_mwh * float(np.sum(series["p_dchg"]))
     shed = alpha * cfg.ls_penalty * float(np.sum(series["p_ls"]))
@@ -246,7 +250,13 @@ def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSol
     if not result.has_solution:
         raise ModelBuildError(f"no solution to extract (status {result.status})")
     x = result.primal
-    solved = {k: x[index.series[k]].astype(float) for k in ModelIndex.SERIES}
+    solved = {k: x[ids].astype(float) for k, ids in index.series.items()}
+    # Netting an hour that imports and exports keeps its balance and tie-line
+    # bounds and changes the cost by -alpha*m*(import - export price) <= 0,
+    # so at an optimum it is free.
+    m = np.minimum(solved["p_imp"], solved["p_exp"])
+    solved["p_imp"] -= m
+    solved["p_exp"] -= m
     # Adding 0.0 turns a solver's -0.0 into 0.0, so no report shows "-0".
     s_pv, s_bess, p_cder_max, e_init = (float(x[index.scalars[k]]) + 0.0
                                         for k in ("s_pv", "s_bess", "p_cder_max", "e_init"))
@@ -267,3 +277,43 @@ def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSol
     return DispatchSolution(series=series, e_init=e_init,
                             investment=inv, costs=_costs(series, inv, index),
                             objective=result.objective, shape=index.shape)
+
+
+def _add_battery_exclusion(problem: MilpProblem, index: ModelIndex):
+    """Append binaries ``u_chg``/``u_dchg`` that stop any hour of ``problem``
+    from charging and discharging at once (big-M on ``horizon.big_m``)."""
+    Y, D, T = index.shape
+    n = Y * D * T
+    u = problem.add_variables(
+        2 * n, upper=1.0, binary=True, family="exclusion",
+        names=lambda: [f"{k}_{y}_{d}_{t}" for k in ("u_chg", "u_dchg")
+                       for y, d, t in np.ndindex(Y, D, T)])
+    u_chg, u_dchg = u[:n], u[n:]
+    big_m = index.scenario.cfg.big_m
+    rows = np.arange(n)
+    families = [("excl_bess", rows, [(u_chg, 1.0), (u_dchg, 1.0)], LE, 1.0),
+                ("chg_on", n + rows, [(index.series["p_chg"].ravel(), 1.0), (u_chg, -big_m)],
+                 LE, 0.0),
+                ("dchg_on", 2 * n + rows,
+                 [(index.series["p_dchg"].ravel(), 1.0), (u_dchg, -big_m)], LE, 0.0)]
+    problem.add_constraints(families, names=lambda: [
+        f"{f}_{y}_{d}_{t}" for f, *_ in families for y, d, t in np.ndindex(Y, D, T)])
+
+
+def solve_dispatch(problem: MilpProblem, index: ModelIndex,
+                   opts: milp.SolveOptions) -> milp.SolveResult:
+    """Solve a model from :func:`build_integrated` or :func:`build_single_year`.
+
+    The model has no charge/discharge exclusion, so an optimum that must burn
+    a surplus may charge and discharge in one hour. Only then is the exclusion
+    appended to ``problem`` and the problem solved again; ``runtime`` covers
+    both solves.
+    """
+    result = milp.solve(problem, opts)
+    if result.has_solution and np.max(np.minimum(result.primal[index.series["p_chg"]],
+                                                  result.primal[index.series["p_dchg"]])) > 1e-6:
+        first = result.runtime
+        _add_battery_exclusion(problem, index)
+        result = milp.solve(problem, opts)
+        result.runtime += first
+    return result

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import milp
-from .planning import InvestmentDecision, build_integrated, extract_solution
+from .planning import InvestmentDecision, build_integrated, extract_solution, solve_dispatch
 from .scenario import Scenario
 from .validation import DEFAULT_EUE_TOLERANCE, ValidationReport, validate
 
@@ -79,7 +78,7 @@ def probe(size: float, scenario: Scenario):
     Returns (objective, total_eue, investment, validation report).
     """
     problem, index = build_integrated(scenario, pin_s_bess=size)
-    result = milp.solve(problem, scenario.cfg.solver)
+    result = solve_dispatch(problem, index, scenario.cfg.solver)
     if not result.has_solution:
         raise SizingError(f"probe at {size} MWh: solver returned {result.status}")
     sol = extract_solution(result, index)

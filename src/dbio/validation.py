@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import milp
 from .degradation import BatteryExhaustedError, DegradationState, advance_state, count_cycles
-from .planning import DispatchSolution, InvestmentDecision, build_single_year, extract_solution
+from .planning import (DispatchSolution, InvestmentDecision, build_single_year, extract_solution,
+                       solve_dispatch)
 from .scenario import Scenario
 
 DEFAULT_EUE_TOLERANCE = 1e-6  # MWh; solver round-off must not trigger resizing
@@ -79,7 +79,7 @@ def validate(investment: InvestmentDecision, scenario: Scenario, *,
     truncated = False
     while not truncated and state.year <= cfg.planning_years:
         problem, index = build_single_year(scenario, state, investment)
-        result = milp.solve(problem, cfg.solver)
+        result = solve_dispatch(problem, index, cfg.solver)
         if not result.has_solution:
             raise ValidationError(f"year {state.year}: solver returned {result.status}")
         dispatch = extract_solution(result, index)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dbio import milp
-from dbio.planning import build_integrated, extract_solution
+from dbio.planning import build_integrated, extract_solution, solve_dispatch
 from dbio.scenario import (BessParams, CderParams, PvParams, Scenario, ScenarioConfig,
                            TariffSchedule, load_scenario)
 
@@ -63,7 +63,7 @@ def solve_plan(scenario, mip_gap=None):
     if mip_gap is not None:
         opts = dataclasses.replace(opts, mip_gap=mip_gap)
     problem, index = build_integrated(scenario)
-    result = milp.solve(problem, opts)
+    result = solve_dispatch(problem, index, opts)
     assert result.has_solution, result.status
     return extract_solution(result, index), profiles, result
 
@@ -110,8 +110,8 @@ def check_dispatch_invariants(sol, scenario, profiles, eta_pv_by_year=None,
                               capacity=None):
     """Physical feasibility of an extracted dispatch.
 
-    Checks the hourly power balance, simultaneity exclusions, stored-energy
-    window, and tie-line bounds. ``capacity`` overrides the battery capacity
+    Checks the hourly power balance, that no hour charges and discharges or
+    imports and exports at once, the stored-energy window, and tie-line bounds. ``capacity`` overrides the battery capacity
     used for the stored-energy window (degraded single-year dispatches).
     """
     cfg, bess = scenario.cfg, scenario.bess
@@ -130,9 +130,7 @@ def check_dispatch_invariants(sol, scenario, profiles, eta_pv_by_year=None,
     assert np.max(np.abs(supply - demand)) <= bal_tol, "power balance violated"
 
     assert np.max(np.minimum(s["p_chg"], s["p_dchg"])) <= tol, "simultaneous charge/discharge"
-    assert np.max(s["u_chg"] + s["u_dchg"]) <= 1.0 + tol
     assert np.max(np.minimum(s["p_imp"], s["p_exp"])) <= tol, "simultaneous import/export"
-    assert np.max(s["u_imp"] + s["u_exp"]) <= 1.0 + tol
 
     cap = sol.investment.s_bess if capacity is None else capacity
     assert np.min(s["e_bess"]) >= bess.soc_min * cap - tol, "stored energy below window"

@@ -49,9 +49,11 @@ def test_dump_lp(fixtures_dir, tmp_path):
     assert text.startswith("\\") and text.rstrip().endswith("End")
 
 
-# SHA-256 of the integrated.lp that the per-variable, per-row builder at
-# commit 363faaf wrote for this command, names and all.
-SEED_LP_SHA256 = "219d456afed396d3755f05a5db97bb50890202f0a6be96878b4872536ed78c65"
+# SHA-256 of the integrated.lp this command writes, names and all. Recorded
+# when the charge/discharge and import/export binaries left the model and LP
+# export began writing each row's terms in column order; until then it was
+# the export of the per-variable, per-row builder at commit 363faaf.
+SEED_LP_SHA256 = "91cdc4a8bf9fa16176b96a6fef17b7db05e7f621afab512f8c1cfe9ef8818fc0"
 
 
 def test_dump_lp_matches_seed_export(fixtures_dir, tmp_path):

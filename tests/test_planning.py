@@ -10,8 +10,9 @@ import pytest
 
 from dbio import milp
 from dbio.degradation import DegradationState
-from dbio.planning import (InvestmentDecision, ModelBuildError, build_integrated,
-                           build_single_year, extract_solution)
+from dbio.planning import (InvestmentDecision, ModelBuildError, _add_battery_exclusion,
+                           build_integrated, build_single_year, extract_solution,
+                           solve_dispatch)
 from dbio.scenario import BessParams, CderParams, load_scenario, representative_day_indices
 from dbio.validation import validate
 
@@ -22,7 +23,7 @@ OPTS = milp.SolveOptions(mip_gap=0.0, time_limit=300.0)
 
 def _solve(scenario, pin_s_bess=None):
     problem, index = build_integrated(scenario, pin_s_bess=pin_s_bess)
-    result = milp.solve(problem, OPTS)
+    result = solve_dispatch(problem, index, OPTS)
     assert result.has_solution, result.status
     return extract_solution(result, index), scenario.profiles(), result
 
@@ -36,8 +37,10 @@ def _state(year, capacity, eta_pv, eta_bess):
 def test_variable_count_single_day():
     sc = make_scenario(np.full(24, 0.5), np.zeros(24))
     problem, _ = build_integrated(sc)
-    # 13 series variables per hour plus the 4 sizing/initial-energy globals.
-    assert problem.n_variables == 24 * 13 + 4
+    # 8 continuous series per hour plus the 4 sizing/initial-energy globals;
+    # without a minimum output or no-load cost the generator has no binary.
+    assert problem.n_variables == 24 * 8 + 4
+    assert problem.binary_indices.size == 0
 
 
 def test_zero_load_costs_nothing():
@@ -91,6 +94,25 @@ def test_objective_check_prices_the_primal_as_solved():
     # The reported dispatch, and the breakdown of it, have the shed clipped to 0.
     assert np.min(sol.series["p_ls"]) == 0.0
     assert sol.cost_total == pytest.approx(result.objective, rel=1e-9)
+
+
+def test_extract_nets_simultaneous_import_and_export():
+    # At export_factor 1 an hour that both imports and exports costs nothing
+    # extra, so the solver's answer may hold one; the extracted dispatch nets it.
+    sc = make_scenario(np.linspace(0.2, 0.8, 24), np.zeros(24), tie=1.0, import_price=40.0)
+    sc = dataclasses.replace(sc, tariff=dataclasses.replace(sc.tariff, export_factor=1.0))
+    problem, index = build_integrated(sc)
+    result = milp.solve(problem, OPTS)
+    x = result.primal.copy()
+    imp, exp = index.series["p_imp"][0, 0, 5], index.series["p_exp"][0, 0, 5]
+    x[imp] += 0.1
+    x[exp] += 0.1
+    assert min(x[imp], x[exp]) >= 0.1 and max(x[imp], x[exp]) <= sc.cfg.tie_limit
+    sol = extract_solution(dataclasses.replace(result, primal=x), index)
+    assert sol.series["p_imp"][0, 0, 5] - sol.series["p_exp"][0, 0, 5] == pytest.approx(
+        x[imp] - x[exp], abs=1e-12)
+    assert sol.cost_total == pytest.approx(result.objective, rel=1e-9)
+    check_dispatch_invariants(sol, sc, sc.profiles())
 
 
 def test_extracted_sizes_have_no_negative_zero():
@@ -150,6 +172,50 @@ def test_big_m_invariance():
     _, _, r1 = _solve(sc)
     _, _, r2 = _solve(sc2)
     assert r1.objective == pytest.approx(r2.objective, rel=1e-7)
+
+
+def test_small_big_m_does_not_cap_the_plan(islanded_scenario):
+    # big_m is in no row of a model without commitment: a value below the
+    # optimal generator size (0.69 MW) neither caps it nor moves the objective.
+    def plan(big_m):
+        sc = dataclasses.replace(islanded_scenario,
+                                 cfg=dataclasses.replace(islanded_scenario.cfg, big_m=big_m))
+        return _solve(sc)
+
+    small, _, r_small = plan(0.5)
+    large, _, r_large = plan(10.0)
+    assert r_small.objective == pytest.approx(r_large.objective, rel=1e-9)
+    assert r_small.objective == pytest.approx(1_934_038.86, abs=0.01)
+    assert small.investment.p_cder_max == pytest.approx(large.investment.p_cder_max, rel=1e-9)
+    assert small.investment.p_cder_max > 0.5
+
+
+def test_forced_surplus_falls_back_to_the_exclusion():
+    # A 0.5 MW minimum output against a 0.1 MW load leaves a surplus. Without
+    # the exclusion the optimum burns it by charging and discharging in one
+    # hour; solve_dispatch then appends the exclusion and solves again.
+    sc = make_scenario(np.full(24, 0.1), np.zeros(24),
+                       cder=CderParams(capital=1e5, op_cost=50.0, p_min=0.5))
+    inv = InvestmentDecision(0.0, 10.0, 0.5)
+    state = _state(1, 10.0, eta_pv=sc.pv.eta_init,
+                   eta_bess=sc.bess.efficiency(sc.bess.soh_init))
+    problem, index = build_single_year(sc, state, inv)
+    convex = milp.solve(problem, OPTS)
+    burnt = np.minimum(convex.primal[index.series["p_chg"]],
+                       convex.primal[index.series["p_dchg"]])
+    assert np.max(burnt) > 1.0
+
+    result = solve_dispatch(problem, index, OPTS)
+    assert result.path == "highs" and problem.binary_indices.size == 3 * 24
+    direct, direct_index = build_single_year(sc, state, inv)
+    _add_battery_exclusion(direct, direct_index)
+    expected = milp.solve(direct, OPTS)
+    assert result.objective == pytest.approx(expected.objective, rel=1e-9)
+    # The model with per-hour charge, discharge and grid binaries gave this optimum.
+    assert result.objective == pytest.approx(36_552_833.75, abs=0.01)
+    sol = extract_solution(result, index)
+    check_dispatch_invariants(sol, sc, sc.profiles(), eta_pv_by_year=[sc.pv.eta_init],
+                              capacity=10.0)
 
 
 def test_pv_displaces_generation():
@@ -248,54 +314,49 @@ def test_extract_requires_solution():
 
 # SHA-256 of the solver input of each build: dtype, shape and bytes of
 # A.indptr, A.indices, A.data, lb, ub, c, lower, upper and integrality, then
-# the 8 bytes of objective_constant (see _solver_input_digest). Recorded from
-# the per-variable, per-row builder at commit 363faaf, where the same arrays
-# came from constraint_matrix(), bounds(), objective_vector() and an int
-# integrality vector with 1 at binary_indices, exactly as its HiGHS backend
-# assembled them. Equal digests mean HiGHS receives the same problem.
-# The integrated and pinned builds of grid_fixed, islanded_base,
-# highuse_degradation and synthetic, and islanded_base_8760h/integrated, were
-# re-recorded when the plan began charging at bess.efficiency(soh_init) instead
-# of a separate 0.9: their arrays equal the earlier ones except the
-# energy-tracking p_chg entries of A.data, now -0.9000000000000001, the fitted
-# value. sizing_threshold's samples fit exactly 0.9, so its digests stand.
+# the 8 bytes of objective_constant (see _solver_input_digest). Equal digests
+# mean HiGHS receives the same problem. Recorded when the charge/discharge and
+# import/export binaries and their rows left the model, and the generator's
+# binary with its two rows became conditional on a minimum output or no-load
+# cost (only "synthetic" has one). Each fixture's plan objective and sizes
+# equal the exclusion model's (test_fixture_solves_equal_the_exclusion_model).
 # sizing_threshold and highuse_degradation differ only in horizon length and
 # degradation curves, so their single-year builds coincide.
 SEED_SOLVER_INPUT = {
     "islanded_base/integrated":
-        "4c5b03584992731f7c9a285847ed936096365d3f3efce6f98678f25418851036",
+        "9eb622be7c80b5842786277e5ad5d7ee094cf10604b8ed95230661a1d4c77d4d",
     "islanded_base/pinned":
-        "5cad2cd0b7e5128521f3186cdddc679ba11b21a2c7cf06704fb600a8235eaa22",
+        "dfe50f8e571815cfcc4f0380ee3432d173e71ce7a8ae789b7bdb6cf31257fd49",
     "islanded_base/single_year":
-        "847122ef86445e1a5529ac37c0ae307d6a934e973f40da06901917a517a1e006",
+        "1ab62f6e2dd8be4c72d338b407d7b98f23598640f1fededded7a80020ed16e06",
     "grid_fixed/integrated":
-        "ffd80879ccc72721e903dd5106ec8e7e66264daddd4173159d30ef2137baf962",
+        "0315cb2d8c772d71fb2a4c6c3bb65f77b46379095afc3b89c6f94dee548a27fa",
     "grid_fixed/pinned":
-        "ec8b9f5884a93a4b5c6be0c8709e15c1f1cf7292607f30de2d84472a267d5a4c",
+        "3d5527655c92699b87ce6311723fd4247676ec7962fc98a334a73c07603a70a7",
     "grid_fixed/single_year":
-        "2f61a1d2bc1cf2c715b91f9bd2d01ae76be8c737667ba8c98fab4406c939f0f1",
+        "ddd00bfd06ec17625018f2e31535687ce348b1b62e4a8131710eb35edcdc448f",
     "sizing_threshold/integrated":
-        "f6647049bb09e271464f1bdd4ffe2d10fb01001effcbe0f399391f0de7d7654a",
+        "c74f76a2484717e6bb9473d497706bf2785b62ea68bd23eea856e2ceaeddf230",
     "sizing_threshold/pinned":
-        "949429b2c4a22a57f36c917c437e990593a21146fc707a7b8ddd7eac7a7c5586",
+        "1f83dd4644246d274a7a24c48d31db6b2ba59ae8cbbf1948a12763456874eee6",
     "sizing_threshold/single_year":
-        "7ce67061ea454e5b160ca8624ab360505d8e55249afb9e8ef8264fe39fd84956",
+        "335cfd9936d1485000b9169c471194064be9931f612c78bcb4fd5b2573a0ce8a",
     "highuse_degradation/integrated":
-        "23b9f9d927ed967538bb540d90546daead1e99b2378fc7a63dad75b8d8ff17bc",
+        "b83ba7d50006e97ba2b52bb1c631a1a0942987ae4baf87ae6712ffcf53599e14",
     "highuse_degradation/pinned":
-        "0874e11c28fb4523b0fcaded5c0680bdf60aedd0a49f36f4a648ed40c3660b80",
+        "7a48ebcf93e98b1d1c2c82304abd42d9c45dc00507fbfa923af416ac6a9b5cf2",
     "highuse_degradation/single_year":
-        "7ce67061ea454e5b160ca8624ab360505d8e55249afb9e8ef8264fe39fd84956",
+        "335cfd9936d1485000b9169c471194064be9931f612c78bcb4fd5b2573a0ce8a",
     "synthetic/integrated":
-        "342866ffd2a1961b2106eb384a5c753a047bd96105e2566464449ddb12edb781",
+        "7cf238c79f68ff49192ea9ab0fbd7df947969b960e2f2407b3502e35632eee56",
     "synthetic/pinned":
-        "b8094eddd279ea34eb74e9690a2da9be382d8586480fd79c570d42c1e74b2d7b",
+        "a0fc319e9626b18bc7305f375892007cbaebd7c5d296e9c13a6bc411cc700312",
     "synthetic/single_year":
-        "426e76a073061f81aa0d446101b1b543fde5b53ce1caa347bc194da656fdb188",
+        "792fd16de9eb650ddc3b7814c4c582990437340b27a0714c2fc2d345bb4e78ab",
     "islanded_base_8760h/integrated":
-        "1590bb5691a8e632a74f49d59e933321a329e8a30a7eb27de4a3a725b56b3888",
+        "e42d31fe85c252b75710fda6e5a9e483c33f17bcb41f27d18eefbc3066f37bc5",
     "islanded_base_8760h/single_year":
-        "ab60b5225ffa726e487f41059191cefc19619f612eda92b04229da661dae2a4f",
+        "c9bda00226e8f8f3479d37aa41acafb6ffc83919975e61bd55055977ec57c7a3",
 }
 
 
@@ -350,10 +411,12 @@ def test_solver_input_matches_seed_builder(case):
     sc = _synthetic() if fixture == "synthetic" else load_scenario(FIXTURES / f"{fixture}.json")
     problem, index = _build_mode(sc, mode)
     # Explicit zeros stay in A, as before (PV terms at night, soc_min = 0):
-    # 40 terms per hour, 2 per einit row and per cyclic row.
+    # 24 terms per hour, 28 with generator commitment, and 2 per einit row
+    # and per cyclic row.
     Y, D, T = index.shape
     A = problem.constraint_matrix()[0]
-    assert A.nnz == 40 * Y * D * T + 4 + 2 * Y * D * sc.cfg.cyclic_soc
+    per_hour = 28 if problem.binary_indices.size else 24
+    assert A.nnz == per_hour * Y * D * T + 4 + 2 * Y * D * sc.cfg.cyclic_soc
     assert np.any(A.data == 0)
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT[case]
 
@@ -361,7 +424,7 @@ def test_solver_input_matches_seed_builder(case):
 def test_hourly_year_solver_input_matches_seed_builder(tmp_path):
     sc = _hourly_year(tmp_path)
     problem, _ = build_integrated(sc)
-    assert (problem.n_variables, problem.n_constraints) == (113_884, 140_527)
+    assert (problem.n_variables, problem.n_constraints) == (70_084, 70_447)
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT["islanded_base_8760h/integrated"]
     inv = InvestmentDecision(s_pv=0.11, s_bess=0.077, p_cder_max=0.8)
     problem, _ = build_single_year(sc, _state(1, 0.07, eta_pv=1.0, eta_bess=0.9), inv)
@@ -371,16 +434,20 @@ def test_hourly_year_solver_input_matches_seed_builder(tmp_path):
 @pytest.mark.parametrize("prefix", ["islanded", "grid", "sizing", "highuse"],
                          ids=["islanded_base", "grid_fixed", "sizing_threshold",
                               "highuse_degradation"])
-def test_fixture_solves_are_certified(request, prefix):
-    # Each fixture's LP relaxation is exact: its plan and every validation year
-    # come from the certificate, and the plan is branch-and-bound's.
+def test_fixture_solves_equal_the_exclusion_model(request, prefix):
+    # Each fixture's plan is one LP with no binaries, and its objective and
+    # sizes are those of branch-and-bound on the same model with the
+    # charge/discharge exclusion appended. No validation year falls back.
     scenario = request.getfixturevalue(f"{prefix}_scenario")
     sol, _, result = request.getfixturevalue(f"{prefix}_plan")
-    assert result.path == "certified"
+    assert result.path == "lp"
     problem, index = build_integrated(scenario)
-    bb = extract_solution(milp._branch_and_bound(problem, scenario.cfg.solver), index)
+    _add_battery_exclusion(problem, index)
+    bb = milp.solve(problem, scenario.cfg.solver)
+    assert bb.path == "highs"
+    bb = extract_solution(bb, index)
     assert sol.objective == pytest.approx(bb.objective, rel=1e-9)
     assert dataclasses.astuple(sol.investment) == pytest.approx(
         dataclasses.astuple(bb.investment), rel=1e-9)
     report = validate(sol.investment, scenario)
-    assert {r.solve_path for r in report.per_year} == {"certified"}
+    assert {r.solve_path for r in report.per_year} == {"lp"}

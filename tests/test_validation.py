@@ -33,8 +33,8 @@ def test_initial_state_matches_configuration(highuse_scenario):
 def test_plan_and_first_validation_year_charge_at_one_efficiency(fixture):
     sc = load_scenario(FIXTURES / f"{fixture}.json")
     problem, index = build_integrated(sc)
-    # A p_chg column holds -1 (balance), 1 (chg_on, chg_rate) and the
-    # energy-tracking charge coefficient, -efficiency.
+    # A p_chg column holds -1 (balance), 1 (chg_rate) and the energy-tracking
+    # charge coefficient, -efficiency.
     cols = problem.constraint_matrix()[0].tocsc()[:, index.series["p_chg"].ravel()]
     charge = cols.data[np.abs(cols.data) != 1.0]
     assert charge.size == index.series["p_chg"].size
