@@ -16,9 +16,14 @@ The model carries binaries only where the data needs them:
   optimum and, if some hour charges and discharges at once, appends the
   exclusion binaries and solves again.
 
-``horizon.big_m`` appears only in the commitment rows and those exclusion
-rows; the PV and battery terms are linear because installed sizes enter with
-constant coefficients.
+The PV and battery terms are linear because installed sizes enter with
+constant coefficients. A pinned size (the battery of a sizing probe, every
+size of a validation year) is a fixed column: the rows that cap a series by
+it become bounds on the series, and only the power balance reads it.
+
+The commitment and exclusion rows switch a series off with its own upper
+bound as the coefficient. ``horizon.big_m`` stands in only where the series
+has no finite bound, which is where its size is free in the plan.
 """
 
 from __future__ import annotations
@@ -83,11 +88,20 @@ def _cost_total(costs):
             + costs["shed_penalty"] + costs["import_cost"] - costs["export_revenue"])
 
 
+def _finite_or_big_m(upper, big_m):
+    """Coefficient ``M`` of a switch row ``x <= M*u`` on a series with upper
+    bound ``upper``: the bound where it is finite, else ``big_m``."""
+    return np.where(np.isfinite(upper), upper, big_m)
+
+
 def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
            size_lo, size_hi, capital: bool):
     """Assemble the model over (Y, D, T) ``load`` and ``pv_cf``. ``size_lo``/``size_hi``
-    bound (s_pv, s_bess, p_cder_max); a pinned size has lo == hi, so every build
-    has the same structure. ``capital`` puts capital costs in the objective."""
+    bound (s_pv, s_bess, p_cder_max). Each row ``series <=/>= coef * size`` of
+    ``links`` stays a row while its size is free; a pinned size (lo == hi)
+    turns it into a bound on the series, so a pinned size column is fixed and
+    only the power balance reads it. ``capital`` puts capital costs in the
+    objective."""
     cfg, cder, pv, bess = scenario.cfg, scenario.cder, scenario.pv, scenario.bess
     Y, D, T = load.shape
     commit = cder.p_min > 0 or cder.no_load > 0
@@ -96,67 +110,91 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
     alpha = scenario.alpha
     tie = cfg.tie_limit
 
+    soc_lo = bess.soc_min
+    soc_hi = bess.soh_init * bess.soc_max
+    pv_avail = np.asarray(eta_pv_by_year)[:, None, None] * pv_cf
+    pinned = [lo == hi for lo, hi in zip(size_lo, size_hi)]
+    # (family, series, size, coef, sense): series sense coef * size, with size
+    # the position in (s_pv, s_bess, p_cder_max). The e_init rows lead the
+    # model; the others are written for every hour, after its balance row.
+    links = [
+        # The shared initial energy lies in the stored-energy window.
+        ("einit_lo", "e_init", 1, soc_lo, GE), ("einit_hi", "e_init", 1, soc_hi, LE),
+        # Generator output within the installed capacity.
+        ("cder_cap", "p_cder", 2, 1.0, LE),
+        # Curtailment cannot exceed available PV power.
+        ("curt_cap", "p_curt", 0, pv_avail, LE),
+        # Stored-energy window.
+        ("soc_lo", "e_bess", 1, soc_lo, GE), ("soc_hi", "e_bess", 1, soc_hi, LE),
+        # Charge/discharge rate limits on capacity.
+        ("chg_rate", "p_chg", 1, 1.0 / bess.t_chg, LE),
+        ("dchg_rate", "p_dchg", 1, 1.0 / bess.t_dchg, LE),
+    ]
+    lower = {}
+    upper = {"p_ls": load, "p_imp": tie, "p_exp": tie, "u_cder": 1.0}
+    for _, k, j, coef, sense in links:
+        if pinned[j] and sense == LE:
+            upper[k] = np.minimum(upper.get(k, INF), coef * size_lo[j])
+        elif pinned[j]:
+            lower[k] = np.maximum(lower.get(k, 0.0), coef * size_lo[j])
+
     # Variables: the four sizes, then the S series of each flattened hour h
     # at ids 4 + S*h + j (j = position in ``names``).
     s_pv, s_bess, p_cder_max, e_init = (int(i) for i in prob.add_variables(
-        4, lower=[*size_lo, 0.0], upper=[*size_hi, INF],
+        4, lower=[*size_lo, lower.get("e_init", 0.0)], upper=[*size_hi, upper.get("e_init", INF)],
         names=["s_pv", "s_bess", "p_cder_max", "e_init"], family="sizes"))
     names = ModelIndex.SERIES + ("u_cder",) * commit
-    upper = {"p_ls": load, "p_imp": tie, "p_exp": tie, "u_cder": 1.0}
     S = len(names)
+
+    def stacked(bounds, default):
+        return np.stack([np.broadcast_to(bounds.get(k, default), (Y, D, T)) for k in names],
+                        axis=-1).ravel()
+
     ids = prob.add_variables(
-        Y * D * T * S,
-        upper=np.stack([np.broadcast_to(upper.get(k, INF), (Y, D, T))
-                        for k in names], axis=-1).ravel(),
+        Y * D * T * S, lower=stacked(lower, 0.0), upper=stacked(upper, INF),
         binary=np.tile([k == "u_cder" for k in names], Y * D * T),
         names=lambda: [f"{k}_{y}_{d}_{t}" for y, d, t in np.ndindex(Y, D, T)
                        for k in names], family="dispatch")
     v = {k: ids[j::S].reshape(Y, D, T) for j, k in enumerate(names)}
 
-    soc_lo = bess.soc_min
-    soc_hi = bess.soh_init * bess.soc_max
-    pv_avail = np.asarray(eta_pv_by_year)[:, None, None] * pv_cf
     # Energy tracking; every day restarts from the shared initial level.
     e_prev = np.concatenate([np.full((Y, D, 1), e_init), v["e_bess"][..., :-1]], axis=-1)
 
+    col, size_col = {**v, "e_init": e_init}, (s_pv, s_bess, p_cder_max)
+    rows = [(k, (f, [(col[k], 1.0), (size_col[j], -coef)], sense, 0.0))
+            for f, k, j, coef, sense in links if not pinned[j]]
+    head = [row for k, row in rows if k == "e_init"]
     # (family, terms, sense, rhs) of the rows written for every hour.
     hourly = [
         # Hourly power balance: supply = demand + sinks.
         ("balance", [(v["p_cder"], 1.0), (v["p_dchg"], 1.0), (s_pv, pv_avail),
                      (v["p_ls"], 1.0), (v["p_imp"], 1.0), (v["p_chg"], -1.0),
                      (v["p_curt"], -1.0), (v["p_exp"], -1.0)], EQ, load),
-        # Generator output within the installed capacity.
-        ("cder_cap", [(v["p_cder"], 1.0), (p_cder_max, -1.0)], LE, 0.0),
-        # Curtailment cannot exceed available PV power.
-        ("curt_cap", [(v["p_curt"], 1.0), (s_pv, -pv_avail)], LE, 0.0),
-        # Stored-energy window.
-        ("soc_lo", [(v["e_bess"], 1.0), (s_bess, -soc_lo)], GE, 0.0),
-        ("soc_hi", [(v["e_bess"], 1.0), (s_bess, -soc_hi)], LE, 0.0),
-        # Charge/discharge rate limits on capacity.
-        ("chg_rate", [(v["p_chg"], 1.0), (s_bess, -1.0 / bess.t_chg)], LE, 0.0),
-        ("dchg_rate", [(v["p_dchg"], 1.0), (s_bess, -1.0 / bess.t_dchg)], LE, 0.0),
+        *(row for k, row in rows if k != "e_init"),
         ("etrack", [(v["e_bess"], 1.0), (e_prev, -1.0), (v["p_chg"], -eta_bess),
                     (v["p_dchg"], 1.0)], EQ, 0.0),
     ]
     if commit:
+        # Committed output lies in [p_min, its upper bound], or [p_min, big_m]
+        # while the capacity is free; uncommitted output is 0.
         hourly += [
-            # Committed output lies in [p_min, big_m]; uncommitted output is 0.
-            ("cder_on", [(v["p_cder"], 1.0), (v["u_cder"], -cfg.big_m)], LE, 0.0),
+            ("cder_on", [(v["p_cder"], 1.0), (v["u_cder"], -_finite_or_big_m(
+                upper.get("p_cder", INF), cfg.big_m))], LE, 0.0),
             ("cder_min", [(v["p_cder"], 1.0), (v["u_cder"], -cder.p_min)], GE, 0.0),
         ]
-    # Rows: einit_lo, einit_hi, then for each flattened day g the K rows of
-    # each hour t at 2 + g*per_day + K*t + k, then the day's cyclic row.
-    K = len(hourly)
+    # Rows: the H head rows, then for each flattened day g the K rows of each
+    # hour t at H + g*per_day + K*t + k, then the day's cyclic row.
+    H, K = len(head), len(hourly)
     per_day = K * T + int(cfg.cyclic_soc)
-    hour_row = 2 + per_day * np.arange(Y * D).reshape(Y, D, 1) + K * np.arange(T)
-    families = [("einit_lo", 0, [(e_init, 1.0), (s_bess, -soc_lo)], GE, 0.0),
-                ("einit_hi", 1, [(e_init, 1.0), (s_bess, -soc_hi)], LE, 0.0)]
+    hour_row = H + per_day * np.arange(Y * D).reshape(Y, D, 1) + K * np.arange(T)
+    families = [(family, r, terms, sense, rhs)
+                for r, (family, terms, sense, rhs) in enumerate(head)]
     families += [(family, hour_row + k, terms, sense, rhs)
                  for k, (family, terms, sense, rhs) in enumerate(hourly)]
     if cfg.cyclic_soc:
         families.append(("cyclic", hour_row[..., -1] + K,
                          [(v["e_bess"][..., -1], 1.0), (e_init, -1.0)], EQ, 0.0))
-    prob.add_constraints(families, names=lambda: ["einit_lo", "einit_hi"] + [
+    prob.add_constraints(families, names=lambda: [f for f, *_ in head] + [
         name for y, d in np.ndindex(Y, D)
         for name in [f"{f}_{y}_{d}_{t}" for t in range(T) for f, *_ in hourly]
         + [f"cyclic_{y}_{d}"] * cfg.cyclic_soc])
@@ -281,7 +319,8 @@ def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSol
 
 def _add_battery_exclusion(problem: MilpProblem, index: ModelIndex):
     """Append binaries ``u_chg``/``u_dchg`` that stop any hour of ``problem``
-    from charging and discharging at once (big-M on ``horizon.big_m``)."""
+    from charging and discharging at once. Each switch row's coefficient is the
+    series' upper bound, or ``horizon.big_m`` where it has none."""
     Y, D, T = index.shape
     n = Y * D * T
     u = problem.add_variables(
@@ -289,13 +328,16 @@ def _add_battery_exclusion(problem: MilpProblem, index: ModelIndex):
         names=lambda: [f"{k}_{y}_{d}_{t}" for k in ("u_chg", "u_dchg")
                        for y, d, t in np.ndindex(Y, D, T)])
     u_chg, u_dchg = u[:n], u[n:]
-    big_m = index.scenario.cfg.big_m
+
+    def switch(series, u_k):
+        ids = index.series[series].ravel()
+        return [(ids, 1.0), (u_k, -_finite_or_big_m(problem.upper[ids],
+                                                     index.scenario.cfg.big_m))]
+
     rows = np.arange(n)
     families = [("excl_bess", rows, [(u_chg, 1.0), (u_dchg, 1.0)], LE, 1.0),
-                ("chg_on", n + rows, [(index.series["p_chg"].ravel(), 1.0), (u_chg, -big_m)],
-                 LE, 0.0),
-                ("dchg_on", 2 * n + rows,
-                 [(index.series["p_dchg"].ravel(), 1.0), (u_dchg, -big_m)], LE, 0.0)]
+                ("chg_on", n + rows, switch("p_chg", u_chg), LE, 0.0),
+                ("dchg_on", 2 * n + rows, switch("p_dchg", u_dchg), LE, 0.0)]
     problem.add_constraints(families, names=lambda: [
         f"{f}_{y}_{d}_{t}" for f, *_ in families for y, d, t in np.ndindex(Y, D, T)])
 

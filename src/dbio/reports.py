@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from .planning import DispatchSolution, InvestmentDecision
+from .planning import DispatchSolution, InvestmentDecision, ModelIndex
 from .sizing import SizingResult
 from .validation import ValidationReport
 
@@ -64,7 +64,7 @@ def write_sizing(inv: InvestmentDecision, out_dir: Path) -> Path:
 def write_dispatch(sol: DispatchSolution, out_dir: Path) -> list:
     """One hourly CSV per modeled year."""
     Y, D, T = sol.shape
-    names = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt", "e_bess")
+    names = ModelIndex.SERIES
     paths = []
     for y in range(Y):
         rows = []

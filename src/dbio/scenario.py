@@ -162,6 +162,9 @@ class BessParams:
         _require(0 < self.eol_frac < 1, "bess.eol_frac", "must be in (0, 1)")
         _require(self.eol_frac < self.soh_init <= 1, "bess.soh_init",
                  "must be in (eol_frac, 1]")
+        # The stored-energy window is [soc_min, soh_init*soc_max] of capacity.
+        _require(self.soc_min < self.soh_init * self.soc_max, "bess.soc_min",
+                 "must be below soh_init * soc_max")
         _require(self.deg_cost_cycle_life > 0, "bess.deg_cost_cycle_life", "must be > 0")
         _require(len({soh for soh, _ in self.eff_model_points}) >= 2, "bess.eff_model_points",
                  "needs >= 2 distinct SOH values")

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from dbio import milp
+from dbio import milp, planning
 from dbio.degradation import DegradationState
 from dbio.planning import (InvestmentDecision, ModelBuildError, _add_battery_exclusion,
                            build_integrated, build_single_year, extract_solution,
@@ -218,6 +218,34 @@ def test_forced_surplus_falls_back_to_the_exclusion():
                               capacity=10.0)
 
 
+def test_small_big_m_does_not_cap_a_validation_year():
+    # cder_on switches the generator off with its own bound, the pinned
+    # 0.75 MW. With big_m in that row, 0.3 capped the output and the year
+    # cost 138,616.24.
+    sc = _synthetic()
+    state = _state(1, 0.5, eta_pv=sc.pv.eta_init, eta_bess=sc.bess.efficiency(sc.bess.soh_init))
+    inv = InvestmentDecision(s_pv=0.25, s_bess=0.5, p_cder_max=0.75)
+
+    def year_cost(big_m):
+        year = dataclasses.replace(sc, cfg=dataclasses.replace(sc.cfg, big_m=big_m))
+        return solve_dispatch(*build_single_year(year, state, inv), OPTS).objective
+
+    assert year_cost(0.3) == pytest.approx(year_cost(10.0), rel=1e-9)
+    assert year_cost(10.0) == pytest.approx(134_870.56, abs=0.01)
+
+
+def test_small_big_m_does_not_cap_the_exclusion():
+    # chg_on/dchg_on switch with the pinned 10 MW rate limits. With big_m in
+    # those rows, 0.3 left the surplus nowhere to go and the year shed its load.
+    sc = make_scenario(np.full(24, 0.1), np.zeros(24), big_m=0.3,
+                       cder=CderParams(capital=1e5, op_cost=50.0, p_min=0.5))
+    state = _state(1, 10.0, eta_pv=sc.pv.eta_init, eta_bess=sc.bess.efficiency(sc.bess.soh_init))
+    inv = InvestmentDecision(s_pv=0.0, s_bess=10.0, p_cder_max=0.5)
+    result = solve_dispatch(*build_single_year(sc, state, inv), OPTS)
+    assert result.path == "highs"
+    assert result.objective == pytest.approx(36_552_833.75, abs=0.01)
+
+
 def test_pv_displaces_generation():
     load = np.full(24, 0.5)
     cf = np.concatenate([np.zeros(8), np.full(8, 0.9), np.zeros(8)])
@@ -320,43 +348,50 @@ def test_extract_requires_solution():
 # binary with its two rows became conditional on a minimum output or no-load
 # cost (only "synthetic" has one). Each fixture's plan objective and sizes
 # equal the exclusion model's (test_fixture_solves_equal_the_exclusion_model).
+# The */pinned and */single_year entries and islanded_base_8760h/single_year
+# were re-recorded when a pinned size's rows (einit_*, cder_cap, curt_cap,
+# soc_*, *chg_rate) became bounds on the series they cap and cder_on's
+# coefficient became the generator's upper bound, where finite, in place of
+# big_m; the */integrated entries did not move.
+# test_pinned_bounds_solve_as_the_pinned_rows checks the new builds against
+# the row formulation.
 # sizing_threshold and highuse_degradation differ only in horizon length and
 # degradation curves, so their single-year builds coincide.
 SEED_SOLVER_INPUT = {
     "islanded_base/integrated":
         "9eb622be7c80b5842786277e5ad5d7ee094cf10604b8ed95230661a1d4c77d4d",
     "islanded_base/pinned":
-        "dfe50f8e571815cfcc4f0380ee3432d173e71ce7a8ae789b7bdb6cf31257fd49",
+        "7dede6d6584c6efc8335e42ccea22f0343b2d418767b81a7777e932775493a6f",
     "islanded_base/single_year":
-        "1ab62f6e2dd8be4c72d338b407d7b98f23598640f1fededded7a80020ed16e06",
+        "fcc3289fcde0f2aa956c7c35a0399afc4dfe4867a0dd28e90896cb9f3e8d263e",
     "grid_fixed/integrated":
         "0315cb2d8c772d71fb2a4c6c3bb65f77b46379095afc3b89c6f94dee548a27fa",
     "grid_fixed/pinned":
-        "3d5527655c92699b87ce6311723fd4247676ec7962fc98a334a73c07603a70a7",
+        "39e7909fc0c7e4306c5d003907895317ab1e54e237f957792ae4f3e787c24660",
     "grid_fixed/single_year":
-        "ddd00bfd06ec17625018f2e31535687ce348b1b62e4a8131710eb35edcdc448f",
+        "b4bc1d2eae9cabbf5c2ed811ca5a755e1b1878530f4b1d066ae3a05bb6cd6ea8",
     "sizing_threshold/integrated":
         "c74f76a2484717e6bb9473d497706bf2785b62ea68bd23eea856e2ceaeddf230",
     "sizing_threshold/pinned":
-        "1f83dd4644246d274a7a24c48d31db6b2ba59ae8cbbf1948a12763456874eee6",
+        "a7f68eee4372d1f24f6c2e2f53042afee92df098a46e7d3a7357104f177208a2",
     "sizing_threshold/single_year":
-        "335cfd9936d1485000b9169c471194064be9931f612c78bcb4fd5b2573a0ce8a",
+        "b7999a52fa1c14b4314b1cde573f81706b0847161f2cb670c44fcddfc13fcf64",
     "highuse_degradation/integrated":
         "b83ba7d50006e97ba2b52bb1c631a1a0942987ae4baf87ae6712ffcf53599e14",
     "highuse_degradation/pinned":
-        "7a48ebcf93e98b1d1c2c82304abd42d9c45dc00507fbfa923af416ac6a9b5cf2",
+        "0200b0015f4ca3863a3099654bdb8a7b8f8ae65222a783e79799e516a10f2b91",
     "highuse_degradation/single_year":
-        "335cfd9936d1485000b9169c471194064be9931f612c78bcb4fd5b2573a0ce8a",
+        "b7999a52fa1c14b4314b1cde573f81706b0847161f2cb670c44fcddfc13fcf64",
     "synthetic/integrated":
         "7cf238c79f68ff49192ea9ab0fbd7df947969b960e2f2407b3502e35632eee56",
     "synthetic/pinned":
-        "a0fc319e9626b18bc7305f375892007cbaebd7c5d296e9c13a6bc411cc700312",
+        "3a6a94cc0a29c170846dd58666b34f14cba220530571660cf54e9d9955c99f48",
     "synthetic/single_year":
-        "792fd16de9eb650ddc3b7814c4c582990437340b27a0714c2fc2d345bb4e78ab",
+        "3a35f3bd5887fd264ee6da364f36868def53f69fc0dfdf23dce90095dc643565",
     "islanded_base_8760h/integrated":
         "e42d31fe85c252b75710fda6e5a9e483c33f17bcb41f27d18eefbc3066f37bc5",
     "islanded_base_8760h/single_year":
-        "c9bda00226e8f8f3479d37aa41acafb6ffc83919975e61bd55055977ec57c7a3",
+        "f3e37f8834bbee1558e6c8b5fda2e403121ad8681369328d8bd3a22861e0ca5a",
 }
 
 
@@ -393,6 +428,10 @@ def _synthetic():
                          bess=BessParams(capital=5e4, soc_min=0.0))
 
 
+def _scenario(fixture):
+    return _synthetic() if fixture == "synthetic" else load_scenario(FIXTURES / f"{fixture}.json")
+
+
 def _build_mode(sc, mode):
     if mode == "integrated":
         return build_integrated(sc)
@@ -408,17 +447,65 @@ def _build_mode(sc, mode):
 @pytest.mark.parametrize("case", [k for k in SEED_SOLVER_INPUT if "8760h" not in k])
 def test_solver_input_matches_seed_builder(case):
     fixture, mode = case.split("/")
-    sc = _synthetic() if fixture == "synthetic" else load_scenario(FIXTURES / f"{fixture}.json")
+    sc = _scenario(fixture)
     problem, index = _build_mode(sc, mode)
-    # Explicit zeros stay in A, as before (PV terms at night, soc_min = 0):
-    # 24 terms per hour, 28 with generator commitment, and 2 per einit row
-    # and per cyclic row.
+    # Explicit zeros stay in A, as before (PV terms at night, soc_min = 0).
+    # Per hour: 8 balance and 4 tracking terms, 2 per cder_cap and curt_cap
+    # row while the generator and PV are free, 8 in the battery's four rows
+    # while it is free, and 4 in the commitment rows; 2 per einit row and per
+    # cyclic row.
     Y, D, T = index.shape
     A = problem.constraint_matrix()[0]
-    per_hour = 28 if problem.binary_indices.size else 24
-    assert A.nnz == per_hour * Y * D * T + 4 + 2 * Y * D * sc.cfg.cyclic_soc
+    free_caps, free_bess = {"integrated": (1, 1), "pinned": (1, 0), "single_year": (0, 0)}[mode]
+    per_hour = 12 + 4 * free_caps + 8 * free_bess + 4 * bool(problem.binary_indices.size)
+    assert A.nnz == per_hour * Y * D * T + 4 * free_bess + 2 * Y * D * sc.cfg.cyclic_soc
     assert np.any(A.data == 0)
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT[case]
+
+
+PINNED_CASES = [k for k in SEED_SOLVER_INPUT if "8760h" not in k and "integrated" not in k]
+
+
+@pytest.mark.parametrize("case", PINNED_CASES)
+def test_pinned_size_is_read_only_by_the_balance(case):
+    # A pinned size bounds the series it caps, so its column is in no row
+    # but the power balance's PV term.
+    fixture, mode = case.split("/")
+    problem, index = _build_mode(_scenario(fixture), mode)
+    A = problem.constraint_matrix()[0].tocsc()
+    rows = milp._names(problem._row_names)
+    pinned = [k for k in ("s_pv", "s_bess", "p_cder_max")
+              if problem.lower[index.scalars[k]] == problem.upper[index.scalars[k]]]
+    assert pinned == (["s_bess"] if mode == "pinned" else ["s_pv", "s_bess", "p_cder_max"])
+    for k in pinned:
+        col = A[:, index.scalars[k]]
+        read = {rows[r].split("_")[0] for r in col.indices[col.data != 0]}
+        assert read <= ({"balance"} if k == "s_pv" else set()), k
+
+
+@pytest.mark.parametrize("case", PINNED_CASES)
+def test_pinned_bounds_solve_as_the_pinned_rows(monkeypatch, case):
+    # The oracle is the row formulation: the same build with every size free,
+    # so each size keeps its rows, then pinned through its column bounds.
+    fixture, mode = case.split("/")
+    sc = _scenario(fixture)
+    problem, index = _build_mode(sc, mode)
+    build = planning._build
+
+    def free_then_pinned(*args, size_lo, size_hi, **kwargs):
+        rows, rows_index = build(*args, size_lo=(0.0,) * 3, size_hi=(math.inf,) * 3, **kwargs)
+        sizes = [rows_index.scalars[k] for k in ("s_pv", "s_bess", "p_cder_max")]
+        rows.lower[sizes], rows.upper[sizes] = size_lo, size_hi
+        return rows, rows_index
+
+    monkeypatch.setattr(planning, "_build", free_then_pinned)
+    oracle, oracle_index = _build_mode(sc, mode)
+    assert oracle.n_constraints > problem.n_constraints
+    got = extract_solution(solve_dispatch(problem, index, OPTS), index)
+    want = extract_solution(solve_dispatch(oracle, oracle_index, OPTS), oracle_index)
+    assert got.objective == pytest.approx(want.objective, rel=1e-9)
+    assert dataclasses.astuple(got.investment) == pytest.approx(
+        dataclasses.astuple(want.investment), rel=1e-9)
 
 
 def test_hourly_year_solver_input_matches_seed_builder(tmp_path):
@@ -428,6 +515,7 @@ def test_hourly_year_solver_input_matches_seed_builder(tmp_path):
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT["islanded_base_8760h/integrated"]
     inv = InvestmentDecision(s_pv=0.11, s_bess=0.077, p_cder_max=0.8)
     problem, _ = build_single_year(sc, _state(1, 0.07, eta_pv=1.0, eta_bess=0.9), inv)
+    assert (problem.n_variables, problem.n_constraints) == (70_084, 17_885)
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT["islanded_base_8760h/single_year"]
 
 

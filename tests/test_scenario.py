@@ -172,6 +172,9 @@ def test_load_scenario_requires_profiles(tmp_path):
 def test_soc_window_must_be_ordered():
     with pytest.raises(ScenarioError, match="soc_min"):
         BessParams(soc_min=0.9, soc_max=0.1)
+    # Below soh_init the window [soc_min, soh_init*soc_max] can be empty.
+    with pytest.raises(ScenarioError, match="soc_min: must be below soh_init"):
+        BessParams(soc_min=0.5, soc_max=0.6, soh_init=0.8, eol_frac=0.7)
 
 
 def test_cycle_life_curve_must_decrease():
