@@ -3,9 +3,12 @@
 The planning model builds a :class:`MilpProblem`; solving goes through a
 pluggable backend chosen by the ``DBIO_SOLVER`` environment variable:
 
-* ``highs`` (default) — one call to scipy's HiGHS. A problem without
-  binaries is solved as an LP (path ``lp``), one with binaries by
-  branch-and-bound (path ``highs``).
+* ``highs`` (default) — one call to scipy's HiGHS on the free columns
+  (``lower < upper``). A fixed column's value moves into the row bounds and
+  the objective constant, the first reduction of LP presolve, so neither
+  scipy nor HiGHS pays for it; the primal is returned full-length. A
+  problem without free binaries is solved as an LP (path ``lp``), one with
+  them by branch-and-bound (path ``highs``).
 * ``enum`` — exhaustive enumeration over binary assignments (<= 20 binaries),
   each reduced to an LP. Exists so the test suite never depends on the
   solver paths it is checking.
@@ -121,7 +124,8 @@ class MilpProblem:
         lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
         upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
         binary = np.broadcast_to(np.asarray(binary, dtype=bool), (n,))
-        for bad, what in ((lower > upper, "lower > upper"),
+        for bad, what in ((~(lower <= upper), "lower > upper or a bound is NaN"),
+                          ((lower == INF) | (upper == -INF), "no finite value"),
                           (binary & ~((lower >= 0) & (upper <= 1)),
                            "binary variable bounds must be within [0, 1]")):
             if bad.any():
@@ -296,13 +300,34 @@ class MilpProblem:
 
 
 def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
-    """One HiGHS call: the LP when there are no binaries, else branch-and-bound."""
+    """One HiGHS call on the free columns: the LP when none is binary, else B&B.
+
+    A column with ``lower == upper`` is fixed. Its value moves into the row
+    bounds and the objective constant, so HiGHS receives only the columns
+    with ``lower < upper``; the primal comes back full-length. A problem with
+    no free column, or with a fixed binary off 0/1, never reaches HiGHS: its
+    fixed point is ``optimal`` when every residual is at most 1e-7, else
+    ``infeasible``.
+    """
+    A, lb, ub = problem.constraint_matrix()
+    free = problem.lower < problem.upper
+    x = np.where(free, 0.0, problem.lower)  # the fixed columns at their value
+    integrality = problem.integrality[free]
+    path = "highs" if integrality.any() else "lp"
+    off_binary = np.any((problem.integrality == 1) & (0 < x) & (x < 1))  # fixed in (0, 1)
+    if off_binary or not free.any():
+        residuals, objective = problem.evaluate(x)
+        if off_binary or residuals.max(initial=0.0) > 1e-7:
+            return SolveResult(status=INFEASIBLE, objective=math.nan, primal=None, path=path)
+        return SolveResult(status=OPTIMAL, objective=objective, primal=x, path=path)
+    shift = A @ x
+    constant = problem.objective_constant + float(problem.c @ x)
     constraints = []
-    if problem.n_constraints:
-        constraints.append(_LinCon(*problem.constraint_matrix()))
+    if problem.n_constraints:  # scipy hands HiGHS a CSC matrix; its columns slice cheaply
+        constraints.append(_LinCon(A.tocsc()[:, free], lb - shift, ub - shift))
     t0 = time.perf_counter()
-    res = milp(problem.c, constraints=constraints,
-               bounds=_Bounds(problem.lower, problem.upper), integrality=problem.integrality,
+    res = milp(problem.c[free], constraints=constraints,
+               bounds=_Bounds(problem.lower[free], problem.upper[free]), integrality=integrality,
                options={"mip_rel_gap": opts.mip_gap, "time_limit": opts.time_limit,
                         "presolve": True, "disp": False})
     runtime = time.perf_counter() - t0
@@ -317,11 +342,13 @@ def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
         status = UNBOUNDED
     else:
         raise MilpError(f"HiGHS backend failed: {res.message}")
-    primal = np.asarray(res.x) if res.x is not None else None
-    objective = (float(res.fun) + problem.objective_constant) if res.fun is not None else math.nan
+    primal = None
+    if res.x is not None:
+        primal = x
+        primal[free] = res.x
+    objective = (float(res.fun) + constant) if res.fun is not None else math.nan
     return SolveResult(status=status, objective=objective, primal=primal,
-                       achieved_gap=gap, runtime=runtime,
-                       path="highs" if problem.binary_indices.size else "lp")
+                       achieved_gap=gap, runtime=runtime, path=path)
 
 
 def _enum_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:

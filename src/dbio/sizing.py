@@ -39,10 +39,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.method not in ("binary", "fixed_step"):
             raise SizingError(f"unknown method {self.method!r}")
-        if self.tolerance <= 0:
-            raise SizingError("tolerance must be > 0")
-        if self.step_frac <= 0:
-            raise SizingError("step_frac must be > 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise SizingError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
+        if not (math.isfinite(self.step_frac) and self.step_frac > 0):
+            raise SizingError(f"step_frac must be finite and > 0, got {self.step_frac!r}")
         if self.max_iterations < 1:
             raise SizingError("max_iterations must be >= 1")
 

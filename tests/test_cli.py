@@ -252,8 +252,11 @@ def test_size_mode_validates_each_probe_once(fixtures_dir, tmp_path, monkeypatch
     assert names.count("single_year") == years * len(iterations)
 
 
-@pytest.mark.parametrize("flags", [("--tol", 0), ("--method", "fixed", "--step", 0)],
-                         ids=["tol-0", "step-0"])
+@pytest.mark.parametrize("flags", [("--tol", 0), ("--tol", "nan"), ("--tol", "inf"),
+                                   ("--method", "fixed", "--step", 0),
+                                   ("--method", "fixed", "--step", "nan"),
+                                   ("--method", "fixed", "--step", "inf")],
+                         ids=["tol-0", "tol-nan", "tol-inf", "step-0", "step-nan", "step-inf"])
 def test_bad_search_setting_exits_before_solving(fixtures_dir, tmp_path, monkeypatch,
                                                  capsys, flags):
     solves = []

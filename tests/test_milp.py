@@ -96,6 +96,88 @@ def test_backends_agree_on_random_milps():
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
 
 
+def fixed_columns(fix_u=False):
+    # fixed_charge() plus a fixed binary v = 1 and a fixed continuous z = 1.5
+    # that cover 2 of the 4 demanded units, a row that reads only fixed
+    # columns, and an objective constant: x = 2, u = 1, objective 2 + 10 + 3 + 3 + 4.
+    p = MilpProblem("fixed")
+    u = p.add_variable("u", float(fix_u), 1, binary=True)
+    v = p.add_variable("v", 1, 1, binary=True)
+    x = p.add_variable("x", 0.0, 5.0)
+    z = p.add_variable("z", 1.5, 1.5)
+    p.add_constraint([(x, 1.0), (u, -5.0)], LE, 0.0, "on")
+    p.add_constraint([(x, 1.0), (z, 1.0), (v, 0.5)], GE, 4.0, "demand")
+    p.add_constraint([(z, 1.0), (v, 1.0)], LE, 3.0, "fixed_only")
+    p.set_objective([(x, 1.0), (u, 10.0), (z, 2.0), (v, 3.0)], constant=4.0)
+    return p
+
+
+def _capture_highs(monkeypatch):
+    """Record the column count of every HiGHS call, then make it."""
+    calls, highs = [], milp.milp
+
+    def capture(c, **kwargs):
+        calls.append(c.size)
+        return highs(c, **kwargs)
+
+    monkeypatch.setattr(milp, "milp", capture)
+    return calls
+
+
+def _forbid_highs(monkeypatch):
+    def no_highs(*args, **kwargs):
+        raise AssertionError("HiGHS called")
+
+    monkeypatch.setattr(milp, "milp", no_highs)
+
+
+@pytest.mark.parametrize("fix_u", [False, True], ids=["free-binary", "all-binaries-fixed"])
+def test_fixed_columns_leave_the_solver_input(monkeypatch, fix_u):
+    p = fixed_columns(fix_u)
+    calls = _capture_highs(monkeypatch)
+    res = solve(p, backend="highs")
+    free = p.lower < p.upper
+    assert calls == [free.sum()] == [2 - fix_u]
+    assert (res.status, res.path) == ("optimal", "lp" if fix_u else "highs")
+    assert res.objective == pytest.approx(solve(p, backend="enum").objective, rel=1e-9)
+    assert res.objective == pytest.approx(22.0, rel=1e-9)
+    assert res.primal.shape == (p.n_variables,)
+    assert np.array_equal(res.primal[~free], p.lower[~free])
+
+
+def test_row_violated_by_fixed_columns_alone_is_infeasible():
+    p = fixed_columns()
+    p.add_constraint([(3, 1.0)], GE, 1.6, "fixed_short")  # z = 1.5
+    for backend in BACKENDS:
+        res = solve(p, backend=backend)
+        assert res.status == "infeasible" and not res.has_solution, backend
+
+
+@pytest.mark.parametrize("rhs, expected", [(2.5, "optimal"), (2.5 + 5e-8, "optimal"),
+                                           (2.6, "infeasible")])
+def test_all_fixed_problem_never_reaches_highs(monkeypatch, rhs, expected):
+    _forbid_highs(monkeypatch)
+    p = fixed_columns(fix_u=True)
+    p.lower[2] = p.upper[2] = 2.0  # x
+    p.add_constraint([(1, 1.0), (3, 1.0)], EQ, rhs, "fixed_eq")  # v + z = 2.5
+    res = solve(p, backend="highs")
+    assert (res.status, res.path) == (expected, "lp")
+    if expected == "optimal":
+        assert res.objective == 22.0
+        assert np.array_equal(res.primal, p.lower)
+    else:
+        assert res.primal is None and math.isnan(res.objective)
+        assert solve(p, backend="enum").status == "infeasible"
+
+
+def test_fixed_binary_off_zero_one_is_infeasible(monkeypatch):
+    _forbid_highs(monkeypatch)
+    p = fixed_columns()
+    p.lower[1] = p.upper[1] = 0.5  # v
+    for backend in BACKENDS:
+        assert solve(p, backend=backend).status == "infeasible", backend
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_infeasible_detected(backend):
     p = MilpProblem()
@@ -158,6 +240,12 @@ def test_bad_variable_bounds_rejected():
     p = MilpProblem()
     with pytest.raises(MilpError, match="lower"):
         p.add_variable("x", 2.0, 1.0)
+    for lower, upper in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(MilpError, match="NaN"):
+            p.add_variable("x", lower, upper)
+    for lower, upper in ((INF, INF), (-INF, -INF)):
+        with pytest.raises(MilpError, match="no finite value"):
+            p.add_variable("x", lower, upper)
     with pytest.raises(MilpError, match="binary"):
         p.add_variable("b", 0.0, 2.0, binary=True)
 

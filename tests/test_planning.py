@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from dbio import milp, planning
 from dbio.degradation import DegradationState
@@ -14,9 +15,11 @@ from dbio.planning import (InvestmentDecision, ModelBuildError, _add_battery_exc
                            build_integrated, build_single_year, extract_solution,
                            solve_dispatch)
 from dbio.scenario import BessParams, CderParams, load_scenario, representative_day_indices
+from dbio.sizing import probe
 from dbio.validation import validate
 
-from conftest import FIXTURES, check_dispatch_invariants, make_scenario, write_sizing_doc
+from conftest import (FIXTURES, check_dispatch_invariants, make_scenario, solve_plan,
+                      write_sizing_doc)
 
 OPTS = milp.SolveOptions(mip_gap=0.0, time_limit=300.0)
 
@@ -539,3 +542,62 @@ def test_fixture_solves_equal_the_exclusion_model(request, prefix):
         dataclasses.astuple(bb.investment), rel=1e-9)
     report = validate(sol.investment, scenario)
     assert {r.solve_path for r in report.per_year} == {"lp"}
+
+
+def _all_columns_solve(problem, opts):
+    """The solver input before fixed columns left it: scipy's HiGHS on every column."""
+    res = optimize.milp(problem.c, constraints=[optimize.LinearConstraint(
+                            *problem.constraint_matrix())],
+                        bounds=optimize.Bounds(problem.lower, problem.upper),
+                        integrality=problem.integrality,
+                        options={"mip_rel_gap": opts.mip_gap, "time_limit": opts.time_limit,
+                                 "presolve": True, "disp": False})
+    assert res.status == 0, res.message
+    return milp.SolveResult(status=milp.OPTIMAL, objective=res.fun + problem.objective_constant,
+                            primal=res.x)
+
+
+def test_hourly_year_hands_highs_only_the_free_columns(tmp_path, monkeypatch):
+    sc = _hourly_year(tmp_path)
+    inv = InvestmentDecision(s_pv=0.11, s_bess=0.077, p_cder_max=0.8)
+    problem, _ = build_single_year(sc, _state(1, 0.07, eta_pv=1.0, eta_bess=0.9), inv)
+    free = problem.lower < problem.upper
+    assert (problem.n_variables, free.sum()) == (70_084, 47_816)
+    seen, highs = [], milp.milp
+
+    def capture(c, *, constraints, bounds, integrality, options):
+        seen.append((c.size, constraints[0].A.shape, bounds.lb.size, integrality.size))
+        return highs(c, constraints=constraints, bounds=bounds, integrality=integrality,
+                     options=options)
+
+    monkeypatch.setattr(milp, "milp", capture)
+    got = milp.solve(problem, OPTS)
+    assert seen == [(47_816, (17_885, 47_816), 47_816, 47_816)]
+    assert (got.status, got.path, got.primal.shape) == ("optimal", "lp", (70_084,))
+    assert np.array_equal(got.primal[~free], problem.lower[~free])
+    assert got.objective == pytest.approx(_all_columns_solve(problem, OPTS).objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("prefix", ["islanded", "grid", "sizing", "highuse"],
+                         ids=["islanded_base", "grid_fixed", "sizing_threshold",
+                              "highuse_degradation"])
+def test_free_columns_solve_as_all_columns(monkeypatch, request, prefix):
+    # The plan, a pinned-size probe with its validation years, and the plan's
+    # validation years: each solve equals scipy's HiGHS on every column, in
+    # objective and in the sizes (ids 0-2).
+    scenario = request.getfixturevalue(f"{prefix}_scenario")
+    pairs, reduced = [], milp._BACKENDS["highs"]
+
+    def both(problem, opts):
+        pairs.append((reduced(problem, opts), _all_columns_solve(problem, opts)))
+        return pairs[-1][0]
+
+    monkeypatch.setitem(milp._BACKENDS, "highs", both)
+    monkeypatch.setenv("DBIO_SOLVER", "highs")
+    sol = solve_plan(scenario)[0]
+    probe(0.5 * sol.investment.s_bess, scenario)
+    validate(sol.investment, scenario)
+    assert len(pairs) >= 2 + 2 * scenario.cfg.planning_years
+    for got, want in pairs:
+        assert got.objective == pytest.approx(want.objective, rel=1e-9)
+        assert got.primal[:3] == pytest.approx(want.primal[:3], rel=1e-9)

@@ -170,6 +170,11 @@ def test_search_config_validation():
         SearchConfig(tolerance=0.0)
     with pytest.raises(SizingError):
         SearchConfig(step_frac=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(SizingError, match="tolerance must be finite"):
+            SearchConfig(tolerance=bad)
+        with pytest.raises(SizingError, match="step_frac must be finite"):
+            SearchConfig(step_frac=bad)
     with pytest.raises(SizingError):
         SearchConfig(max_iterations=0)
 
