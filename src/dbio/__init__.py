@@ -1,6 +1,8 @@
-"""Degradation-aware microgrid investment planning (DBIO pipeline)."""
+"""Degradation-aware microgrid investment planning (DBIO pipeline).
+
+Importing the package loads none of its submodules, so ``dbio.cli`` can set
+the BLAS thread count before numpy loads. Library code imports from the
+submodules (``dbio.scenario``, ``dbio.planning``, ...).
+"""
 
 __version__ = "0.1.0"
-
-from .planning import InvestmentDecision  # noqa: F401
-from .scenario import Scenario, load_scenario  # noqa: F401

@@ -3,16 +3,30 @@
 Progress goes to stderr, one line per solve/iteration; machine-readable
 results only land in files under the output directory. The solver backend is
 selected with the ``DBIO_SOLVER`` environment variable (default: highs).
+
+A run sets ``OPENBLAS_NUM_THREADS=1`` unless the environment already sets it,
+before numpy and scipy are imported: dbio gives BLAS no work worth a thread,
+and each OpenBLAS pool's idle workers spin at start-up. Code that imported
+numpy before this module keeps the pools it already has.
 """
 
 from __future__ import annotations
 
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import dataclasses
+import hashlib
 import json
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy
+import scipy
 
 from . import __version__, milp, reports
 from .degradation import DegradationError
@@ -75,9 +89,11 @@ def load_investment(path) -> InvestmentDecision:
 
 
 def write_manifest(args, out_dir: Path, converged=True):
+    scenario = Path(args.scenario)
     doc = {
         "mode": args.mode,
-        "scenario": str(Path(args.scenario).resolve()),
+        "scenario": str(scenario.resolve()),
+        "scenario_sha256": hashlib.sha256(scenario.read_bytes()).hexdigest(),
         "out": str(out_dir.resolve()),
         "method": args.method,
         "tolerance_mwh": args.tol,
@@ -89,6 +105,13 @@ def write_manifest(args, out_dir: Path, converged=True):
         "converged": converged,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "tool_version": __version__,
+        # The numeric environment: cost-equal optima make the dispatch depend on it.
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        },
     }
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -145,7 +146,9 @@ def _sizing_json(result: SizingResult) -> dict:
         "final_objective_usd": result.final_objective,
         "final_midpoint_mwh": result.final_midpoint,
         "converged": result.converged,
-        "iterations": [asdict(r) for r in result.iterations],
+        # A doubling probe's bracket is open above: its ub is written as null.
+        "iterations": [{**asdict(r), "ub": None if r.ub == math.inf else r.ub}
+                       for r in result.iterations],
     }
 
 
@@ -160,5 +163,6 @@ def write_report_json(out_dir: Path, *, plan: DispatchSolution | None = None,
     if sizing is not None:
         doc["sizing"] = _sizing_json(sizing)
     path = out_dir / "report.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # RFC 8259 JSON: a non-finite number fails here rather than in a reader.
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path

@@ -10,6 +10,7 @@ the base year with a compounding load growth rate.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -171,12 +172,18 @@ class BessParams:
         _require(all(0 < v <= 1 for point in self.eff_model_points for v in point),
                  "bess.eff_model_points", "SOH and efficiency must be in (0, 1]")
 
-    def efficiency(self, soh: float) -> float:
-        """Roundtrip efficiency at ``soh``: the least-squares line through
-        ``eff_model_points``, clamped to [1e-9, 1]."""
+    @functools.cached_property
+    def _efficiency_line(self) -> tuple:
+        """(slope, intercept) of the least-squares line through ``eff_model_points``."""
         pts = np.asarray(self.eff_model_points, dtype=float)
         w, b = np.polyfit(pts[:, 0], pts[:, 1], 1)
-        return min(1.0, max(1e-9, float(w) * soh + float(b)))
+        return float(w), float(b)
+
+    def efficiency(self, soh: float) -> float:
+        """Roundtrip efficiency at ``soh``: the least-squares line through
+        ``eff_model_points``, clamped to [1e-9, 1]. The line is fitted once."""
+        w, b = self._efficiency_line
+        return min(1.0, max(1e-9, w * soh + b))
 
     @property
     def deg_cost_per_mwh(self):

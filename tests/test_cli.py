@@ -2,16 +2,26 @@
 
 import hashlib
 import json
+import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from dbio import milp, reports
 from dbio.cli import load_investment, main
 from dbio.scenario import ScenarioError, load_scenario
+from dbio.sizing import SizingResult
 
 from conftest import FIXTURES, write_sizing_doc
 
 SCENARIO = "sizing_threshold.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args):
@@ -30,6 +40,12 @@ def test_plan_mode_outputs(fixtures_dir, tmp_path):
     assert inv["s_bess"] > 0 and inv["p_cder_max"] > 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["mode"] == "plan" and manifest["converged"]
+    scenario_bytes = (fixtures_dir / SCENARIO).read_bytes()
+    assert manifest["scenario_sha256"] == hashlib.sha256(scenario_bytes).hexdigest()
+    assert manifest["environment"] == {
+        "python": platform.python_version(), "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
 def test_plan_mode_deterministic(fixtures_dir, tmp_path):
@@ -103,6 +119,32 @@ def test_size_mode(fixtures_dir, tmp_path):
     rows = (out / "iterations.csv").read_text().strip().splitlines()
     assert rows[0] == "iter,phase,size_mwh,objective_usd,eue_mwh,shed,truncated,lb,ub"
     assert len(rows) - 1 == len(report["sizing"]["iterations"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_size_mode_report_is_strict_json(fixtures_dir, tmp_path):
+    out = tmp_path / "size"
+    assert run(["--scenario", fixtures_dir / SCENARIO, "--out", out,
+                "--mode", "size", "--tol", 0.05]) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    iterations = report["sizing"]["iterations"]
+    doubling = [r for r in iterations if r["phase"] == "doubling"]
+    assert doubling and all(r["ub"] is None for r in doubling)
+    assert all(math.isfinite(r["ub"]) for r in iterations if r["phase"] != "doubling")
+    # iterations.csv writes the open bound as inf.
+    csv_ub = [line.rsplit(",", 1)[1]
+              for line in (out / "iterations.csv").read_text().split()[1:]]
+    assert csv_ub[:len(doubling)] == ["inf"] * len(doubling)
+
+
+def test_report_json_refuses_a_non_finite_number(tmp_path):
+    sizing = SizingResult(final_size=1.0, final_objective=math.nan, iterations=[],
+                          converged=False, method="binary")
+    with pytest.raises(ValueError):
+        reports.write_report_json(tmp_path, sizing=sizing)
 
 
 def test_bad_scenario_path_exit_code(tmp_path):
@@ -274,3 +316,46 @@ def test_reports_never_print_negative_zero():
                                                                        "-2.5"]
     assert [reports.fmt_usd(x) for x in (-0.0, -0.004, 0.0, -0.005001, -3.0)] == [
         "0.00", "0.00", "0.00", "-0.01", "-3.00"]
+
+
+def _fresh_python(*args, **env):
+    """Run ``python *args`` in a new interpreter with ``src`` on the path and
+    ``OPENBLAS_NUM_THREADS`` unset unless given; returns its stdout."""
+    env = {**{k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"},
+           "PYTHONPATH": str(SRC), **env}
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_importing_the_package_loads_no_numpy():
+    code = "import sys, dbio; print('numpy' in sys.modules)"
+    assert _fresh_python("-c", code).strip() == "False"
+
+
+_CLI_IMPORT = """
+import json, os
+import dbio.cli
+tasks = "/proc/self/task"
+print(json.dumps({"blas": os.environ["OPENBLAS_NUM_THREADS"],
+                  "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None}))
+"""
+
+
+def test_cli_import_starts_no_blas_thread():
+    seen = json.loads(_fresh_python("-c", _CLI_IMPORT))
+    assert seen["blas"] == "1"
+    if seen["threads"] is None:
+        pytest.skip("no /proc/self/task to count threads in")
+    assert seen["threads"] == 1
+
+
+def test_cli_import_keeps_a_user_blas_setting():
+    seen = json.loads(_fresh_python("-c", _CLI_IMPORT, OPENBLAS_NUM_THREADS="2"))
+    assert seen["blas"] == "2"
+
+
+def test_cli_run_records_the_blas_setting(tmp_path):
+    out = tmp_path / "plan"
+    _fresh_python("-m", "dbio.cli", "--scenario", str(FIXTURES / SCENARIO), "--out", str(out))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["environment"]["OPENBLAS_NUM_THREADS"] == "1"

@@ -7,7 +7,11 @@ from dbio.degradation import (BatteryExhaustedError, DegradationError,
                               DegradationState, advance_state, bin_midpoint,
                               count_cycles, degradation_factor,
                               degradation_per_cycle, equivalent_full_cycles)
-from dbio.scenario import BessParams, CycleLifeCurveSpec, PvParams, ScenarioError
+from dbio.scenario import (BessParams, CycleLifeCurveSpec, PvParams, ScenarioError,
+                           load_scenario)
+from dbio.validation import validate
+
+from conftest import FIXTURES
 
 CURVE = CycleLifeCurveSpec()
 
@@ -103,6 +107,37 @@ def test_prediction_clamped_to_unit_interval():
     eff = BessParams(eff_model_points=((1.0, 0.90), (0.8, 0.86))).efficiency
     assert eff(3.0) == 1.0
     assert eff(-100.0) == 1e-9
+
+
+def _efficiency_fitted_per_call(bess, soh):
+    """Reference: one least-squares fit per call."""
+    pts = np.asarray(bess.eff_model_points, dtype=float)
+    w, b = np.polyfit(pts[:, 0], pts[:, 1], 1)
+    return min(1.0, max(1e-9, float(w) * soh + float(b)))
+
+
+@pytest.mark.parametrize("points", [((1.0, 0.90), (0.8, 0.86)),
+                                    ((1.0, 0.90), (0.8, 0.82)),
+                                    ((1.0, 0.91), (0.93, 0.885), (0.85, 0.87), (0.8, 0.83))])
+def test_kept_efficiency_line_equals_the_per_call_fit(points):
+    bess = BessParams(eff_model_points=points)
+    for soh in (1.0, 0.97, 0.9123456789, 0.85, 0.8, 0.5, 3.0, -100.0):
+        assert bess.efficiency(soh) == _efficiency_fitted_per_call(bess, soh)
+
+
+def test_validation_fits_the_efficiency_line_once(highuse_plan, monkeypatch):
+    fits = []
+    real_polyfit = np.polyfit
+
+    def counting_polyfit(*args, **kwargs):
+        fits.append(args)
+        return real_polyfit(*args, **kwargs)
+
+    monkeypatch.setattr(np, "polyfit", counting_polyfit)
+    scenario = load_scenario(FIXTURES / "highuse_degradation.json")
+    report = validate(highuse_plan[0].investment, scenario)
+    assert len(report.per_year) == scenario.cfg.planning_years > 1
+    assert len(fits) == 1
 
 
 def test_bin_midpoint_half_up():
