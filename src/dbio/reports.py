@@ -146,6 +146,9 @@ def _sizing_json(result: SizingResult) -> dict:
         "final_objective_usd": result.final_objective,
         "final_midpoint_mwh": result.final_midpoint,
         "converged": result.converged,
+        # The sized plan; report["plan"] holds the plan before sizing.
+        "final_investment": (None if result.final_investment is None
+                             else asdict(result.final_investment)),
         # A doubling probe's bracket is open above: its ub is written as null.
         "iterations": [{**asdict(r), "ub": None if r.ub == math.inf else r.ub}
                        for r in result.iterations],

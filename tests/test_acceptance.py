@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from dbio import milp, rainflow
@@ -61,9 +62,15 @@ def enumerate_dispatch(sc, inv):
     """Exhaustive dispatch optimum for a fixed investment on the T=4 instance.
 
     Enumerates every per-hour status combination honoring the charge/discharge
-    exclusion (the instance is islanded, so grid statuses are off) and solves
-    one LP per combination. Written directly from the model's arithmetic,
-    independent of the MILP builder.
+    exclusion (the instance is islanded, so grid statuses are off) and takes
+    the cheapest LP optimum among them. Written directly from the model's
+    arithmetic, independent of the MILP builder.
+
+    A combination only sets column bounds and the no-load cost, so all of
+    them are solved as one block-diagonal LP, one block per combination, and
+    each block's cost is read from its part of the primal. If that LP is not
+    optimal (some combination is infeasible), each combination is solved on
+    its own and the infeasible ones are skipped.
     """
     T = 4
     cfg, cder, bess, pv = sc.cfg, sc.cder, sc.bess, sc.pv
@@ -83,54 +90,70 @@ def enumerate_dispatch(sc, inv):
         return 6 * t + k
 
     e0 = 6 * T
-    hour_status = list(itertools.product([0, 1], [(0, 0), (1, 0), (0, 1)]))
-    best = math.inf
-    for combo in itertools.product(hour_status, repeat=T):
-        c = np.zeros(n)
-        bounds = [(0.0, 0.0)] * n
-        fixed_cost = 0.0
-        A_eq, b_eq = [], []
-        for t, (uc, (uch, udc)) in enumerate(combo):
-            bounds[col(t, 0)] = (cder.p_min, min(cfg.big_m, inv.p_cder_max)) \
-                if uc else (0.0, 0.0)
-            bounds[col(t, 1)] = (0.0, chg_cap) if uch else (0.0, 0.0)
-            bounds[col(t, 2)] = (0.0, dchg_cap) if udc else (0.0, 0.0)
-            bounds[col(t, 3)] = (0.0, load[t])
-            bounds[col(t, 4)] = (0.0, pv_avail[t])
-            bounds[col(t, 5)] = (e_lo, e_hi)
-            fixed_cost += sc.alpha * cder.no_load * uc
+    c = np.zeros(n)
+    lo, hi = np.zeros(n), np.zeros(n)  # every status off
+    A_eq, b_eq = [], []
+    for t in range(T):
+        hi[col(t, 3)] = load[t]
+        hi[col(t, 4)] = pv_avail[t]
+        lo[col(t, 5)], hi[col(t, 5)] = e_lo, e_hi
 
-            c[col(t, 0)] = sc.alpha * cder.op_cost
-            c[col(t, 2)] = sc.alpha * deg
-            c[col(t, 3)] = sc.alpha * cfg.ls_penalty
+        c[col(t, 0)] = sc.alpha * cder.op_cost
+        c[col(t, 2)] = sc.alpha * deg
+        c[col(t, 3)] = sc.alpha * cfg.ls_penalty
 
-            row = np.zeros(n)
-            row[col(t, 0)] = 1.0   # generation
-            row[col(t, 2)] = 1.0   # discharge
-            row[col(t, 3)] = 1.0   # shed
-            row[col(t, 1)] = -1.0  # charge
-            row[col(t, 4)] = -1.0  # curtailment
-            A_eq.append(row)
-            b_eq.append(load[t] - pv_avail[t])
-
-            row = np.zeros(n)
-            row[col(t, 5)] = 1.0
-            row[col(t - 1, 5) if t else e0] = -1.0
-            row[col(t, 1)] = -eta
-            row[col(t, 2)] = 1.0
-            A_eq.append(row)
-            b_eq.append(0.0)
-        bounds[e0] = (e_lo, e_hi)
         row = np.zeros(n)
-        row[col(T - 1, 5)] = 1.0
-        row[e0] = -1.0
+        row[col(t, 0)] = 1.0   # generation
+        row[col(t, 2)] = 1.0   # discharge
+        row[col(t, 3)] = 1.0   # shed
+        row[col(t, 1)] = -1.0  # charge
+        row[col(t, 4)] = -1.0  # curtailment
+        A_eq.append(row)
+        b_eq.append(load[t] - pv_avail[t])
+
+        row = np.zeros(n)
+        row[col(t, 5)] = 1.0
+        row[col(t - 1, 5) if t else e0] = -1.0
+        row[col(t, 1)] = -eta
+        row[col(t, 2)] = 1.0
         A_eq.append(row)
         b_eq.append(0.0)
+    lo[e0], hi[e0] = e_lo, e_hi
+    row = np.zeros(n)
+    row[col(T - 1, 5)] = 1.0
+    row[e0] = -1.0
+    A_eq.append(row)
+    b_eq.append(0.0)
+    A_eq, b_eq = np.asarray(A_eq), np.asarray(b_eq)
 
-        res = linprog(c, A_eq=np.asarray(A_eq), b_eq=np.asarray(b_eq),
-                      bounds=bounds, method="highs")
-        if res.status == 0:
-            best = min(best, res.fun + fixed_cost)
+    hour_status = list(itertools.product([0, 1], [(0, 0), (1, 0), (0, 1)]))
+    combos = list(itertools.product(hour_status, repeat=T))
+    K = len(combos)
+    lows, highs = np.tile(lo, (K, 1)), np.tile(hi, (K, 1))
+    fixed_cost = np.zeros(K)
+    for k, combo in enumerate(combos):
+        for t, (uc, (uch, udc)) in enumerate(combo):
+            if uc:
+                lows[k, col(t, 0)] = cder.p_min
+                highs[k, col(t, 0)] = min(cfg.big_m, inv.p_cder_max)
+            if uch:
+                highs[k, col(t, 1)] = chg_cap
+            if udc:
+                highs[k, col(t, 2)] = dchg_cap
+            fixed_cost[k] += sc.alpha * cder.no_load * uc
+
+    res = linprog(np.tile(c, K), A_eq=sp.kron(sp.identity(K), A_eq, format="csr"),
+                  b_eq=np.tile(b_eq, K),
+                  bounds=np.column_stack([lows.ravel(), highs.ravel()]), method="highs")
+    if res.status == 0:
+        best = float(np.min(res.x.reshape(K, n) @ c + fixed_cost))
+    else:
+        best = math.inf
+        for k in range(K):
+            res = linprog(c, A_eq=A_eq, b_eq=b_eq,
+                          bounds=np.column_stack([lows[k], highs[k]]), method="highs")
+            if res.status == 0:
+                best = min(best, res.fun + fixed_cost[k])
 
     pv_deg_cost = pv.rep_frac * pv.capital * inv.s_pv * pv.deg_rate
     return best + pv_deg_cost

@@ -121,6 +121,23 @@ def test_size_mode(fixtures_dir, tmp_path):
     assert len(rows) - 1 == len(report["sizing"]["iterations"])
 
 
+def test_validate_a_size_run_checks_the_sized_investment(fixtures_dir, tmp_path):
+    size, check = tmp_path / "size", tmp_path / "check"
+    assert run(["--scenario", fixtures_dir / SCENARIO, "--out", size,
+                "--mode", "size", "--tol", 0.02]) == 0
+    report = json.loads((size / "report.json").read_text())
+    assert report["sizing"]["final_investment"] != report["plan"]["investment"]
+    assert run(["--scenario", fixtures_dir / SCENARIO, "--out", check, "--mode", "validate",
+                "--investment", size / "report.json"]) == 0
+    assert (check / "sizing.csv").read_bytes() == (size / "sizing.csv").read_bytes()
+    checked = load_investment(size / "report.json")
+    assert checked.s_bess == report["sizing"]["final_size_mwh"]
+    sized = dict(line.split(",")[:2] for line in
+                 (size / "sizing.csv").read_text().splitlines()[1:])
+    assert reports.fmt_qty(checked.p_cder_max) == sized["cder_mw"]
+    assert reports.fmt_qty(checked.s_bess) == sized["bess_mwh"]
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -163,6 +180,13 @@ def test_load_investment_plain_and_report(tmp_path):
         {"plan": {"investment": {"s_pv": 0.4, "s_bess": 0.5, "p_cder_max": 0.6}}}))
     inv = load_investment(nested)
     assert (inv.s_pv, inv.s_bess, inv.p_cder_max) == (0.4, 0.5, 0.6)
+
+    sized = tmp_path / "sized.json"
+    sized.write_text(json.dumps(
+        {"plan": {"investment": {"s_pv": 0.4, "s_bess": 0.5, "p_cder_max": 0.6}},
+         "sizing": {"final_investment": {"s_pv": 0.4, "s_bess": 0.7, "p_cder_max": 0.8}}}))
+    inv = load_investment(sized)
+    assert (inv.s_pv, inv.s_bess, inv.p_cder_max) == (0.4, 0.7, 0.8)
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"s_pv": 0.1}))
@@ -248,8 +272,10 @@ def test_solver_overrides_reach_every_solve(fixtures_dir, tmp_path, monkeypatch)
     json.dumps({"s_pv": 0.1, "s_bess": -0.2, "p_cder_max": 0.3}),
     json.dumps({"s_pv": float("nan"), "s_bess": 0.2, "p_cder_max": 0.3}),
     json.dumps({"investment": {"s_pv": 0.1, "s_bess": 0.2, "p_cder_max": 0.3}}),
+    json.dumps([0.1, 0.2, 0.3]),
+    json.dumps({"sizing": [0.1, 0.2, 0.3]}),
 ], ids=["missing", "invalid-json", "missing-field", "negative-size", "nan-size",
-        "unknown-shape"])
+        "unknown-shape", "not-an-object", "sizing-not-an-object"])
 def test_bad_investment_file_exit_code(fixtures_dir, tmp_path, capsys, content):
     inv_path = tmp_path / "inv.json"
     if content is not None:
@@ -352,6 +378,24 @@ def test_cli_import_starts_no_blas_thread():
 def test_cli_import_keeps_a_user_blas_setting():
     seen = json.loads(_fresh_python("-c", _CLI_IMPORT, OPENBLAS_NUM_THREADS="2"))
     assert seen["blas"] == "2"
+
+
+_GC_AFTER_IMPORT = """
+import gc, json
+{before}
+import dbio.cli
+print(json.dumps({{"enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}}))
+"""
+
+
+def test_cli_import_freezes_the_module_state_and_keeps_gc_on():
+    seen = json.loads(_fresh_python("-c", _GC_AFTER_IMPORT.format(before="")))
+    assert seen["enabled"] and seen["frozen"] > 0
+
+
+def test_cli_import_keeps_a_host_disabled_gc_disabled():
+    seen = json.loads(_fresh_python("-c", _GC_AFTER_IMPORT.format(before="gc.disable()")))
+    assert not seen["enabled"] and seen["frozen"] > 0
 
 
 def test_cli_run_records_the_blas_setting(tmp_path):
