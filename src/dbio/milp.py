@@ -3,12 +3,21 @@
 The planning model builds a :class:`MilpProblem`; solving goes through a
 pluggable backend chosen by the ``DBIO_SOLVER`` environment variable:
 
-* ``highs`` (default) — one call to scipy's HiGHS on the free columns
-  (``lower < upper``). A fixed column's value moves into the row bounds and
-  the objective constant, the first reduction of LP presolve, so neither
-  scipy nor HiGHS pays for it; the primal is returned full-length. A
-  problem without free binaries is solved as an LP (path ``lp``), one with
-  them by branch-and-bound (path ``highs``).
+* ``highs`` (default) — one HiGHS run on the free columns (``lower <
+  upper``). A fixed column's value moves into the row bounds and the
+  objective constant, the first reduction of LP presolve, so HiGHS never
+  pays for it; the primal is returned full-length. A problem without free
+  binaries is solved as an LP (path ``lp``), one with them by
+  branch-and-bound (path ``highs``).
+
+  HiGHS is called through the binding scipy vendors and already loads with
+  ``scipy.optimize`` (``scipy.optimize._highspy._core``, private to scipy),
+  not through ``scipy.optimize.milp``. On every call that wrapper copies the
+  arrays into a ``HighsLp`` that HiGHS copies again, creates one Python
+  object per column for the integrality, builds its options manager five
+  times and, after the solve, walks every column in Python for bound
+  marginals dbio never reads. The binding takes the CSC arrays in one
+  ``passModel`` call and returns the row duals too.
 * ``enum`` — exhaustive enumeration over binary assignments (<= 20 binaries),
   each reduced to an LP. Exists so the test suite never depends on the
   solver paths it is checking.
@@ -27,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog, milp
-from scipy.optimize import Bounds as _Bounds
-from scipy.optimize import LinearConstraint as _LinCon
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 INF = math.inf
 
@@ -299,6 +307,55 @@ class MilpProblem:
 # -- backends ----------------------------------------------------------------
 
 
+_Model = _highs.HighsModelStatus
+
+# HiGHS model status -> dbio status; any other status is a failure.
+_STATUSES = {_Model.kOptimal: OPTIMAL, _Model.kTimeLimit: TIME_LIMIT,
+             _Model.kIterationLimit: TIME_LIMIT, _Model.kInfeasible: INFEASIBLE,
+             _Model.kUnbounded: UNBOUNDED}
+
+
+@dataclass(frozen=True)
+class HighsResult:
+    """What dbio reads back from one HiGHS run."""
+
+    status: _Model
+    objective: float  # HiGHS's objective value, without a constant
+    x: np.ndarray  # the column values; empty when HiGHS holds none
+    mip_gap: float  # HiGHS reports inf for an LP
+    mip_node_count: int  # branch-and-bound nodes, 0 for an LP
+
+
+def _check(status, what):
+    if status == _highs.HighsStatus.kError:
+        raise MilpError(f"HiGHS refused {what}")
+
+
+def milp(c, *, lower, upper, row_lower, row_upper, indptr, indices, data, integrality,
+         mip_gap, time_limit) -> HighsResult:
+    """Minimize ``c @ x`` subject to ``row_lower <= A @ x <= row_upper`` and
+    ``lower <= x <= upper`` in one HiGHS run, with presolve on.
+
+    ``A`` is given column-wise (CSC ``indptr``, ``indices``, ``data``);
+    ``integrality`` is 1 for an integer column and all zeros for an LP. A
+    call HiGHS refuses (an option or the model) raises :class:`MilpError`.
+    """
+    highs = _highs._Highs()
+    for name, value in (("log_to_console", False), ("mip_rel_gap", float(mip_gap)),
+                        ("time_limit", float(time_limit))):
+        _check(highs.setOptionValue(name, value), f"option {name}={value!r}")
+    _check(highs.passModel(c.size, row_lower.size, data.size,
+                           int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize),
+                           0.0, c, lower, upper, row_lower, row_upper, indptr, indices, data,
+                           integrality.astype(np.int32)),
+           f"the model ({c.size} columns, {row_lower.size} rows)")
+    _check(highs.run(), "to run the model")
+    info = highs.getInfo()
+    return HighsResult(status=highs.getModelStatus(), objective=info.objective_function_value,
+                       x=np.array(highs.getSolution().col_value), mip_gap=info.mip_gap,
+                       mip_node_count=max(info.mip_node_count, 0))
+
+
 def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
     """One HiGHS call on the free columns: the LP when none is binary, else B&B.
 
@@ -307,7 +364,8 @@ def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
     with ``lower < upper``; the primal comes back full-length. A problem with
     no free column, or with a fixed binary off 0/1, never reaches HiGHS: its
     fixed point is ``optimal`` when every residual is at most 1e-7, else
-    ``infeasible``.
+    ``infeasible``. An LP stopped at a limit keeps no primal; a MIP keeps its
+    incumbent, if it has one.
     """
     A, lb, ub = problem.constraint_matrix()
     free = problem.lower < problem.upper
@@ -322,31 +380,26 @@ def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
         return SolveResult(status=OPTIMAL, objective=objective, primal=x, path=path)
     shift = A @ x
     constant = problem.objective_constant + float(problem.c @ x)
-    constraints = []
-    if problem.n_constraints:  # scipy hands HiGHS a CSC matrix; its columns slice cheaply
-        constraints.append(_LinCon(A.tocsc()[:, free], lb - shift, ub - shift))
+    A = A.tocsc()[:, free]  # HiGHS reads the matrix column-wise; CSC columns slice cheaply
     t0 = time.perf_counter()
-    res = milp(problem.c[free], constraints=constraints,
-               bounds=_Bounds(problem.lower[free], problem.upper[free]), integrality=integrality,
-               options={"mip_rel_gap": opts.mip_gap, "time_limit": opts.time_limit,
-                        "presolve": True, "disp": False})
+    res = milp(problem.c[free], lower=problem.lower[free], upper=problem.upper[free],
+               row_lower=lb - shift, row_upper=ub - shift, indptr=A.indptr,
+               indices=A.indices, data=A.data, integrality=integrality,
+               mip_gap=opts.mip_gap, time_limit=opts.time_limit)
     runtime = time.perf_counter() - t0
-    gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
-    if res.status == 0:
-        status = OPTIMAL if gap <= max(opts.mip_gap, 1e-9) else FEASIBLE_GAP
-    elif res.status == 1:  # time limit, with or without an incumbent
-        status = TIME_LIMIT
-    elif res.status == 2:
-        status = INFEASIBLE
-    elif res.status == 3:
-        status = UNBOUNDED
-    else:
-        raise MilpError(f"HiGHS backend failed: {res.message}")
-    primal = None
-    if res.x is not None:
+    status = _STATUSES.get(res.status)
+    if status is None:
+        raise MilpError(f"HiGHS backend failed: model status {res.status.name}")
+    mip = path == "highs"
+    kept = status == OPTIMAL or (status == TIME_LIMIT and mip and math.isfinite(res.objective))
+    gap = float(res.mip_gap) if mip and kept else 0.0
+    if status == OPTIMAL and gap > max(opts.mip_gap, 1e-9):
+        status = FEASIBLE_GAP
+    primal, objective = None, math.nan
+    if kept:
         primal = x
         primal[free] = res.x
-    objective = (float(res.fun) + constant) if res.fun is not None else math.nan
+        objective = float(res.objective) + constant
     return SolveResult(status=status, objective=objective, primal=primal,
                        achieved_gap=gap, runtime=runtime, path=path)
 

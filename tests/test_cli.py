@@ -403,3 +403,11 @@ def test_cli_run_records_the_blas_setting(tmp_path):
     _fresh_python("-m", "dbio.cli", "--scenario", str(FIXTURES / SCENARIO), "--out", str(out))
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["environment"]["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_cli_plan_run_prints_nothing_to_stdout(tmp_path):
+    # HiGHS logs to stdout unless its console log is turned off.
+    out = tmp_path / "plan"
+    assert _fresh_python("-m", "dbio.cli", "--scenario", str(FIXTURES / SCENARIO),
+                         "--mode", "plan", "--out", str(out)) == ""
+    assert (out / "report.json").exists()

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import HighsModelStatus as Status
 
 from dbio import milp
 from dbio.milp import (EQ, GE, INF, LE, BackendUnavailableError, MilpError,
@@ -192,6 +193,84 @@ def test_unbounded_detected():
     x = p.add_variable("x", -INF, INF)
     p.set_objective([(x, 1.0)])
     assert solve(p, backend="highs").status == "unbounded"
+
+
+def _fake_highs(monkeypatch, status, objective, mip_gap):
+    """Answer every HiGHS call with a fabricated result whose columns are all 1."""
+    def fake(c, **kwargs):
+        return milp.HighsResult(status=status, objective=objective, x=np.ones(c.size),
+                                mip_gap=mip_gap, mip_node_count=0)
+
+    monkeypatch.setattr(milp, "milp", fake)
+
+
+# (HiGHS status, problem, HiGHS objective, HiGHS gap, SolveOptions.mip_gap) ->
+# (status, whether the primal, objective and gap are kept). HiGHS reports an
+# LP's gap as inf; dbio reports 0.
+STATUS_TABLE = [
+    (Status.kOptimal, "lp", 5.0, INF, 0.0, "optimal", True),
+    (Status.kOptimal, "mip", 5.0, 0.0, 0.0, "optimal", True),
+    (Status.kOptimal, "mip", 5.0, 1e-9, 0.0, "optimal", True),
+    (Status.kOptimal, "mip", 5.0, 2e-9, 0.0, "feasible-gap", True),
+    (Status.kOptimal, "mip", 5.0, 0.01, 0.01, "optimal", True),
+    (Status.kOptimal, "mip", 5.0, 0.02, 0.01, "feasible-gap", True),
+    (Status.kTimeLimit, "mip", 5.0, 0.3, 0.0, "time-limit", True),
+    (Status.kTimeLimit, "mip", INF, INF, 0.0, "time-limit", False),
+    (Status.kTimeLimit, "lp", 5.0, INF, 0.0, "time-limit", False),
+    (Status.kIterationLimit, "mip", 5.0, 0.3, 0.0, "time-limit", True),
+    (Status.kIterationLimit, "mip", INF, INF, 0.0, "time-limit", False),
+    (Status.kIterationLimit, "lp", 5.0, INF, 0.0, "time-limit", False),
+    (Status.kInfeasible, "lp", 5.0, INF, 0.0, "infeasible", False),
+    (Status.kInfeasible, "mip", 5.0, 0.0, 0.0, "infeasible", False),
+    (Status.kUnbounded, "lp", 5.0, INF, 0.0, "unbounded", False),
+    (Status.kUnbounded, "mip", 5.0, 0.0, 0.0, "unbounded", False),
+]
+
+
+@pytest.mark.parametrize("highs_status, kind, objective, gap, mip_gap, expected, kept",
+                         STATUS_TABLE)
+def test_highs_status_table(monkeypatch, highs_status, kind, objective, gap, mip_gap,
+                            expected, kept):
+    p = simple_lp()[0] if kind == "lp" else fixed_charge()[0]
+    _fake_highs(monkeypatch, highs_status, objective, gap)
+    res = solve(p, SolveOptions(mip_gap=mip_gap), backend="highs")
+    assert (res.status, res.path) == (expected, "lp" if kind == "lp" else "highs")
+    if kept:
+        assert res.objective == objective and np.array_equal(res.primal, np.ones(2))
+        assert res.achieved_gap == (gap if kind == "mip" else 0.0)
+    else:
+        assert res.primal is None and math.isnan(res.objective) and res.achieved_gap == 0.0
+
+
+FAILED_STATUSES = [s for s in Status.__members__.values()
+                   if s not in {row[0] for row in STATUS_TABLE}]
+
+
+@pytest.mark.parametrize("highs_status", FAILED_STATUSES, ids=lambda s: s.name)
+def test_every_other_highs_status_is_an_error(monkeypatch, highs_status):
+    for p in (simple_lp()[0], fixed_charge()[0]):
+        _fake_highs(monkeypatch, highs_status, 5.0, 0.0)
+        with pytest.raises(MilpError, match=f"HiGHS backend failed: .*{highs_status.name}"):
+            solve(p, backend="highs")
+
+
+def _highs_args(**changes):
+    # min x + y  s.t.  x + y >= 1, 0 <= x, y <= 1: optimum 1.
+    return {"lower": np.zeros(2), "upper": np.ones(2), "row_lower": np.array([1.0]),
+            "row_upper": np.array([INF]), "indptr": np.array([0, 1, 2], dtype=np.int32),
+            "indices": np.zeros(2, dtype=np.int32), "data": np.ones(2),
+            "integrality": np.zeros(2, dtype=np.int32), "mip_gap": 0.0, "time_limit": 10.0,
+            **changes}
+
+
+def test_a_model_highs_refuses_raises():
+    res = milp.milp(np.ones(2), **_highs_args())
+    assert (res.status, res.objective, res.mip_node_count) == (Status.kOptimal, 1.0, 0)
+    # Refused, HiGHS would still "solve" the empty model: status kModelEmpty, objective 0.
+    with pytest.raises(MilpError, match=r"HiGHS refused the model \(2 columns, 1 rows\)"):
+        milp.milp(np.ones(2), **_highs_args(integrality=np.zeros(1, dtype=np.int32)))
+    with pytest.raises(MilpError, match="HiGHS refused option time_limit=-1.0"):
+        milp.milp(np.ones(2), **_highs_args(time_limit=-1.0))
 
 
 def test_objective_constant_carried():

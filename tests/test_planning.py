@@ -565,10 +565,10 @@ def test_hourly_year_hands_highs_only_the_free_columns(tmp_path, monkeypatch):
     assert (problem.n_variables, free.sum()) == (70_084, 47_816)
     seen, highs = [], milp.milp
 
-    def capture(c, *, constraints, bounds, integrality, options):
-        seen.append((c.size, constraints[0].A.shape, bounds.lb.size, integrality.size))
-        return highs(c, constraints=constraints, bounds=bounds, integrality=integrality,
-                     options=options)
+    def capture(c, **kwargs):
+        shape = (kwargs["row_lower"].size, kwargs["indptr"].size - 1)
+        seen.append((c.size, shape, kwargs["lower"].size, kwargs["integrality"].size))
+        return highs(c, **kwargs)
 
     monkeypatch.setattr(milp, "milp", capture)
     got = milp.solve(problem, OPTS)
