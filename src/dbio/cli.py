@@ -10,9 +10,11 @@ and each OpenBLAS pool's idle workers spin at start-up. Code that imported
 numpy before this module keeps the pools it already has.
 
 The cyclic garbage collector is held off while this module imports numpy,
-scipy and dbio, and the resulting module state is then frozen (``gc.freeze``)
-so that neither collections during the run nor interpreter shutdown traverse
-it again; this keeps about 0.4 MB of import-time garbage alive. A host that
+the bare ``scipy`` package (for its version) and dbio, which loads scipy's
+HiGHS extension and no other scipy package (see :mod:`dbio.milp`). The
+resulting module state is then frozen (``gc.freeze``) so that neither
+collections during the run nor interpreter shutdown traverse it again; this
+keeps about 0.2 MB of import-time garbage alive. A host that
 disabled the collector before importing this module finds it still disabled.
 """
 

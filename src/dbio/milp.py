@@ -10,14 +10,18 @@ pluggable backend chosen by the ``DBIO_SOLVER`` environment variable:
   binaries is solved as an LP (path ``lp``), one with them by
   branch-and-bound (path ``highs``).
 
-  HiGHS is called through the binding scipy vendors and already loads with
-  ``scipy.optimize`` (``scipy.optimize._highspy._core``, private to scipy),
-  not through ``scipy.optimize.milp``. On every call that wrapper copies the
-  arrays into a ``HighsLp`` that HiGHS copies again, creates one Python
-  object per column for the integrality, builds its options manager five
-  times and, after the solve, walks every column in Python for bound
-  marginals dbio never reads. The binding takes the CSC arrays in one
-  ``passModel`` call and returns the row duals too.
+  HiGHS is called through the binding scipy vendors
+  (``scipy.optimize._highspy._core``, private to scipy), not through
+  ``scipy.optimize.milp``. On every call that wrapper copies the arrays into
+  a ``HighsLp`` that HiGHS copies again, creates one Python object per column
+  for the integrality, builds its options manager five times and, after the
+  solve, walks every column in Python for bound marginals dbio never reads.
+  The binding takes the CSC arrays in one ``passModel`` call and returns the
+  row duals too. The extension is loaded from scipy's directory on its own
+  (:func:`_load_highs`): importing ``scipy.optimize`` for it would also import
+  ``scipy.sparse``, ``scipy.linalg`` and ``numpy.f2py``, about three quarters
+  of a CLI run's import time, and dbio holds its matrix as plain numpy CSR
+  arrays.
 * ``enum`` — exhaustive enumeration over binary assignments (<= 20 binaries),
   each reduced to an LP. Exists so the test suite never depends on the
   solver paths it is checking.
@@ -28,16 +32,46 @@ debugging.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
-from scipy.optimize._highspy import _core as _highs
+
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+def _load_highs(directory):
+    """The HiGHS extension ``scipy.optimize._highspy._core`` found in ``directory``.
+
+    Only the compiled module is loaded, none of the ``scipy.optimize``
+    packages around it. It is registered in ``sys.modules`` under its own
+    name, so a later ``import scipy.optimize`` reuses it (pybind11 cannot load
+    a module twice), and a module already registered there is reused here.
+    """
+    if _HIGHS in sys.modules:
+        return sys.modules[_HIGHS]
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS, [str(directory)])
+    if spec is None:
+        raise ImportError(f"no HiGHS extension {_HIGHS} in {directory}; dbio needs "
+                          "scipy>=1.17", name=_HIGHS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_HIGHS]
+        raise
+    return module
+
+
+_highs = _load_highs(os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                                  "optimize", "_highspy"))
 
 INF = math.inf
 
@@ -97,10 +131,12 @@ class MilpProblem:
     """Sparse minimize-only MILP held as arrays.
 
     Per variable: objective ``c``, bounds ``lower``/``upper`` and
-    ``integrality`` (1 = binary). Per row: the CSR matrix ``A`` and row
-    bounds ``lb <= A @ x <= ub``. Variables and rows are appended in blocks
-    (:meth:`add_variables`, :meth:`add_constraints`), each checked with one
-    vectorized pass; :meth:`add_variable` and :meth:`add_constraint` are
+    ``integrality`` (1 = binary). Per row: row bounds ``lb <= A @ x <= ub``,
+    with ``A`` held as the CSR arrays ``indptr``, ``indices`` (int32, HiGHS's
+    index width) and ``data`` in scipy's canonical layout: column ids sorted
+    within each row, explicit zeros kept. Variables and rows are appended in
+    blocks (:meth:`add_variables`, :meth:`add_constraints`), each checked with
+    one vectorized pass; :meth:`add_variable` and :meth:`add_constraint` are
     one-element blocks. A block's names may be given as a function that is
     only called for LP export and error messages. Blocks may be appended
     after a solve, as the planning model does with its charge/discharge
@@ -113,7 +149,9 @@ class MilpProblem:
         self.lower = np.zeros(0)
         self.upper = np.zeros(0)
         self.integrality = np.zeros(0, dtype=int)
-        self.A = sp.csr_matrix((0, 0))
+        self.indptr = np.zeros(1, dtype=np.int32)
+        self.indices = np.zeros(0, dtype=np.int32)
+        self.data = np.zeros(0)
         self.lb = np.zeros(0)
         self.ub = np.zeros(0)
         self.objective_constant = 0.0
@@ -146,7 +184,6 @@ class MilpProblem:
         self.lower = np.concatenate([self.lower, lower])
         self.upper = np.concatenate([self.upper, upper])
         self.integrality = np.concatenate([self.integrality, binary.astype(int)])
-        self.A.resize(self.n_constraints, self.n_variables)
         return np.arange(first, first + n)
 
     def add_variable(self, name, lower=0.0, upper=INF, binary=False) -> int:
@@ -214,8 +251,13 @@ class MilpProblem:
         rows = np.concatenate([np.repeat(r, c.shape[1]) for r, c, _ in parts])
         cols = np.concatenate([c.ravel() for _, c, _ in parts])
         data = np.concatenate([v.ravel() for _, _, v in parts])
-        block = sp.csr_matrix((data, (rows, cols)), shape=(n, n_vars))
-        self.A = sp.vstack([self.A, block], format="csr")
+        if self.data.size + data.size > np.iinfo(np.int32).max:
+            raise MilpError("constraint matrix: more entries than a 32-bit index holds")
+        order = np.lexsort((cols, rows))  # row-major, columns sorted within a row
+        ends = self.data.size + np.cumsum(np.bincount(rows, minlength=n))
+        self.indptr = np.concatenate([self.indptr, ends.astype(np.int32)])
+        self.indices = np.concatenate([self.indices, cols[order].astype(np.int32)])
+        self.data = np.concatenate([self.data, data[order]])
         self.lb = np.concatenate([self.lb, lb])
         self.ub = np.concatenate([self.ub, ub])
         self._row_names.append(names)
@@ -243,8 +285,17 @@ class MilpProblem:
         self.objective_constant = float(constant)
 
     def constraint_matrix(self):
-        """(A, lb, ub) row-bound form of all constraints."""
-        return self.A, self.lb, self.ub
+        """(indptr, indices, data, lb, ub): the CSR arrays of ``A`` and the row bounds."""
+        return self.indptr, self.indices, self.data, self.lb, self.ub
+
+    def _entry_rows(self):
+        """The row of each entry of ``A``."""
+        return np.repeat(np.arange(self.n_constraints, dtype=np.int32), np.diff(self.indptr))
+
+    def _matvec(self, x):
+        """``A @ x``, each row summed in entry order as scipy's CSR product does."""
+        return np.bincount(self._entry_rows(), weights=self.data * x[self.indices],
+                           minlength=self.n_constraints)
 
     # -- evaluation and export ---------------------------------------------
 
@@ -258,7 +309,7 @@ class MilpProblem:
         if primal.shape != (self.n_variables,):
             raise MilpError(
                 f"assignment covers {primal.size} variables, expected {self.n_variables}")
-        lhs = self.A @ primal
+        lhs = self._matvec(primal)
         residuals = np.maximum(np.maximum(self.lb - lhs, lhs - self.ub), 0.0)
         return residuals, float(self.c @ primal) + self.objective_constant
 
@@ -279,10 +330,10 @@ class MilpProblem:
             parts.append(term(self.objective_constant, "", not parts).rstrip())
         lines[-1] += " " + (" ".join(parts) if parts else "0")
         lines.append("Subject To")
-        A = self.A
+        indptr, indices, data = self.indptr, self.indices, self.data
         for r, name in enumerate(_names(self._row_names)):
-            body = [term(A.data[e], var[A.indices[e]], e == A.indptr[r])
-                    for e in range(A.indptr[r], A.indptr[r + 1])]
+            body = [term(data[e], var[indices[e]], e == indptr[r])
+                    for e in range(indptr[r], indptr[r + 1])]
             lo, hi = self.lb[r], self.ub[r]
             op, rhs = (EQ, lo) if lo == hi else (LE, hi) if lo == -INF else (GE, lo)
             lines.append(f" {name}: {' '.join(body) or '0'} {op} {rhs:.17g}")
@@ -367,7 +418,7 @@ def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
     ``infeasible``. An LP stopped at a limit keeps no primal; a MIP keeps its
     incumbent, if it has one.
     """
-    A, lb, ub = problem.constraint_matrix()
+    indptr, indices, data, lb, ub = problem.constraint_matrix()
     free = problem.lower < problem.upper
     x = np.where(free, 0.0, problem.lower)  # the fixed columns at their value
     integrality = problem.integrality[free]
@@ -378,14 +429,20 @@ def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
         if off_binary or residuals.max(initial=0.0) > 1e-7:
             return SolveResult(status=INFEASIBLE, objective=math.nan, primal=None, path=path)
         return SolveResult(status=OPTIMAL, objective=objective, primal=x, path=path)
-    shift = A @ x
+    shift = problem._matvec(x)
     constant = problem.objective_constant + float(problem.c @ x)
-    A = A.tocsc()[:, free]  # HiGHS reads the matrix column-wise; CSC columns slice cheaply
+    # HiGHS reads the matrix column-wise (CSC): the free columns' entries,
+    # renumbered, ordered by column with rows ascending within each.
+    kept = free[indices]
+    cols = (np.cumsum(free) - 1)[indices[kept]]
+    order = np.argsort(cols, kind="stable")  # stable: CSR order is row order
+    col_ptr = np.zeros(np.count_nonzero(free) + 1, dtype=np.int32)
+    col_ptr[1:] = np.cumsum(np.bincount(cols, minlength=col_ptr.size - 1))
     t0 = time.perf_counter()
     res = milp(problem.c[free], lower=problem.lower[free], upper=problem.upper[free],
-               row_lower=lb - shift, row_upper=ub - shift, indptr=A.indptr,
-               indices=A.indices, data=A.data, integrality=integrality,
-               mip_gap=opts.mip_gap, time_limit=opts.time_limit)
+               row_lower=lb - shift, row_upper=ub - shift, indptr=col_ptr,
+               indices=problem._entry_rows()[kept][order], data=data[kept][order],
+               integrality=integrality, mip_gap=opts.mip_gap, time_limit=opts.time_limit)
     runtime = time.perf_counter() - t0
     status = _STATUSES.get(res.status)
     if status is None:
@@ -405,13 +462,21 @@ def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
 
 
 def _enum_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
-    """Exhaustive enumeration over binary assignments; LP per assignment."""
+    """Exhaustive enumeration over binary assignments; LP per assignment.
+
+    The test suite's oracle, so scipy's sparse matrices and ``linprog`` are
+    imported here, not when a run starts.
+    """
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     bin_idx = problem.binary_indices
     if len(bin_idx) > 20:
         raise BackendUnavailableError(
             f"enumeration backend limited to 20 binaries, problem has {len(bin_idx)}")
     c = problem.c
-    A, lb, ub = problem.constraint_matrix()
+    indptr, indices, data, lb, ub = problem.constraint_matrix()
+    A = sp.csr_matrix((data, indices, indptr), shape=(problem.n_constraints, problem.n_variables))
     A_ub = sp.vstack([A, -A]).tocsr()
     b_ub_base = np.concatenate([ub, -lb])
     finite = np.isfinite(b_ub_base)

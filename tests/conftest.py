@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dbio import milp
 from dbio.planning import build_integrated, extract_solution, solve_dispatch
@@ -54,6 +55,13 @@ def write_sizing_doc(tmp_path, edit):
     for f in ("load_deficit_24.csv", "pv_zero_24.csv"):
         (tmp_path / f).write_text((FIXTURES / f).read_text())
     return path
+
+
+def constraint_csr(problem):
+    """A problem's constraint matrix as a scipy CSR matrix over its own arrays."""
+    indptr, indices, data, _, _ = problem.constraint_matrix()
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(problem.n_constraints, problem.n_variables))
 
 
 def solve_plan(scenario, mip_gap=None):

@@ -380,6 +380,50 @@ def test_cli_import_keeps_a_user_blas_setting():
     assert seen["blas"] == "2"
 
 
+_IMPORT_ORDER = """
+import json, sys
+import {first}
+import {second}
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp as scipy_milp
+from dbio import milp
+
+# Producing x costs a 10-unit commitment u; x >= 2 forces u = 1: objective 12.
+p = milp.MilpProblem()
+u = p.add_variable("u", 0, 1, binary=True)
+x = p.add_variable("x", 0.0, 5.0)
+p.add_constraint([(x, 1.0), (u, -5.0)], milp.LE, 0.0)
+p.add_constraint([(x, 1.0)], milp.GE, 2.0)
+p.set_objective([(x, 1.0), (u, 10.0)])
+ref = scipy_milp([10.0, 1.0], integrality=[1, 0], bounds=Bounds([0, 0], [1, 5]),
+                 constraints=LinearConstraint([[-5.0, 1.0], [0.0, 1.0]], [-np.inf, 2.0],
+                                              [0.0, np.inf]))
+print(json.dumps({{"dbio": milp.solve(p, backend="highs").objective, "scipy": ref.fun,
+                  "shared": milp._highs is sys.modules["scipy.optimize._highspy._core"]}}))
+"""
+
+
+@pytest.mark.parametrize("first, second", [("dbio.milp", "scipy.optimize"),
+                                           ("scipy.optimize", "dbio.milp")],
+                         ids=["dbio-first", "scipy-first"])
+def test_dbio_and_scipy_share_one_highs_extension(first, second):
+    seen = json.loads(_fresh_python("-c", _IMPORT_ORDER.format(first=first, second=second)))
+    assert seen == {"dbio": pytest.approx(12.0), "scipy": pytest.approx(12.0), "shared": True}
+
+
+def test_cli_import_loads_no_scipy_package_but_the_highs_extension():
+    loaded = _fresh_python("-c", "import sys, dbio.cli; print(*sys.modules)").split()
+
+    def under(package, module):
+        return module == package or module.startswith(package + ".")
+
+    stray = [m for m in loaded
+             if any(under(pkg, m) for pkg in ("scipy.sparse", "scipy.linalg", "numpy.f2py"))
+             or (under("scipy.optimize", m) and not under("scipy.optimize._highspy", m))]
+    assert stray == []
+    assert "scipy.optimize._highspy._core" in loaded
+
+
 _GC_AFTER_IMPORT = """
 import gc, json
 {before}

@@ -1,14 +1,20 @@
 """MILP container, both solver backends, evaluation, and LP export."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize._highspy._core import HighsModelStatus as Status
 
 from dbio import milp
 from dbio.milp import (EQ, GE, INF, LE, BackendUnavailableError, MilpError,
                        MilpProblem, SolveOptions, solve)
+
+from conftest import constraint_csr
 
 BACKENDS = ("highs", "enum")
 
@@ -291,6 +297,65 @@ def test_evaluate_residuals():
     residuals, obj = p.evaluate([1.0, 1.0])
     np.testing.assert_allclose(residuals, [0.0, 0.5, 2.0])
     assert obj == pytest.approx(3.0)
+
+
+_COEFS = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_csr_arrays_are_scipys_canonical_layout(data):
+    # Row blocks with rows out of position order, terms out of column order,
+    # empty rows, explicit zeros and variables added between blocks.
+    p = MilpProblem()
+    rows, cols, vals = [], [], []
+    for _ in range(data.draw(st.integers(1, 4), label="blocks")):
+        p.add_variables(data.draw(st.integers(0, 4)), -INF, INF, names=lambda: [])
+        if p.n_variables == 0:
+            continue
+        n = data.draw(st.integers(1, 5), label="rows")
+        positions = data.draw(st.permutations(range(n)))
+        families = []
+        for k in positions:
+            ids = data.draw(st.lists(st.integers(0, p.n_variables - 1), unique=True,
+                                     max_size=p.n_variables))
+            coefs = data.draw(st.lists(_COEFS, min_size=len(ids), max_size=len(ids)))
+            sense = data.draw(st.sampled_from([LE, EQ, GE]))
+            families.append((f"f{k}", [k], list(zip(ids, coefs)), sense,
+                             data.draw(st.floats(-10, 10))))
+            rows += [p.n_constraints + k] * len(ids)
+            cols += ids
+            vals += coefs
+        p.add_constraints(families, names=lambda: [f"r{i}" for i in range(n)])
+    want = sp.csr_matrix((np.array(vals, dtype=float), (rows, cols)),
+                         shape=(p.n_constraints, p.n_variables))
+    indptr, indices, values, lb, ub = p.constraint_matrix()
+    for got, ref in ((indptr, want.indptr), (indices, want.indices), (values, want.data)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    x = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=p.n_variables,
+                                    max_size=p.n_variables)))
+    lhs = want @ x
+    residuals, _ = p.evaluate(x)
+    assert residuals.tobytes() == np.maximum(np.maximum(lb - lhs, lhs - ub), 0.0).tobytes()
+
+
+def test_rows_sum_in_column_order():
+    # 1 + 1e16 - 1e16 is 0 summed in column order, 1 in the order given.
+    p = MilpProblem()
+    p.add_variables(3, -INF, INF, names=["a", "b", "c"])
+    p.add_constraint([(2, 1.0), (1, 1.0), (0, 1.0)], EQ, 0.0)
+    x = np.array([1.0, 1e16, -1e16])
+    assert p.evaluate(x)[0].tolist() == [0.0]
+    assert (p._matvec(x) == constraint_csr(p) @ x).all()
+
+
+def test_highs_loader_names_the_directory_it_searched(monkeypatch, tmp_path):
+    assert milp._load_highs(tmp_path) is milp._highs  # a registered module is reused
+    monkeypatch.delitem(sys.modules, milp._HIGHS)
+    with pytest.raises(ImportError) as err:
+        milp._load_highs(tmp_path)
+    assert str(tmp_path) in str(err.value) and "scipy>=1.17" in str(err.value)
+    assert milp._HIGHS not in sys.modules
 
 
 def test_evaluate_rejects_wrong_length():

@@ -18,8 +18,8 @@ from dbio.scenario import BessParams, CderParams, load_scenario, representative_
 from dbio.sizing import probe
 from dbio.validation import validate
 
-from conftest import (FIXTURES, check_dispatch_invariants, make_scenario, solve_plan,
-                      write_sizing_doc)
+from conftest import (FIXTURES, check_dispatch_invariants, constraint_csr, make_scenario,
+                      solve_plan, write_sizing_doc)
 
 OPTS = milp.SolveOptions(mip_gap=0.0, time_limit=300.0)
 
@@ -399,9 +399,9 @@ SEED_SOLVER_INPUT = {
 
 
 def _solver_input_digest(problem):
-    A, lb, ub = problem.constraint_matrix()
+    indptr, indices, data, lb, ub = problem.constraint_matrix()
     h = hashlib.sha256()
-    for a in (A.indptr, A.indices, A.data, lb, ub, problem.c, problem.lower,
+    for a in (indptr, indices, data, lb, ub, problem.c, problem.lower,
               problem.upper, problem.integrality):
         a = np.ascontiguousarray(a)
         h.update(f"{a.dtype.str}{a.shape}".encode())
@@ -458,7 +458,7 @@ def test_solver_input_matches_seed_builder(case):
     # while it is free, and 4 in the commitment rows; 2 per einit row and per
     # cyclic row.
     Y, D, T = index.shape
-    A = problem.constraint_matrix()[0]
+    A = constraint_csr(problem)
     free_caps, free_bess = {"integrated": (1, 1), "pinned": (1, 0), "single_year": (0, 0)}[mode]
     per_hour = 12 + 4 * free_caps + 8 * free_bess + 4 * bool(problem.binary_indices.size)
     assert A.nnz == per_hour * Y * D * T + 4 * free_bess + 2 * Y * D * sc.cfg.cyclic_soc
@@ -475,7 +475,7 @@ def test_pinned_size_is_read_only_by_the_balance(case):
     # but the power balance's PV term.
     fixture, mode = case.split("/")
     problem, index = _build_mode(_scenario(fixture), mode)
-    A = problem.constraint_matrix()[0].tocsc()
+    A = constraint_csr(problem).tocsc()
     rows = milp._names(problem._row_names)
     pinned = [k for k in ("s_pv", "s_bess", "p_cder_max")
               if problem.lower[index.scalars[k]] == problem.upper[index.scalars[k]]]
@@ -547,7 +547,7 @@ def test_fixture_solves_equal_the_exclusion_model(request, prefix):
 def _all_columns_solve(problem, opts):
     """The solver input before fixed columns left it: scipy's HiGHS on every column."""
     res = optimize.milp(problem.c, constraints=[optimize.LinearConstraint(
-                            *problem.constraint_matrix())],
+                            constraint_csr(problem), problem.lb, problem.ub)],
                         bounds=optimize.Bounds(problem.lower, problem.upper),
                         integrality=problem.integrality,
                         options={"mip_rel_gap": opts.mip_gap, "time_limit": opts.time_limit,

@@ -9,7 +9,7 @@ from dbio.planning import InvestmentDecision, build_integrated
 from dbio.scenario import CycleLifeCurveSpec, load_scenario
 from dbio.validation import compute_eue, initial_state, validate
 
-from conftest import FIXTURES
+from conftest import FIXTURES, constraint_csr
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,7 @@ def test_plan_and_first_validation_year_charge_at_one_efficiency(fixture):
     problem, index = build_integrated(sc)
     # A p_chg column holds -1 (balance), 1 (chg_rate) and the energy-tracking
     # charge coefficient, -efficiency.
-    cols = problem.constraint_matrix()[0].tocsc()[:, index.series["p_chg"].ravel()]
+    cols = constraint_csr(problem).tocsc()[:, index.series["p_chg"].ravel()]
     charge = cols.data[np.abs(cols.data) != 1.0]
     assert charge.size == index.series["p_chg"].size
     eta = initial_state(sc, InvestmentDecision(0.0, 1.0, 0.0)).eta_bess
