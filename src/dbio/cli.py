@@ -1,8 +1,7 @@
 """Command-line entry point: plan, validate, or size a microgrid scenario.
 
 Progress goes to stderr, one line per solve/iteration; machine-readable
-results only land in files under the output directory. The solver backend is
-selected with the ``DBIO_SOLVER`` environment variable (default: highs).
+results only land in files under the output directory.
 
 A run sets ``OPENBLAS_NUM_THREADS=1`` unless the environment already sets it,
 before numpy and scipy are imported: dbio gives BLAS no work worth a thread,
@@ -121,7 +120,6 @@ def write_manifest(args, out_dir: Path, converged=True):
         "mip_gap_override": args.mip_gap,
         "time_limit_override": args.time_limit,
         "cyclic_soc_disabled": args.no_cyclic_soc,
-        "solver_backend": milp.default_backend(),
         "converged": converged,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "tool_version": __version__,

@@ -1,30 +1,23 @@
-"""Abstract mixed-integer linear program representation and solver backends.
+"""Abstract mixed-integer linear program representation and its HiGHS solve.
 
-The planning model builds a :class:`MilpProblem`; solving goes through a
-pluggable backend chosen by the ``DBIO_SOLVER`` environment variable:
+The planning model builds a :class:`MilpProblem`; :func:`solve` runs HiGHS
+once on its free columns (``lower < upper``). A fixed column's value moves
+into the row bounds and the objective constant, the first reduction of LP
+presolve, so HiGHS never pays for it; the primal is returned full-length. A
+problem without free binaries is solved as an LP (path ``lp``), one with them
+by branch-and-bound (path ``highs``).
 
-* ``highs`` (default) — one HiGHS run on the free columns (``lower <
-  upper``). A fixed column's value moves into the row bounds and the
-  objective constant, the first reduction of LP presolve, so HiGHS never
-  pays for it; the primal is returned full-length. A problem without free
-  binaries is solved as an LP (path ``lp``), one with them by
-  branch-and-bound (path ``highs``).
-
-  HiGHS is called through the binding scipy vendors
-  (``scipy.optimize._highspy._core``, private to scipy), not through
-  ``scipy.optimize.milp``. On every call that wrapper copies the arrays into
-  a ``HighsLp`` that HiGHS copies again, creates one Python object per column
-  for the integrality, builds its options manager five times and, after the
-  solve, walks every column in Python for bound marginals dbio never reads.
-  The binding takes the CSC arrays in one ``passModel`` call and returns the
-  row duals too. The extension is loaded from scipy's directory on its own
-  (:func:`_load_highs`): importing ``scipy.optimize`` for it would also import
-  ``scipy.sparse``, ``scipy.linalg`` and ``numpy.f2py``, about three quarters
-  of a CLI run's import time, and dbio holds its matrix as plain numpy CSR
-  arrays.
-* ``enum`` — exhaustive enumeration over binary assignments (<= 20 binaries),
-  each reduced to an LP. Exists so the test suite never depends on the
-  solver paths it is checking.
+HiGHS is called through the binding scipy vendors
+(``scipy.optimize._highspy._core``, private to scipy), not through
+``scipy.optimize.milp``. On every call that wrapper copies the arrays into a
+``HighsLp`` that HiGHS copies again, creates one Python object per column for
+the integrality, builds its options manager five times and, after the solve,
+walks every column in Python for bound marginals dbio never reads. The binding
+takes the CSC arrays in one ``passModel`` call and returns the row duals too.
+The extension is loaded from scipy's directory on its own (:func:`_load_highs`):
+importing ``scipy.optimize`` for it would also import ``scipy.sparse``,
+``scipy.linalg`` and ``numpy.f2py``, about three quarters of a CLI run's
+import time, and dbio holds its matrix as plain numpy CSR arrays.
 
 An optional export to the industry-standard LP text format is provided for
 debugging.
@@ -34,7 +27,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import itertools
 import math
 import os
 import sys
@@ -83,10 +75,6 @@ class MilpError(RuntimeError):
     pass
 
 
-class BackendUnavailableError(MilpError):
-    """Requested solver backend cannot be used (missing or unsuitable)."""
-
-
 @dataclass(frozen=True)
 class SolveOptions:
     """Per-solve settings; a scenario's ``solver`` section."""
@@ -115,7 +103,7 @@ class SolveResult:
     primal: np.ndarray | None
     achieved_gap: float = 0.0
     runtime: float = 0.0  # seconds, every solver call of the solve together
-    path: str = "highs"  # what produced the answer: lp, highs (B&B) or enum
+    path: str = "highs"  # what produced the answer: lp or highs (B&B)
 
     @property
     def has_solution(self):
@@ -211,10 +199,13 @@ class MilpProblem:
         position ``rows[k]`` reads ``sum(coef * var) sense rhs[k]`` over
         ``terms = [(var_ids, coefs), ...]``. ``var_ids``, ``coefs`` and
         ``rhs`` broadcast against ``rows``. Together the families fill
-        positions ``0 .. n-1`` of the block once each. ``names`` is a list of
-        the block's row names or a function returning one.
+        positions ``0 .. n-1`` of the block once each; no family appends no
+        row. ``names`` is a list of the block's row names or a function
+        returning one.
         """
         first, n_vars = self.n_constraints, self.n_variables
+        if not families:
+            return np.arange(first, first)
         n = sum(np.size(f[1]) for f in families)
         lb, ub = np.empty(n), np.empty(n)
         parts = []  # (rows, cols, coefs) per family, cols and coefs (k, terms)
@@ -355,7 +346,7 @@ class MilpProblem:
             fh.write(self.to_lp_string())
 
 
-# -- backends ----------------------------------------------------------------
+# -- solving -----------------------------------------------------------------
 
 
 _Model = _highs.HighsModelStatus
@@ -407,7 +398,7 @@ def milp(c, *, lower, upper, row_lower, row_upper, indptr, indices, data, integr
                        mip_node_count=max(info.mip_node_count, 0))
 
 
-def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
+def solve(problem: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
     """One HiGHS call on the free columns: the LP when none is binary, else B&B.
 
     A column with ``lower == upper`` is fixed. Its value moves into the row
@@ -416,8 +407,11 @@ def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
     no free column, or with a fixed binary off 0/1, never reaches HiGHS: its
     fixed point is ``optimal`` when every residual is at most 1e-7, else
     ``infeasible``. An LP stopped at a limit keeps no primal; a MIP keeps its
-    incumbent, if it has one.
+    incumbent, if it has one. Non-optimal statuses are reported in the
+    result, never silently dropped; a HiGHS status outside that set raises
+    :class:`MilpError`.
     """
+    opts = opts or SolveOptions()
     indptr, indices, data, lb, ub = problem.constraint_matrix()
     free = problem.lower < problem.upper
     x = np.where(free, 0.0, problem.lower)  # the fixed columns at their value
@@ -446,7 +440,7 @@ def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
     runtime = time.perf_counter() - t0
     status = _STATUSES.get(res.status)
     if status is None:
-        raise MilpError(f"HiGHS backend failed: model status {res.status.name}")
+        raise MilpError(f"HiGHS failed: model status {res.status.name}")
     mip = path == "highs"
     kept = status == OPTIMAL or (status == TIME_LIMIT and mip and math.isfinite(res.objective))
     gap = float(res.mip_gap) if mip and kept else 0.0
@@ -461,79 +455,6 @@ def _highs_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
                        achieved_gap=gap, runtime=runtime, path=path)
 
 
-def _enum_solve(problem: MilpProblem, opts: SolveOptions) -> SolveResult:
-    """Exhaustive enumeration over binary assignments; LP per assignment.
-
-    The test suite's oracle, so scipy's sparse matrices and ``linprog`` are
-    imported here, not when a run starts.
-    """
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
-
-    bin_idx = problem.binary_indices
-    if len(bin_idx) > 20:
-        raise BackendUnavailableError(
-            f"enumeration backend limited to 20 binaries, problem has {len(bin_idx)}")
-    c = problem.c
-    indptr, indices, data, lb, ub = problem.constraint_matrix()
-    A = sp.csr_matrix((data, indices, indptr), shape=(problem.n_constraints, problem.n_variables))
-    A_ub = sp.vstack([A, -A]).tocsr()
-    b_ub_base = np.concatenate([ub, -lb])
-    finite = np.isfinite(b_ub_base)
-    A_ub = A_ub[finite]
-    b_ub_base = b_ub_base[finite]
-
-    t0 = time.perf_counter()
-    best = None
-    any_feasible = False
-    for combo in itertools.product((0.0, 1.0), repeat=len(bin_idx)):
-        lo = problem.lower.copy()
-        hi = problem.upper.copy()
-        skip = False
-        for i, v in zip(bin_idx, combo):
-            if v < lo[i] - 1e-12 or v > hi[i] + 1e-12:
-                skip = True
-                break
-            lo[i] = hi[i] = v
-        if skip:
-            continue
-        res = linprog(c, A_ub=A_ub, b_ub=b_ub_base,
-                      bounds=np.column_stack([lo, hi]), method="highs")
-        if res.status == 3:
-            return SolveResult(status=UNBOUNDED, objective=-INF, primal=None,
-                               runtime=time.perf_counter() - t0, path="enum")
-        if res.status != 0:
-            continue
-        any_feasible = True
-        if best is None or res.fun < best.fun:
-            best = res
-    runtime = time.perf_counter() - t0
-    if not any_feasible:
-        return SolveResult(status=INFEASIBLE, objective=math.nan, primal=None,
-                           runtime=runtime, path="enum")
-    return SolveResult(status=OPTIMAL,
-                       objective=float(best.fun) + problem.objective_constant,
-                       primal=np.asarray(best.x), achieved_gap=0.0, runtime=runtime,
-                       path="enum")
-
-
-_BACKENDS = {"highs": _highs_solve, "enum": _enum_solve}
-
-
 def default_backend() -> str:
-    return os.environ.get("DBIO_SOLVER", "highs").lower()
-
-
-def solve(problem: MilpProblem, opts: SolveOptions | None = None,
-          backend: str | None = None) -> SolveResult:
-    """Solve a MILP with the selected backend.
-
-    Non-optimal statuses are reported in the result, never silently dropped;
-    an unknown backend name raises :class:`BackendUnavailableError`.
-    """
-    opts = opts or SolveOptions()
-    name = (backend or default_backend()).lower()
-    if name not in _BACKENDS:
-        raise BackendUnavailableError(
-            f"unknown solver backend {name!r}; available: {sorted(_BACKENDS)}")
-    return _BACKENDS[name](problem, opts)
+    # Read only by perfbench/child.py, for its environment record.
+    return "highs"

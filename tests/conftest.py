@@ -1,12 +1,14 @@
 """Shared fixtures: scenario loaders, cached plan solves, invariant checks."""
 
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from dbio import milp
 from dbio.planning import build_integrated, extract_solution, solve_dispatch
@@ -62,6 +64,41 @@ def constraint_csr(problem):
     indptr, indices, data, _, _ = problem.constraint_matrix()
     return sp.csr_matrix((data, indices, indptr),
                          shape=(problem.n_constraints, problem.n_variables))
+
+
+def enum_solve(problem):
+    """The oracle: exhaustive enumeration over binary assignments, one LP each.
+
+    Independent of :func:`dbio.milp.solve`: every assignment of at most 20
+    binaries is fixed in the bounds and solved with ``linprog``, on every
+    column. The best objective wins; the result's path is ``enum``.
+    """
+    bin_idx = problem.binary_indices
+    assert len(bin_idx) <= 20, f"enumeration limited to 20 binaries, got {len(bin_idx)}"
+    A = constraint_csr(problem)
+    A_ub = sp.vstack([A, -A]).tocsr()
+    b_ub = np.concatenate([problem.ub, -problem.lb])
+    finite = np.isfinite(b_ub)
+    A_ub, b_ub = A_ub[finite], b_ub[finite]
+    best = None
+    for combo in itertools.product((0.0, 1.0), repeat=len(bin_idx)):
+        lo, hi = problem.lower.copy(), problem.upper.copy()
+        if any(v < lo[i] - 1e-12 or v > hi[i] + 1e-12 for i, v in zip(bin_idx, combo)):
+            continue
+        lo[bin_idx] = hi[bin_idx] = combo
+        res = linprog(problem.c, A_ub=A_ub, b_ub=b_ub, bounds=np.column_stack([lo, hi]),
+                      method="highs")
+        if res.status == 3:
+            return milp.SolveResult(status=milp.UNBOUNDED, objective=-milp.INF, primal=None,
+                                    path="enum")
+        if res.status == 0 and (best is None or res.fun < best.fun):
+            best = res
+    if best is None:
+        return milp.SolveResult(status=milp.INFEASIBLE, objective=np.nan, primal=None,
+                                path="enum")
+    return milp.SolveResult(status=milp.OPTIMAL,
+                            objective=float(best.fun) + problem.objective_constant,
+                            primal=np.asarray(best.x), path="enum")
 
 
 def solve_plan(scenario, mip_gap=None):

@@ -253,9 +253,9 @@ def test_solver_overrides_reach_every_solve(fixtures_dir, tmp_path, monkeypatch)
     seen = []
     real_solve = milp.solve
 
-    def recording_solve(problem, opts=None, backend=None):
+    def recording_solve(problem, opts=None):
         seen.append((problem.name, opts))
-        return real_solve(problem, opts, backend)
+        return real_solve(problem, opts)
 
     monkeypatch.setattr(milp, "solve", recording_solve)
     assert run(["--scenario", fixtures_dir / SCENARIO, "--out", tmp_path / "size",
@@ -307,9 +307,9 @@ def test_size_mode_validates_each_probe_once(fixtures_dir, tmp_path, monkeypatch
     names = []
     real_solve = milp.solve
 
-    def recording_solve(problem, opts=None, backend=None):
+    def recording_solve(problem, opts=None):
         names.append(problem.name)
-        return real_solve(problem, opts, backend)
+        return real_solve(problem, opts)
 
     monkeypatch.setattr(milp, "solve", recording_solve)
     out = tmp_path / "size"
@@ -398,7 +398,7 @@ p.set_objective([(x, 1.0), (u, 10.0)])
 ref = scipy_milp([10.0, 1.0], integrality=[1, 0], bounds=Bounds([0, 0], [1, 5]),
                  constraints=LinearConstraint([[-5.0, 1.0], [0.0, 1.0]], [-np.inf, 2.0],
                                               [0.0, np.inf]))
-print(json.dumps({{"dbio": milp.solve(p, backend="highs").objective, "scipy": ref.fun,
+print(json.dumps({{"dbio": milp.solve(p).objective, "scipy": ref.fun,
                   "shared": milp._highs is sys.modules["scipy.optimize._highspy._core"]}}))
 """
 

@@ -1,4 +1,4 @@
-"""MILP container, both solver backends, evaluation, and LP export."""
+"""MILP container, the HiGHS solve against the enumeration oracle, evaluation, and LP export."""
 
 import math
 import sys
@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from scipy.optimize._highspy._core import HighsModelStatus as Status
 
 from dbio import milp
-from dbio.milp import (EQ, GE, INF, LE, BackendUnavailableError, MilpError,
-                       MilpProblem, SolveOptions, solve)
+from dbio.milp import EQ, GE, INF, LE, MilpError, MilpProblem, SolveOptions, solve
 
-from conftest import constraint_csr
+from conftest import constraint_csr, enum_solve
 
-BACKENDS = ("highs", "enum")
+SOLVERS = pytest.mark.parametrize("solver", (solve, enum_solve), ids=("highs", "enum"))
 
 
 def simple_lp():
@@ -30,11 +29,11 @@ def simple_lp():
     return p, x, y
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_lp_optimum(backend):
+@SOLVERS
+def test_lp_optimum(solver):
     p, x, y = simple_lp()
-    res = solve(p, backend=backend)
-    assert (res.status, res.path) == ("optimal", "lp" if backend == "highs" else "enum")
+    res = solver(p)
+    assert (res.status, res.path) == ("optimal", "lp" if solver is solve else "enum")
     assert res.objective == pytest.approx(3.0, abs=1e-9)
     assert res.primal[x] == pytest.approx(3.0, abs=1e-9)
     assert res.primal[y] == pytest.approx(0.0, abs=1e-9)
@@ -52,10 +51,10 @@ def fixed_charge():
     return p, u
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_small_milp_optimum(backend):
+@SOLVERS
+def test_small_milp_optimum(solver):
     p, u = fixed_charge()
-    res = solve(p, backend=backend)
+    res = solver(p)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(12.0, abs=1e-6)
     assert res.primal[u] == pytest.approx(1.0, abs=1e-6)
@@ -63,9 +62,9 @@ def test_small_milp_optimum(backend):
 
 def test_fractional_relaxation_falls_back_to_branch_and_bound():
     p, u = fixed_charge()
-    res = solve(p, backend="highs")
+    res = solve(p)
     assert res.path == "highs" and res.status == "optimal"
-    assert res.objective == pytest.approx(solve(p, backend="enum").objective, abs=1e-6)
+    assert res.objective == pytest.approx(enum_solve(p).objective, abs=1e-6)
     assert res.primal[u] == 1.0
 
 
@@ -80,7 +79,7 @@ def test_tiny_time_limit_ends_as_branch_and_bound_does(problem, expected):
         b = p.add_variable("b", 0, 1, binary=True)
         p.add_constraint([(b, 1.0)], GE, 2.0)
     # Stopped before any incumbent, HiGHS reports the limit with no solution.
-    res = solve(p, SolveOptions(time_limit=1e-9), backend="highs")
+    res = solve(p, SolveOptions(time_limit=1e-9))
     assert res.status == expected and not res.has_solution
 
 
@@ -97,8 +96,8 @@ def test_backends_agree_on_random_milps():
             p.add_constraint(list(zip(allv, coefs)), LE, float(rng.integers(1, 8)))
         obj = rng.integers(-5, 6, size=len(allv)).astype(float)
         p.set_objective(list(zip(allv, obj)))
-        a = solve(p, backend="highs")
-        b = solve(p, backend="enum")
+        a = solve(p)
+        b = enum_solve(p)
         assert (a.path, a.status, b.status) == ("highs", "optimal", "optimal")
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
 
@@ -142,11 +141,11 @@ def _forbid_highs(monkeypatch):
 def test_fixed_columns_leave_the_solver_input(monkeypatch, fix_u):
     p = fixed_columns(fix_u)
     calls = _capture_highs(monkeypatch)
-    res = solve(p, backend="highs")
+    res = solve(p)
     free = p.lower < p.upper
     assert calls == [free.sum()] == [2 - fix_u]
     assert (res.status, res.path) == ("optimal", "lp" if fix_u else "highs")
-    assert res.objective == pytest.approx(solve(p, backend="enum").objective, rel=1e-9)
+    assert res.objective == pytest.approx(enum_solve(p).objective, rel=1e-9)
     assert res.objective == pytest.approx(22.0, rel=1e-9)
     assert res.primal.shape == (p.n_variables,)
     assert np.array_equal(res.primal[~free], p.lower[~free])
@@ -155,9 +154,9 @@ def test_fixed_columns_leave_the_solver_input(monkeypatch, fix_u):
 def test_row_violated_by_fixed_columns_alone_is_infeasible():
     p = fixed_columns()
     p.add_constraint([(3, 1.0)], GE, 1.6, "fixed_short")  # z = 1.5
-    for backend in BACKENDS:
-        res = solve(p, backend=backend)
-        assert res.status == "infeasible" and not res.has_solution, backend
+    for solver in (solve, enum_solve):
+        res = solver(p)
+        assert res.status == "infeasible" and not res.has_solution, solver
 
 
 @pytest.mark.parametrize("rhs, expected", [(2.5, "optimal"), (2.5 + 5e-8, "optimal"),
@@ -167,38 +166,38 @@ def test_all_fixed_problem_never_reaches_highs(monkeypatch, rhs, expected):
     p = fixed_columns(fix_u=True)
     p.lower[2] = p.upper[2] = 2.0  # x
     p.add_constraint([(1, 1.0), (3, 1.0)], EQ, rhs, "fixed_eq")  # v + z = 2.5
-    res = solve(p, backend="highs")
+    res = solve(p)
     assert (res.status, res.path) == (expected, "lp")
     if expected == "optimal":
         assert res.objective == 22.0
         assert np.array_equal(res.primal, p.lower)
     else:
         assert res.primal is None and math.isnan(res.objective)
-        assert solve(p, backend="enum").status == "infeasible"
+        assert enum_solve(p).status == "infeasible"
 
 
 def test_fixed_binary_off_zero_one_is_infeasible(monkeypatch):
     _forbid_highs(monkeypatch)
     p = fixed_columns()
     p.lower[1] = p.upper[1] = 0.5  # v
-    for backend in BACKENDS:
-        assert solve(p, backend=backend).status == "infeasible", backend
+    for solver in (solve, enum_solve):
+        assert solver(p).status == "infeasible", solver
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_infeasible_detected(backend):
+@SOLVERS
+def test_infeasible_detected(solver):
     p = MilpProblem()
     x = p.add_variable("x", 0.0, 1.0)
     p.add_constraint([(x, 1.0)], GE, 2.0)
     p.set_objective([(x, 1.0)])
-    assert solve(p, backend=backend).status == "infeasible"
+    assert solver(p).status == "infeasible"
 
 
 def test_unbounded_detected():
     p = MilpProblem()
     x = p.add_variable("x", -INF, INF)
     p.set_objective([(x, 1.0)])
-    assert solve(p, backend="highs").status == "unbounded"
+    assert solve(p).status == "unbounded"
 
 
 def _fake_highs(monkeypatch, status, objective, mip_gap):
@@ -239,7 +238,7 @@ def test_highs_status_table(monkeypatch, highs_status, kind, objective, gap, mip
                             expected, kept):
     p = simple_lp()[0] if kind == "lp" else fixed_charge()[0]
     _fake_highs(monkeypatch, highs_status, objective, gap)
-    res = solve(p, SolveOptions(mip_gap=mip_gap), backend="highs")
+    res = solve(p, SolveOptions(mip_gap=mip_gap))
     assert (res.status, res.path) == (expected, "lp" if kind == "lp" else "highs")
     if kept:
         assert res.objective == objective and np.array_equal(res.primal, np.ones(2))
@@ -256,8 +255,8 @@ FAILED_STATUSES = [s for s in Status.__members__.values()
 def test_every_other_highs_status_is_an_error(monkeypatch, highs_status):
     for p in (simple_lp()[0], fixed_charge()[0]):
         _fake_highs(monkeypatch, highs_status, 5.0, 0.0)
-        with pytest.raises(MilpError, match=f"HiGHS backend failed: .*{highs_status.name}"):
-            solve(p, backend="highs")
+        with pytest.raises(MilpError, match=f"HiGHS failed: .*{highs_status.name}"):
+            solve(p)
 
 
 def _highs_args(**changes):
@@ -313,7 +312,7 @@ def test_csr_arrays_are_scipys_canonical_layout(data):
         p.add_variables(data.draw(st.integers(0, 4)), -INF, INF, names=lambda: [])
         if p.n_variables == 0:
             continue
-        n = data.draw(st.integers(1, 5), label="rows")
+        n = data.draw(st.integers(0, 5), label="rows")
         positions = data.draw(st.permutations(range(n)))
         families = []
         for k in positions:
@@ -394,25 +393,17 @@ def test_bad_variable_bounds_rejected():
         p.add_variable("b", 0.0, 2.0, binary=True)
 
 
-def test_unknown_backend_rejected():
-    p, _, _ = simple_lp()
-    with pytest.raises(BackendUnavailableError, match="unknown"):
-        solve(p, backend="cplex")
-
-
-def test_enum_backend_binary_cap():
-    p = MilpProblem()
-    vs = [p.add_variable(f"b{i}", 0, 1, binary=True) for i in range(21)]
-    p.set_objective([(v, 1.0) for v in vs])
-    with pytest.raises(BackendUnavailableError, match="20"):
-        solve(p, backend="enum")
-
-
-def test_env_var_selects_backend(monkeypatch):
+def test_dbio_solver_variable_selects_nothing(monkeypatch):
+    # The variable once switched every solve to the enumeration path, which
+    # refused more than 20 binaries.
     monkeypatch.setenv("DBIO_SOLVER", "enum")
-    assert milp.default_backend() == "enum"
-    p, _, _ = simple_lp()
-    assert solve(p).status == "optimal"
+    p = MilpProblem()
+    vs = p.add_variables(21, 0, 1, binary=True, names=[f"b{i}" for i in range(21)])
+    p.add_constraint([(v, 1.0) for v in vs], GE, 2.0)
+    p.set_objective([(vs, np.arange(1.0, 22.0))])
+    res = solve(p)
+    assert (res.status, res.path) == ("optimal", "highs")
+    assert res.objective == pytest.approx(3.0)
 
 
 def test_solve_options_validation():

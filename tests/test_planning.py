@@ -586,14 +586,13 @@ def test_free_columns_solve_as_all_columns(monkeypatch, request, prefix):
     # validation years: each solve equals scipy's HiGHS on every column, in
     # objective and in the sizes (ids 0-2).
     scenario = request.getfixturevalue(f"{prefix}_scenario")
-    pairs, reduced = [], milp._BACKENDS["highs"]
+    pairs, reduced = [], milp.solve
 
     def both(problem, opts):
         pairs.append((reduced(problem, opts), _all_columns_solve(problem, opts)))
         return pairs[-1][0]
 
-    monkeypatch.setitem(milp._BACKENDS, "highs", both)
-    monkeypatch.setenv("DBIO_SOLVER", "highs")
+    monkeypatch.setattr(milp, "solve", both)
     sol = solve_plan(scenario)[0]
     probe(0.5 * sol.investment.s_bess, scenario)
     validate(sol.investment, scenario)
