@@ -4,17 +4,21 @@ Progress goes to stderr, one line per solve/iteration; machine-readable
 results only land in files under the output directory.
 
 A run sets ``OPENBLAS_NUM_THREADS=1`` unless the environment already sets it,
-before numpy and scipy are imported: dbio gives BLAS no work worth a thread,
-and each OpenBLAS pool's idle workers spin at start-up. Code that imported
-numpy before this module keeps the pools it already has.
+before numpy is imported: dbio gives BLAS no work worth a thread, and each
+OpenBLAS pool's idle workers spin at start-up. Code that imported numpy
+before this module keeps the pools it already has.
 
-The cyclic garbage collector is held off while this module imports numpy,
-the bare ``scipy`` package (for its version) and dbio, which loads scipy's
-HiGHS extension and no other scipy package (see :mod:`dbio.milp`). The
-resulting module state is then frozen (``gc.freeze``) so that neither
-collections during the run nor interpreter shutdown traverse it again; this
-keeps about 0.2 MB of import-time garbage alive. A host that
-disabled the collector before importing this module finds it still disabled.
+The cyclic garbage collector is held off while this module imports numpy
+and dbio, which loads scipy's HiGHS extension and reads scipy's version
+without importing any scipy package (see :mod:`dbio.milp`). The resulting
+module state is then frozen (``gc.freeze``) so that neither collections
+during the run nor interpreter shutdown traverse it again; this keeps about
+0.2 MB of import-time garbage alive. A host that disabled the collector
+before importing this module finds it still disabled.
+
+The manifest's SHA-256 comes from CPython's own ``_sha2`` (or ``_sha256``)
+module: ``hashlib`` would load OpenSSL's libcrypto, about 3.5 MB resident,
+for that one digest.
 """
 
 from __future__ import annotations
@@ -28,15 +32,21 @@ gc.disable()
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+try:  # CPython's own SHA-256; hashlib would load OpenSSL's libcrypto for one digest
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 import numpy
-import scipy
 
 from . import __version__, milp, reports
 from .degradation import DegradationError
@@ -112,7 +122,7 @@ def write_manifest(args, out_dir: Path, converged=True):
     doc = {
         "mode": args.mode,
         "scenario": str(scenario.resolve()),
-        "scenario_sha256": hashlib.sha256(scenario.read_bytes()).hexdigest(),
+        "scenario_sha256": sha256(scenario.read_bytes()).hexdigest(),
         "out": str(out_dir.resolve()),
         "method": args.method,
         "tolerance_mwh": args.tol,
@@ -127,7 +137,8 @@ def write_manifest(args, out_dir: Path, converged=True):
         "environment": {
             "python": platform.python_version(),
             "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
+            "scipy": milp.SCIPY_VERSION,
+            "highs": milp.highs_version(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
     }

@@ -17,7 +17,10 @@ takes the CSC arrays in one ``passModel`` call and returns the row duals too.
 The extension is loaded from scipy's directory on its own (:func:`_load_highs`):
 importing ``scipy.optimize`` for it would also import ``scipy.sparse``,
 ``scipy.linalg`` and ``numpy.f2py``, about three quarters of a CLI run's
-import time, and dbio holds its matrix as plain numpy CSR arrays.
+import time, and dbio holds its matrix as plain numpy CSR arrays. scipy's
+version (:data:`SCIPY_VERSION`) is read from its ``version.py`` the same way,
+so no ``scipy`` package is imported at all; even the bare package costs
+about 1.3 MB resident. :func:`highs_version` names the loaded HiGHS build.
 
 An optional export to the industry-standard LP text format is provided for
 debugging.
@@ -62,8 +65,24 @@ def _load_highs(directory):
     return module
 
 
-_highs = _load_highs(os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
-                                  "optimize", "_highspy"))
+def _load_version(directory):
+    """``version`` from the ``version.py`` of the scipy in ``directory``.
+
+    Only that file runs, not the ``scipy`` package, and it is not registered
+    in ``sys.modules``.
+    """
+    path = os.path.join(directory, "version.py")
+    if not os.path.isfile(path):
+        raise ImportError(f"no scipy version file {path}", name="scipy.version", path=path)
+    spec = importlib.util.spec_from_file_location("scipy.version", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
+
+
+_scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+_highs = _load_highs(os.path.join(_scipy_dir, "optimize", "_highspy"))
+SCIPY_VERSION = _load_version(_scipy_dir)  # scipy.__version__, without importing scipy
 
 INF = math.inf
 
@@ -368,6 +387,12 @@ class HighsResult:
     mip_node_count: int  # branch-and-bound nodes, 0 for an LP
 
 
+def highs_version() -> str:
+    """The loaded HiGHS build, e.g. ``1.12.0 (4f96ee8)``: version and git hash."""
+    highs = _highs._Highs()
+    return f"{highs.version()} ({highs.githash()})"
+
+
 def _check(status, what):
     if status == _highs.HighsStatus.kError:
         raise MilpError(f"HiGHS refused {what}")
@@ -398,6 +423,22 @@ def milp(c, *, lower, upper, row_lower, row_upper, indptr, indices, data, integr
                        mip_node_count=max(info.mip_node_count, 0))
 
 
+def _free_columns(problem, free):
+    """The CSC arrays (indptr, indices, data) HiGHS reads: the free columns'
+    entries, renumbered, ordered by column with rows ascending within each.
+
+    A function of its own so that its temporaries, each as long as ``A``'s
+    entries, are freed before HiGHS runs.
+    """
+    _, indices, data, _, _ = problem.constraint_matrix()
+    kept = free[indices]
+    cols = (np.cumsum(free) - 1)[indices[kept]]
+    order = np.argsort(cols, kind="stable")  # stable: CSR order is row order
+    col_ptr = np.zeros(np.count_nonzero(free) + 1, dtype=np.int32)
+    col_ptr[1:] = np.cumsum(np.bincount(cols, minlength=col_ptr.size - 1))
+    return col_ptr, problem._entry_rows()[kept][order], data[kept][order]
+
+
 def solve(problem: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
     """One HiGHS call on the free columns: the LP when none is binary, else B&B.
 
@@ -412,7 +453,6 @@ def solve(problem: MilpProblem, opts: SolveOptions | None = None) -> SolveResult
     :class:`MilpError`.
     """
     opts = opts or SolveOptions()
-    indptr, indices, data, lb, ub = problem.constraint_matrix()
     free = problem.lower < problem.upper
     x = np.where(free, 0.0, problem.lower)  # the fixed columns at their value
     integrality = problem.integrality[free]
@@ -425,18 +465,12 @@ def solve(problem: MilpProblem, opts: SolveOptions | None = None) -> SolveResult
         return SolveResult(status=OPTIMAL, objective=objective, primal=x, path=path)
     shift = problem._matvec(x)
     constant = problem.objective_constant + float(problem.c @ x)
-    # HiGHS reads the matrix column-wise (CSC): the free columns' entries,
-    # renumbered, ordered by column with rows ascending within each.
-    kept = free[indices]
-    cols = (np.cumsum(free) - 1)[indices[kept]]
-    order = np.argsort(cols, kind="stable")  # stable: CSR order is row order
-    col_ptr = np.zeros(np.count_nonzero(free) + 1, dtype=np.int32)
-    col_ptr[1:] = np.cumsum(np.bincount(cols, minlength=col_ptr.size - 1))
+    col_ptr, rows, values = _free_columns(problem, free)
     t0 = time.perf_counter()
     res = milp(problem.c[free], lower=problem.lower[free], upper=problem.upper[free],
-               row_lower=lb - shift, row_upper=ub - shift, indptr=col_ptr,
-               indices=problem._entry_rows()[kept][order], data=data[kept][order],
-               integrality=integrality, mip_gap=opts.mip_gap, time_limit=opts.time_limit)
+               row_lower=problem.lb - shift, row_upper=problem.ub - shift, indptr=col_ptr,
+               indices=rows, data=values, integrality=integrality, mip_gap=opts.mip_gap,
+               time_limit=opts.time_limit)
     runtime = time.perf_counter() - t0
     status = _STATUSES.get(res.status)
     if status is None:

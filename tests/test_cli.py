@@ -44,8 +44,15 @@ def test_plan_mode_outputs(fixtures_dir, tmp_path):
     assert manifest["scenario_sha256"] == hashlib.sha256(scenario_bytes).hexdigest()
     assert manifest["environment"] == {
         "python": platform.python_version(), "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy.__version__, "highs": _highs_build(),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
+def _highs_build():
+    """``major.minor.patch (githash)`` of the HiGHS extension scipy vendors."""
+    core = milp._highs
+    return (f"{core.HIGHS_VERSION_MAJOR}.{core.HIGHS_VERSION_MINOR}."
+            f"{core.HIGHS_VERSION_PATCH} ({core._Highs().githash()})")
 
 
 def test_plan_mode_deterministic(fixtures_dir, tmp_path):
@@ -411,17 +418,36 @@ def test_dbio_and_scipy_share_one_highs_extension(first, second):
     assert seen == {"dbio": pytest.approx(12.0), "scipy": pytest.approx(12.0), "shared": True}
 
 
-def test_cli_import_loads_no_scipy_package_but_the_highs_extension():
-    loaded = _fresh_python("-c", "import sys, dbio.cli; print(*sys.modules)").split()
+_IMPORT_THEN_EVERY_MODE = """
+import json, sys
+from dbio.cli import main
+after_import = list(sys.modules)
+scenario, out = sys.argv[1:]
+assert main(["--scenario", scenario, "--out", out + "/plan"]) == 0
+assert main(["--scenario", scenario, "--out", out + "/validate", "--mode", "validate",
+             "--investment", out + "/plan/report.json"]) == 0
+assert main(["--scenario", scenario, "--out", out + "/size", "--mode", "size"]) == 0
+print(json.dumps({"import": after_import, "runs": list(sys.modules)}))
+"""
+
+
+def test_cli_import_loads_no_scipy_package_but_the_highs_extension(tmp_path):
+    # Checked after the import and again after a plan, validate and size run.
+    seen = json.loads(_fresh_python("-c", _IMPORT_THEN_EVERY_MODE, str(FIXTURES / SCENARIO),
+                                    str(tmp_path)))
 
     def under(package, module):
         return module == package or module.startswith(package + ".")
 
-    stray = [m for m in loaded
-             if any(under(pkg, m) for pkg in ("scipy.sparse", "scipy.linalg", "numpy.f2py"))
-             or (under("scipy.optimize", m) and not under("scipy.optimize._highspy", m))]
-    assert stray == []
-    assert "scipy.optimize._highspy._core" in loaded
+    for loaded in seen.values():
+        # No scipy package (the HiGHS extension is loaded on its own), and not
+        # the OpenSSL binding _hashlib.
+        stray = [m for m in loaded
+                 if m in ("scipy", "_hashlib")
+                 or any(under(pkg, m) for pkg in ("scipy.sparse", "scipy.linalg", "numpy.f2py"))
+                 or (under("scipy.optimize", m) and not under("scipy.optimize._highspy", m))]
+        assert stray == []
+        assert "scipy.optimize._highspy._core" in loaded
 
 
 _GC_AFTER_IMPORT = """
@@ -447,6 +473,10 @@ def test_cli_run_records_the_blas_setting(tmp_path):
     _fresh_python("-m", "dbio.cli", "--scenario", str(FIXTURES / SCENARIO), "--out", str(out))
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["environment"]["OPENBLAS_NUM_THREADS"] == "1"
+    # The run takes both without hashlib or the scipy package.
+    assert manifest["scenario_sha256"] == hashlib.sha256(
+        (FIXTURES / SCENARIO).read_bytes()).hexdigest()
+    assert manifest["environment"]["scipy"] == scipy.__version__
 
 
 def test_cli_plan_run_prints_nothing_to_stdout(tmp_path):

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -355,6 +356,16 @@ def test_highs_loader_names_the_directory_it_searched(monkeypatch, tmp_path):
         milp._load_highs(tmp_path)
     assert str(tmp_path) in str(err.value) and "scipy>=1.17" in str(err.value)
     assert milp._HIGHS not in sys.modules
+
+
+def test_scipy_version_is_read_without_the_scipy_package(tmp_path):
+    assert milp.SCIPY_VERSION == scipy.__version__
+    (tmp_path / "version.py").write_text('version = "9.8.7"\n')
+    assert milp._load_version(tmp_path) == "9.8.7"
+    assert sys.modules["scipy.version"].version == scipy.__version__  # not replaced
+    with pytest.raises(ImportError) as err:
+        milp._load_version(tmp_path / "missing")
+    assert str(tmp_path / "missing" / "version.py") in str(err.value)
 
 
 def test_evaluate_rejects_wrong_length():
