@@ -24,6 +24,12 @@ it become bounds on the series, and only the power balance reads it.
 The commitment and exclusion rows switch a series off with its own upper
 bound as the coefficient. ``horizon.big_m`` stands in only where the series
 has no finite bound, which is where its size is free in the plan.
+
+Each day's rows and columns are contiguous (``ModelIndex.day_rows`` and
+``day_cols``). Once every size is pinned, the days share only ``e_init``, so
+:func:`solve_dispatch` solves a validation year of more than ``BLOCK_DAYS``
+days as blocks of consecutive days, checked against the lower bound the
+blocks give, and solves the whole year when the check fails.
 """
 
 from __future__ import annotations
@@ -36,6 +42,13 @@ from . import milp
 from .degradation import DegradationState
 from .milp import EQ, GE, INF, LE, MilpProblem
 from .scenario import Scenario
+
+
+# Most days in one block of a split validation year (see solve_dispatch). 14
+# measured about the same on the hourly year; 7 and 56 were slower.
+BLOCK_DAYS = 28
+
+_SIZES = ("s_pv", "s_bess", "p_cder_max")
 
 
 class ModelBuildError(ValueError):
@@ -62,6 +75,8 @@ class ModelIndex:
     scalars: dict  # name -> int
     scenario: Scenario
     capital: bool  # capital costs are in the objective (sizes are decisions)
+    day_rows: np.ndarray  # (Y, D, 2) int: each day's rows, [first, stop)
+    day_cols: np.ndarray  # (Y, D, 2) int: each day's series columns, [first, stop)
 
     SERIES = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt", "e_bess")
     POWER = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt")  # MW, >= 0
@@ -212,11 +227,13 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
         obj.append((v["u_cder"], alpha * cder.no_load))
     prob.set_objective(obj)
 
+    day = np.arange(Y * D).reshape(Y, D, 1) + np.arange(2)  # flattened days g, g + 1
     index = ModelIndex(
         shape=(Y, D, T), series=v,
         scalars={"s_pv": s_pv, "s_bess": s_bess, "p_cder_max": p_cder_max,
                  "e_init": e_init},
-        scenario=scenario, capital=capital)
+        scenario=scenario, capital=capital, day_rows=H + per_day * day,
+        day_cols=ids[0] + S * T * day)
     return prob, index
 
 
@@ -342,16 +359,86 @@ def _add_battery_exclusion(problem: MilpProblem, index: ModelIndex):
         f"{f}_{y}_{d}_{t}" for f, *_ in families for y, d, t in np.ndindex(Y, D, T)])
 
 
+def _splits(problem: MilpProblem, index: ModelIndex) -> bool:
+    """Whether :func:`solve_dispatch` solves ``problem`` in day blocks: one year
+    of more than ``BLOCK_DAYS`` days, every size fixed, no binary."""
+    Y, D, _ = index.shape
+    sizes = [index.scalars[k] for k in _SIZES]
+    return (Y == 1 and D > BLOCK_DAYS and not problem.integrality.any()
+            and bool(np.all(problem.lower[sizes] == problem.upper[sizes])))
+
+
+def _solve_days(problem: MilpProblem, index: ModelIndex,
+                opts: milp.SolveOptions) -> milp.SolveResult:
+    """Solve a year that :func:`_splits` accepts as blocks of consecutive days.
+
+    With the sizes fixed, a year's days share only ``e_init``. Each block,
+    its days' rows over its days' columns and the four scalars, is solved
+    with its own copy of ``e_init`` free; the sum of the block optima bounds
+    the year from below. The ``e_init`` most blocks chose (the smallest on a
+    tie) is then fixed in every other block, and each re-solve must stay
+    within 1e-9 relative of its block's bound. The blocks' primals then form
+    an optimum of the year, priced once on the whole model. Otherwise the
+    whole year is solved in one call.
+    """
+    days = index.shape[1]
+    n = -(-days // BLOCK_DAYS)
+    edges = days * np.arange(n + 1) // n  # near-equal blocks of at most BLOCK_DAYS days
+    scalars = sorted(index.scalars.values())
+    e_pos = scalars.index(index.scalars["e_init"])
+    sizes = [scalars.index(index.scalars[k]) for k in _SIZES]
+
+    def block(k, e_init=None):
+        first, last = edges[k], edges[k + 1] - 1
+        cols = np.concatenate([scalars, np.arange(index.day_cols[0, first, 0],
+                                                  index.day_cols[0, last, 1])])
+        sub = problem.subproblem(range(index.day_rows[0, first, 0],
+                                       index.day_rows[0, last, 1]), cols)
+        sub.c[sizes] = 0.0  # the sizes' cost is counted once, when the year is priced
+        if e_init is not None:
+            sub.lower[e_pos] = sub.upper[e_pos] = e_init
+        return cols, milp.solve(sub, opts)
+
+    blocks = [block(k) for k in range(n)]
+    runtime = sum(r.runtime for _, r in blocks)
+    if all(r.status == milp.OPTIMAL for _, r in blocks):
+        x = np.empty(problem.n_variables)
+        values, counts = np.unique([r.primal[e_pos] for _, r in blocks], return_counts=True)
+        e_init = values[np.argmax(counts)]
+        for k, (cols, r) in enumerate(blocks):
+            if r.primal[e_pos] != e_init:
+                cols, fixed = block(k, e_init)
+                runtime += fixed.runtime
+                if not (fixed.status == milp.OPTIMAL and fixed.objective - r.objective
+                        <= 1e-9 * max(1.0, abs(r.objective))):
+                    break
+                r = fixed
+            x[cols] = r.primal
+        else:
+            return milp.SolveResult(status=milp.OPTIMAL,
+                                    objective=float(problem.c @ x) + problem.objective_constant,
+                                    primal=x, runtime=runtime, path="days")
+    result = milp.solve(problem, opts)
+    result.runtime += runtime
+    return result
+
+
 def solve_dispatch(problem: MilpProblem, index: ModelIndex,
                    opts: milp.SolveOptions) -> milp.SolveResult:
     """Solve a model from :func:`build_integrated` or :func:`build_single_year`.
 
-    The model has no charge/discharge exclusion, so an optimum that must burn
-    a surplus may charge and discharge in one hour. Only then is the exclusion
-    appended to ``problem`` and the problem solved again; ``runtime`` covers
-    both solves.
+    A validation year of more than ``BLOCK_DAYS`` days is solved in day
+    blocks (:func:`_solve_days`, path ``days``) and falls back to one solve
+    of the whole year when the blocks' check fails; any other model is one
+    solve. The model has no charge/discharge exclusion, so an optimum that
+    must burn a surplus may charge and discharge in one hour. Only then is the
+    exclusion appended to ``problem`` and the whole problem solved again;
+    ``runtime`` covers every solve.
     """
-    result = milp.solve(problem, opts)
+    if _splits(problem, index):
+        result = _solve_days(problem, index, opts)
+    else:
+        result = milp.solve(problem, opts)
     if result.has_solution and np.max(np.minimum(result.primal[index.series["p_chg"]],
                                                   result.primal[index.series["p_dchg"]])) > 1e-6:
         first = result.runtime

@@ -13,26 +13,21 @@ BACKEND = "python"  # the only kernel; reported in run environments
 
 def _reversals(values: np.ndarray) -> np.ndarray:
     """Turning points of the series: endpoints plus strict slope-sign changes."""
-    n = values.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    k = 0
+    out = []
     prev_slope = 0.0
-    for i in range(n):
-        v = values[i]
-        if k == 0:
-            out[k] = v
-            k += 1
+    for v in values.tolist():  # Python floats: indexing numpy scalars is 8x slower
+        if not out:
+            out.append(v)
             continue
-        dv = v - out[k - 1]
+        dv = v - out[-1]
         if dv == 0.0:
             continue
         if prev_slope == 0.0 or (dv > 0.0) != (prev_slope > 0.0):
-            out[k] = v
-            k += 1
+            out.append(v)
         else:
-            out[k - 1] = v  # extend the current monotone run
+            out[-1] = v  # extend the current monotone run
         prev_slope = dv
-    return out[:k]
+    return np.asarray(out, dtype=np.float64)
 
 
 def extract_cycles(values):
@@ -46,7 +41,7 @@ def extract_cycles(values):
     ranges = []
     weights = []
     stack = []
-    for v in rev:
+    for v in rev.tolist():
         stack.append(v)
         while len(stack) >= 4:
             x1 = abs(stack[-3] - stack[-4])

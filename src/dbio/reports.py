@@ -133,6 +133,7 @@ def _validation_json(report: ValidationReport) -> dict:
             "year": r.year,
             "eue_mwh": r.eue_y,
             "operating_cost_usd": r.operating_cost_y,
+            "solve_path": r.solve_path,
             "state_in": asdict(r.state_in),
             "state_out": asdict(r.state_out),
         } for r in report.per_year],

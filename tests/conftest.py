@@ -136,9 +136,10 @@ def highuse_plan(highuse_scenario):
 def make_scenario(load, pv_cf, *, years=1, tie=0.0, big_m=10.0,
                   ls_penalty=1e6, load_growth=0.0, import_price=0.0,
                   cder=None, pv=None, bess=None, cyclic_soc=True):
-    """Small in-code scenario for unit tests; one representative day (alpha = 365)."""
-    load = np.asarray(load, dtype=float).reshape(1, -1)
-    pv_cf = np.asarray(pv_cf, dtype=float).reshape(1, -1)
+    """Small in-code scenario for unit tests: one representative day (alpha =
+    365) from 1-D profiles, or one per row of 2-D (days, hours) profiles."""
+    load = np.atleast_2d(np.asarray(load, dtype=float))
+    pv_cf = np.atleast_2d(np.asarray(pv_cf, dtype=float))
     cfg = ScenarioConfig(planning_years=years, load_growth=load_growth, ls_penalty=ls_penalty,
                          tie_limit=tie, big_m=big_m, cyclic_soc=cyclic_soc,
                          solver=milp.SolveOptions(mip_gap=0.0))

@@ -97,6 +97,9 @@ def test_validate_mode_feasible(fixtures_dir, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["validation"]["feasible"]
     assert report["validation"]["total_eue_mwh"] <= 1e-6
+    # A year of one representative day is never split into day blocks.
+    paths = [y["solve_path"] for y in report["validation"]["per_year"]]
+    assert paths and set(paths) == {"lp"}
 
 
 def test_validate_mode_infeasible_exit_code(fixtures_dir, tmp_path):

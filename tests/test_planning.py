@@ -11,12 +11,12 @@ from scipy import optimize
 
 from dbio import milp, planning
 from dbio.degradation import DegradationState
-from dbio.planning import (InvestmentDecision, ModelBuildError, _add_battery_exclusion,
-                           build_integrated, build_single_year, extract_solution,
-                           solve_dispatch)
+from dbio.planning import (InvestmentDecision, ModelBuildError, ModelIndex,
+                           _add_battery_exclusion, build_integrated, build_single_year,
+                           extract_solution, solve_dispatch)
 from dbio.scenario import BessParams, CderParams, load_scenario, representative_day_indices
 from dbio.sizing import probe
-from dbio.validation import validate
+from dbio.validation import compute_eue, validate
 
 from conftest import (FIXTURES, check_dispatch_invariants, constraint_csr, make_scenario,
                       solve_plan, write_sizing_doc)
@@ -410,10 +410,11 @@ def _solver_input_digest(problem):
     return h.hexdigest()
 
 
-def _hourly_year(tmp_path):
-    """``islanded_base`` at full hourly resolution, one year (8760 h)."""
+def _hourly_year(tmp_path, days=365):
+    """``islanded_base`` at full hourly resolution, one year (8760 h), or
+    reduced to ``days`` representative days."""
     doc = json.loads((FIXTURES / "islanded_base.json").read_text())
-    doc["horizon"].update(planning_years=1, rep_days=365)
+    doc["horizon"].update(planning_years=1, rep_days=days)
     for key in ("load_file", "pv_cf_file"):
         doc["profiles"][key] = str(FIXTURES / doc["profiles"][key])
     path = tmp_path / "hourly.json"
@@ -600,3 +601,77 @@ def test_free_columns_solve_as_all_columns(monkeypatch, request, prefix):
     for got, want in pairs:
         assert got.objective == pytest.approx(want.objective, rel=1e-9)
         assert got.primal[:3] == pytest.approx(want.primal[:3], rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def hourly_year(tmp_path_factory):
+    return _hourly_year(tmp_path_factory.mktemp("hourly"))
+
+
+def _highs_calls(monkeypatch):
+    """The column count of each HiGHS call from here on."""
+    seen, highs = [], milp.milp
+
+    def capture(c, **kwargs):
+        seen.append(c.size)
+        return highs(c, **kwargs)
+
+    monkeypatch.setattr(milp, "milp", capture)
+    return seen
+
+
+def _validation_year(scenario, sizes):
+    inv = InvestmentDecision(*sizes)
+    return build_single_year(scenario, _state(1, inv.s_bess, eta_pv=1.0, eta_bess=0.9), inv)
+
+
+# The benchmark's investment, whose year starts with the battery at the bottom
+# of its window, and two whose year starts with it inside the window.
+@pytest.mark.parametrize("sizes,interior", [((0.11, 0.077, 0.8), False),
+                                            ((0.3, 0.5, 0.8), True), ((0.5, 2.0, 0.5), True)],
+                         ids=["bottom", "interior", "interior-large"])
+def test_hourly_year_solves_in_day_blocks(hourly_year, monkeypatch, sizes, interior):
+    problem, index = _validation_year(hourly_year, sizes)
+    seen = _highs_calls(monkeypatch)
+    got = solve_dispatch(problem, index, OPTS)
+    assert (got.status, got.path) == ("optimal", "days")
+    blocks = -(-365 // planning.BLOCK_DAYS)
+    day_columns = len(ModelIndex.SERIES) * 24
+    assert len(seen) >= blocks and max(seen) <= 4 + planning.BLOCK_DAYS * day_columns
+    residuals, objective = problem.evaluate(got.primal)
+    assert residuals.max() <= 1e-7 and objective == got.objective
+    whole = milp.solve(problem, OPTS)
+    assert got.objective == pytest.approx(whole.objective, rel=1e-9)
+    e = index.scalars["e_init"]
+    assert (problem.lower[e] < whole.primal[e] < problem.upper[e]) == interior
+
+
+def _two_regime_year():
+    """56 days, a 1 MWh battery with a [0.1, 0.9] MWh window, no generator and
+    1 MW of PV. The first 28 days discharge 0.2 MWh at hour 0 and refill at
+    noon, so they need e_init >= 0.3. The last 28 store 0.6 MWh of PV at hour 0
+    for a 0.6 MW load at hour 20, so they need e_init <= 0.3."""
+    load, pv_cf = np.zeros((56, 24)), np.zeros((56, 24))
+    load[:28, 0], pv_cf[:28, 12] = 0.2, 1.0
+    pv_cf[28:, 0], load[28:, 20] = 1.0, 0.6
+    return make_scenario(load, pv_cf)
+
+
+def test_split_year_that_fails_the_check_is_solved_whole(monkeypatch):
+    problem, index = _validation_year(_two_regime_year(), (1.0, 1.0, 0.0))
+    seen = _highs_calls(monkeypatch)
+    got = solve_dispatch(problem, index, OPTS)
+    assert (got.status, got.path) == ("optimal", "lp")
+    assert len(seen) == 4  # two blocks, one failed re-solve, the whole year
+    whole = milp.solve(problem, OPTS)
+    assert got.objective == pytest.approx(whole.objective, rel=1e-9)
+    assert got.primal[index.scalars["e_init"]] == pytest.approx(0.3, abs=1e-9)
+    assert compute_eue(extract_solution(got, index), 365 / 56) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_year_of_block_days_is_one_solve(tmp_path, monkeypatch):
+    sc = _hourly_year(tmp_path, days=planning.BLOCK_DAYS)
+    problem, index = _validation_year(sc, (0.11, 0.077, 0.8))
+    seen = _highs_calls(monkeypatch)
+    got = solve_dispatch(problem, index, OPTS)
+    assert (got.status, got.path, len(seen)) == ("optimal", "lp", 1)
