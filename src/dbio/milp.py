@@ -298,39 +298,6 @@ class MilpProblem:
         """(indptr, indices, data, lb, ub): the CSR arrays of ``A`` and the row bounds."""
         return self.indptr, self.indices, self.data, self.lb, self.ub
 
-    def subproblem(self, rows: range, cols) -> "MilpProblem":
-        """Rows ``rows`` (a contiguous range) over the columns ``cols``
-        (increasing ids), renumbered ``0 .. len(cols)-1`` in that order.
-
-        Costs, bounds and integrality are the columns'. Entries in other
-        columns are dropped, and the objective constant is 0. The arrays are
-        copies, so the sub-problem can be changed on its own.
-        """
-        cols = np.asarray(cols, dtype=np.int64)
-        if not (rows.step == 1 and 0 <= rows.start <= rows.stop <= self.n_constraints
-                and np.all(np.diff(cols) > 0) and np.all((cols >= 0) & (cols < self.n_variables))):
-            raise MilpError(f"subproblem: rows {rows} must be a contiguous range of the "
-                            f"{self.n_constraints} rows and cols increasing variable ids")
-        new = np.full(self.n_variables, -1, dtype=np.int32)
-        new[cols] = np.arange(cols.size, dtype=np.int32)
-        ptr = self.indptr[rows.start:rows.stop + 1]
-        renumbered = new[self.indices[ptr[0]:ptr[-1]]]
-        kept = renumbered >= 0
-        sub = MilpProblem(f"{self.name}[{rows.start}:{rows.stop}]")
-        sub.c, sub.lower, sub.upper = self.c[cols], self.lower[cols], self.upper[cols]
-        sub.integrality = self.integrality[cols]
-        sub.indptr = np.concatenate([[0], np.cumsum(kept)])[ptr - ptr[0]].astype(np.int32)
-        sub.indices, sub.data = renumbered[kept], self.data[ptr[0]:ptr[-1]][kept]
-        sub.lb, sub.ub = self.lb[rows.start:rows.stop].copy(), self.ub[rows.start:rows.stop].copy()
-
-        def var_names():
-            names = _names(self._var_names)
-            return [names[i] for i in cols]
-
-        sub._var_names = [var_names]
-        sub._row_names = [lambda: _names(self._row_names)[rows.start:rows.stop]]
-        return sub
-
     def _entry_rows(self):
         """The row of each entry of ``A``."""
         return np.repeat(np.arange(self.n_constraints, dtype=np.int32), np.diff(self.indptr))

@@ -12,9 +12,9 @@ The model carries binaries only where the data needs them:
 * Grid import and export have none. :func:`extract_solution` nets an hour
   that does both, which keeps the power balance and the tie-line bounds and
   never raises the cost, because export is never worth more than import.
-* Charge and discharge have none either. :func:`solve_dispatch` checks the
-  optimum and, if some hour charges and discharges at once, appends the
-  exclusion binaries and solves again.
+* Charge and discharge have none either. :func:`solve_dispatch` and
+  :func:`solve_single_year` check the optimum and, if some hour charges and
+  discharges at once, append the exclusion binaries and solve again.
 
 The PV and battery terms are linear because installed sizes enter with
 constant coefficients. A pinned size (the battery of a sizing probe, every
@@ -25,15 +25,18 @@ The commitment and exclusion rows switch a series off with its own upper
 bound as the coefficient. ``horizon.big_m`` stands in only where the series
 has no finite bound, which is where its size is free in the plan.
 
-Each day's rows and columns are contiguous (``ModelIndex.day_rows`` and
-``day_cols``). Once every size is pinned, the days share only ``e_init``, so
-:func:`solve_dispatch` solves a validation year of more than ``BLOCK_DAYS``
-days as blocks of consecutive days, checked against the lower bound the
-blocks give, and solves the whole year when the check fails.
+The four scalars lead every model and each hour's series follow in hour
+order (:func:`_index`), so a run of days is a contiguous run of columns.
+Once every size is pinned, the days share only ``e_init``, so
+:func:`solve_single_year` builds and solves a validation year of more than
+``BLOCK_DAYS`` days as blocks of consecutive days, one block's model at a
+time, checked against the lower bound the blocks give; the whole year is
+built only when the check fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +47,12 @@ from .milp import EQ, GE, INF, LE, MilpProblem
 from .scenario import Scenario
 
 
-# Most days in one block of a split validation year (see solve_dispatch). 14
-# measured about the same on the hourly year; 7 and 56 were slower.
+# Most days in one block of a split validation year (see solve_single_year).
+# 14 measured about the same on the hourly year; 7 and 56 were slower.
 BLOCK_DAYS = 28
 
-_SIZES = ("s_pv", "s_bess", "p_cder_max")
+_SCALARS = ("s_pv", "s_bess", "p_cder_max", "e_init")
+_SIZES = _SCALARS[:3]
 
 
 class ModelBuildError(ValueError):
@@ -75,8 +79,6 @@ class ModelIndex:
     scalars: dict  # name -> int
     scenario: Scenario
     capital: bool  # capital costs are in the objective (sizes are decisions)
-    day_rows: np.ndarray  # (Y, D, 2) int: each day's rows, [first, stop)
-    day_cols: np.ndarray  # (Y, D, 2) int: each day's series columns, [first, stop)
 
     SERIES = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt", "e_bess")
     POWER = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt")  # MW, >= 0
@@ -109,17 +111,29 @@ def _finite_or_big_m(upper, big_m):
     return np.where(np.isfinite(upper), upper, big_m)
 
 
+def _index(scenario: Scenario, shape, capital: bool) -> ModelIndex:
+    """The column layout of a model :func:`_build` assembles over ``shape`` (Y, D, T):
+    the four scalars at ids 0-3, then the S series of each flattened hour h at
+    ids 4 + S*h + j, j the position in ``SERIES`` plus ``u_cder`` if committed."""
+    names = ModelIndex.SERIES + ("u_cder",) * scenario.cder.committed
+    hours = len(_SCALARS) + len(names) * np.arange(math.prod(shape)).reshape(shape)
+    return ModelIndex(shape=shape, series={k: hours + j for j, k in enumerate(names)},
+                      scalars={k: i for i, k in enumerate(_SCALARS)}, scenario=scenario,
+                      capital=capital)
+
+
 def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
-           size_lo, size_hi, capital: bool):
-    """Assemble the model over (Y, D, T) ``load`` and ``pv_cf``. ``size_lo``/``size_hi``
-    bound (s_pv, s_bess, p_cder_max). Each row ``series <=/>= coef * size`` of
-    ``links`` stays a row while its size is free; a pinned size (lo == hi)
-    turns it into a bound on the series, so a pinned size column is fixed and
-    only the power balance reads it. ``capital`` puts capital costs in the
-    objective."""
+           size_lo, size_hi, capital: bool, days=slice(None)):
+    """Assemble the model over (Y, D, T) ``load`` and ``pv_cf``, which cover the
+    days ``days`` of the scenario's profiles and are priced at those days'
+    tariff. ``size_lo``/``size_hi`` bound (s_pv, s_bess, p_cder_max). Each
+    row ``series <=/>= coef * size`` of ``links`` stays a row while its size
+    is free; a pinned size (lo == hi) turns it into a bound on the series, so
+    a pinned size column is fixed and only the power balance reads it.
+    ``capital`` puts capital costs in the objective."""
     cfg, cder, pv, bess = scenario.cfg, scenario.cder, scenario.pv, scenario.bess
     Y, D, T = load.shape
-    commit = cder.p_min > 0 or cder.no_load > 0
+    commit = cder.committed
 
     prob = MilpProblem(name=name)
     alpha = scenario.alpha
@@ -153,24 +167,23 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
         elif pinned[j]:
             lower[k] = np.maximum(lower.get(k, 0.0), coef * size_lo[j])
 
-    # Variables: the four sizes, then the S series of each flattened hour h
-    # at ids 4 + S*h + j (j = position in ``names``).
-    s_pv, s_bess, p_cder_max, e_init = (int(i) for i in prob.add_variables(
+    # Variables in the layout of _index: the four scalars, then the series hour by hour.
+    index = _index(scenario, (Y, D, T), capital)
+    s_pv, s_bess, p_cder_max, e_init = index.scalars.values()
+    v = index.series
+    prob.add_variables(
         4, lower=[*size_lo, lower.get("e_init", 0.0)], upper=[*size_hi, upper.get("e_init", INF)],
-        names=["s_pv", "s_bess", "p_cder_max", "e_init"], family="sizes"))
-    names = ModelIndex.SERIES + ("u_cder",) * commit
-    S = len(names)
+        names=list(index.scalars), family="sizes")
 
     def stacked(bounds, default):
-        return np.stack([np.broadcast_to(bounds.get(k, default), (Y, D, T)) for k in names],
+        return np.stack([np.broadcast_to(bounds.get(k, default), (Y, D, T)) for k in v],
                         axis=-1).ravel()
 
-    ids = prob.add_variables(
-        Y * D * T * S, lower=stacked(lower, 0.0), upper=stacked(upper, INF),
-        binary=np.tile([k == "u_cder" for k in names], Y * D * T),
+    prob.add_variables(
+        Y * D * T * len(v), lower=stacked(lower, 0.0), upper=stacked(upper, INF),
+        binary=np.tile([k == "u_cder" for k in v], Y * D * T),
         names=lambda: [f"{k}_{y}_{d}_{t}" for y, d, t in np.ndindex(Y, D, T)
-                       for k in names], family="dispatch")
-    v = {k: ids[j::S].reshape(Y, D, T) for j, k in enumerate(names)}
+                       for k in v], family="dispatch")
 
     # Energy tracking; every day restarts from the shared initial level.
     e_prev = np.concatenate([np.full((Y, D, 1), e_init), v["e_bess"][..., :-1]], axis=-1)
@@ -221,19 +234,11 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
     obj.append((s_pv, Y * pv.rep_frac * pv.capital * pv.deg_rate))
     obj += [(v["p_cder"], alpha * cder.op_cost),
             (v["p_dchg"], alpha * bess.deg_cost_per_mwh), (v["p_ls"], alpha * cfg.ls_penalty),
-            (v["p_imp"], alpha * scenario.tariff.import_price),
-            (v["p_exp"], -alpha * scenario.tariff.export_price)]
+            (v["p_imp"], alpha * scenario.tariff.import_price[days]),
+            (v["p_exp"], -alpha * scenario.tariff.export_price[days])]
     if commit:
         obj.append((v["u_cder"], alpha * cder.no_load))
     prob.set_objective(obj)
-
-    day = np.arange(Y * D).reshape(Y, D, 1) + np.arange(2)  # flattened days g, g + 1
-    index = ModelIndex(
-        shape=(Y, D, T), series=v,
-        scalars={"s_pv": s_pv, "s_bess": s_bess, "p_cder_max": p_cder_max,
-                 "e_init": e_init},
-        scenario=scenario, capital=capital, day_rows=H + per_day * day,
-        day_cols=ids[0] + S * T * day)
     return prob, index
 
 
@@ -258,25 +263,30 @@ def build_integrated(scenario: Scenario, *, pin_s_bess: float | None = None):
 
 
 def build_single_year(scenario: Scenario, state: DegradationState,
-                      investment: InvestmentDecision):
+                      investment: InvestmentDecision, days=slice(None)):
     """Build validation year ``state.year``: fixed sizes, degraded capacity and efficiencies.
 
     Capital terms are absent from the objective. The degraded capacity
     ``state.capacity`` replaces the rated size throughout; the state-of-health
     factor in the stored-energy window stays at its initial value so capacity
-    fade is applied exactly once.
+    fade is applied exactly once. ``days``, a slice of the representative
+    days, builds only those days; the rows and columns are then the whole
+    year's of those days, with the four scalars in the first columns.
     """
-    Y = scenario.cfg.planning_years
+    cfg = scenario.cfg
+    Y = cfg.planning_years
     if not 1 <= state.year <= Y:
         raise ModelBuildError(f"year {state.year} is outside the horizon 1..{Y}")
     if state.capacity > investment.s_bess + 1e-12:
         raise ModelBuildError(
             f"degraded capacity {state.capacity} exceeds rated {investment.s_bess}")
     sizes = (investment.s_pv, state.capacity, investment.p_cder_max)
-    profiles = scenario.profiles()
-    year = slice(state.year - 1, state.year)
-    return _build(scenario, profiles.load[year], profiles.pv_cf[year], [state.eta_pv],
-                  state.eta_bess, "single_year", size_lo=sizes, size_hi=sizes, capital=False)
+    # The year's entries of Scenario.profiles, from the same expressions.
+    growth = ((1.0 + cfg.load_growth) ** np.arange(Y))[state.year - 1]
+    load = growth * scenario.base_load[days]
+    pv_cf = np.asarray(scenario.base_pv_cf, dtype=float)[days]
+    return _build(scenario, load[None], pv_cf[None], [state.eta_pv], state.eta_bess,
+                  "single_year", size_lo=sizes, size_hi=sizes, capital=False, days=days)
 
 
 def _costs(series, inv: InvestmentDecision, index: ModelIndex) -> dict:
@@ -359,90 +369,116 @@ def _add_battery_exclusion(problem: MilpProblem, index: ModelIndex):
         f"{f}_{y}_{d}_{t}" for f, *_ in families for y, d, t in np.ndindex(Y, D, T)])
 
 
-def _splits(problem: MilpProblem, index: ModelIndex) -> bool:
-    """Whether :func:`solve_dispatch` solves ``problem`` in day blocks: one year
-    of more than ``BLOCK_DAYS`` days, every size fixed, no binary."""
-    Y, D, _ = index.shape
-    sizes = [index.scalars[k] for k in _SIZES]
-    return (Y == 1 and D > BLOCK_DAYS and not problem.integrality.any()
-            and bool(np.all(problem.lower[sizes] == problem.upper[sizes])))
+def _burns(result: milp.SolveResult, index: ModelIndex) -> bool:
+    """Whether ``result``'s optimum charges and discharges in one hour."""
+    return result.has_solution and bool(np.max(np.minimum(
+        result.primal[index.series["p_chg"]], result.primal[index.series["p_dchg"]])) > 1e-6)
 
 
-def _solve_days(problem: MilpProblem, index: ModelIndex,
-                opts: milp.SolveOptions) -> milp.SolveResult:
-    """Solve a year that :func:`_splits` accepts as blocks of consecutive days.
-
-    With the sizes fixed, a year's days share only ``e_init``. Each block,
-    its days' rows over its days' columns and the four scalars, is solved
-    with its own copy of ``e_init`` free; the sum of the block optima bounds
-    the year from below. The ``e_init`` most blocks chose (the smallest on a
-    tie) is then fixed in every other block, and each re-solve must stay
-    within 1e-9 relative of its block's bound. The blocks' primals then form
-    an optimum of the year, priced once on the whole model. Otherwise the
-    whole year is solved in one call.
-    """
-    days = index.shape[1]
-    n = -(-days // BLOCK_DAYS)
-    edges = days * np.arange(n + 1) // n  # near-equal blocks of at most BLOCK_DAYS days
-    scalars = sorted(index.scalars.values())
-    e_pos = scalars.index(index.scalars["e_init"])
-    sizes = [scalars.index(index.scalars[k]) for k in _SIZES]
-
-    def block(k, e_init=None):
-        first, last = edges[k], edges[k + 1] - 1
-        cols = np.concatenate([scalars, np.arange(index.day_cols[0, first, 0],
-                                                  index.day_cols[0, last, 1])])
-        sub = problem.subproblem(range(index.day_rows[0, first, 0],
-                                       index.day_rows[0, last, 1]), cols)
-        sub.c[sizes] = 0.0  # the sizes' cost is counted once, when the year is priced
-        if e_init is not None:
-            sub.lower[e_pos] = sub.upper[e_pos] = e_init
-        return cols, milp.solve(sub, opts)
-
-    blocks = [block(k) for k in range(n)]
-    runtime = sum(r.runtime for _, r in blocks)
-    if all(r.status == milp.OPTIMAL for _, r in blocks):
-        x = np.empty(problem.n_variables)
-        values, counts = np.unique([r.primal[e_pos] for _, r in blocks], return_counts=True)
-        e_init = values[np.argmax(counts)]
-        for k, (cols, r) in enumerate(blocks):
-            if r.primal[e_pos] != e_init:
-                cols, fixed = block(k, e_init)
-                runtime += fixed.runtime
-                if not (fixed.status == milp.OPTIMAL and fixed.objective - r.objective
-                        <= 1e-9 * max(1.0, abs(r.objective))):
-                    break
-                r = fixed
-            x[cols] = r.primal
-        else:
-            return milp.SolveResult(status=milp.OPTIMAL,
-                                    objective=float(problem.c @ x) + problem.objective_constant,
-                                    primal=x, runtime=runtime, path="days")
-    result = milp.solve(problem, opts)
-    result.runtime += runtime
-    return result
+def _excluded(problem: MilpProblem, index: ModelIndex, result: milp.SolveResult,
+              opts: milp.SolveOptions) -> milp.SolveResult:
+    """``result``, a solve of ``problem``'s model; or, when that optimum
+    charges and discharges in one hour, the solve of ``problem`` with the
+    exclusion appended, its ``runtime`` covering both."""
+    if not _burns(result, index):
+        return result
+    _add_battery_exclusion(problem, index)
+    excluded = milp.solve(problem, opts)
+    excluded.runtime += result.runtime
+    return excluded
 
 
 def solve_dispatch(problem: MilpProblem, index: ModelIndex,
                    opts: milp.SolveOptions) -> milp.SolveResult:
     """Solve a model from :func:`build_integrated` or :func:`build_single_year`.
 
-    A validation year of more than ``BLOCK_DAYS`` days is solved in day
-    blocks (:func:`_solve_days`, path ``days``) and falls back to one solve
-    of the whole year when the blocks' check fails; any other model is one
-    solve. The model has no charge/discharge exclusion, so an optimum that
-    must burn a surplus may charge and discharge in one hour. Only then is the
+    The model has no charge/discharge exclusion, so an optimum that must burn
+    a surplus may charge and discharge in one hour. Only then is the
     exclusion appended to ``problem`` and the whole problem solved again;
     ``runtime`` covers every solve.
     """
-    if _splits(problem, index):
-        result = _solve_days(problem, index, opts)
-    else:
+    return _excluded(problem, index, milp.solve(problem, opts), opts)
+
+
+def _solve_days(scenario: Scenario, state: DegradationState, investment: InvestmentDecision,
+                index: ModelIndex, opts: milp.SolveOptions):
+    """Solve the year of ``index`` as blocks of consecutive days, each built
+    on its own; return the year's result, or None when the whole year must be
+    solved, and the runtime of every block solve.
+
+    With the sizes fixed, a year's days share only ``e_init``. Each block is
+    solved with its own copy of ``e_init`` free; the sum of the block optima
+    bounds the year from below. The ``e_init`` most blocks chose (the
+    smallest on a tie) is then fixed in every other block, which is built
+    again, and each re-solve must stay within 1e-9 relative of its block's
+    bound. The blocks' primals then form an optimum of the year, priced once
+    on the year's cost vector.
+    """
+    days = index.shape[1]
+    n = -(-days // BLOCK_DAYS)
+    edges = days * np.arange(n + 1) // n  # near-equal blocks of at most BLOCK_DAYS days
+    e_pos = index.scalars["e_init"]
+    sizes = [index.scalars[k] for k in _SIZES]
+    scalars = len(_SCALARS)
+    c = np.empty(scalars + sum(ids.size for ids in index.series.values()))
+
+    def block(k, e_init=None):
+        problem, _ = build_single_year(scenario, state, investment,
+                                       days=slice(edges[k], edges[k + 1]))
+        # The block's series columns are the year's from its first day's first column on.
+        first = index.series[ModelIndex.SERIES[0]][0, edges[k], 0]
+        span = slice(first, first + problem.n_variables - scalars)
+        c[:scalars], c[span] = problem.c[:scalars], problem.c[scalars:]
+        problem.c[sizes] = 0.0  # the sizes' cost is counted once, when the year is priced
+        if e_init is not None:
+            problem.lower[e_pos] = problem.upper[e_pos] = e_init
+        return span, milp.solve(problem, opts)
+
+    x = np.empty(c.size)
+    runtime, solved = 0.0, []  # solved: (span, e_init, objective) of each block
+    for k in range(n):
+        span, r = block(k)
+        runtime += r.runtime
+        if r.status != milp.OPTIMAL:
+            return None, runtime
+        x[:scalars], x[span] = r.primal[:scalars], r.primal[scalars:]
+        solved.append((span, r.primal[e_pos], r.objective))
+    values, counts = np.unique([e for _, e, _ in solved], return_counts=True)
+    e_init = values[np.argmax(counts)]
+    for k, (span, e, objective) in enumerate(solved):
+        if e != e_init:
+            _, fixed = block(k, e_init)
+            runtime += fixed.runtime
+            if not (fixed.status == milp.OPTIMAL and fixed.objective - objective
+                    <= 1e-9 * max(1.0, abs(objective))):
+                return None, runtime
+            x[span] = fixed.primal[scalars:]
+    x[e_pos] = e_init
+    return milp.SolveResult(status=milp.OPTIMAL, objective=float(c @ x), primal=x,
+                            runtime=runtime, path="days"), runtime
+
+
+def solve_single_year(scenario: Scenario, state: DegradationState,
+                      investment: InvestmentDecision, opts: milp.SolveOptions):
+    """Build and solve validation year ``state.year``; return the solve and the year's index.
+
+    A year of more than ``BLOCK_DAYS`` days without generator commitment is
+    built and solved in day blocks (:func:`_solve_days`, path ``days``), one
+    block's model alive at a time. The whole year is built only when it has
+    fewer days or commitment, a block is not optimal or a re-solve fails the
+    blocks' check, and is then solved as :func:`solve_dispatch` solves it;
+    or when the blocks' optimum charges and discharges in one hour, and is
+    then solved with the exclusion. ``runtime`` covers every solve.
+    """
+    shape = (1, *scenario.base_load.shape)
+    result, runtime = None, 0.0
+    if shape[1] > BLOCK_DAYS and not scenario.cder.committed:
+        index = _index(scenario, shape, capital=False)
+        result, runtime = _solve_days(scenario, state, investment, index, opts)
+        if result is not None and not _burns(result, index):
+            return result, index
+    problem, index = build_single_year(scenario, state, investment)
+    if result is None:
         result = milp.solve(problem, opts)
-    if result.has_solution and np.max(np.minimum(result.primal[index.series["p_chg"]],
-                                                  result.primal[index.series["p_dchg"]])) > 1e-6:
-        first = result.runtime
-        _add_battery_exclusion(problem, index)
-        result = milp.solve(problem, opts)
-        result.runtime += first
-    return result
+        result.runtime += runtime
+    return _excluded(problem, index, result, opts), index

@@ -73,6 +73,11 @@ class CderParams:
             _require(getattr(self, name) >= 0, f"cder.{name}", "must be >= 0")
         _require(self.max_size > 0, "cder.max_size", "must be > 0")
 
+    @property
+    def committed(self) -> bool:
+        """A minimum output or a no-load cost needs a commitment binary per hour."""
+        return self.p_min > 0 or self.no_load > 0
+
 
 @dataclass(frozen=True)
 class PvParams:

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degradation import BatteryExhaustedError, DegradationState, advance_state, count_cycles
-from .planning import (DispatchSolution, InvestmentDecision, build_single_year, extract_solution,
-                       solve_dispatch)
+from .planning import DispatchSolution, InvestmentDecision, extract_solution, solve_single_year
 from .scenario import Scenario
 
 DEFAULT_EUE_TOLERANCE = 1e-6  # MWh; solver round-off must not trigger resizing
@@ -78,8 +77,7 @@ def validate(investment: InvestmentDecision, scenario: Scenario, *,
     per_year = []
     truncated = False
     while not truncated and state.year <= cfg.planning_years:
-        problem, index = build_single_year(scenario, state, investment)
-        result = solve_dispatch(problem, index, cfg.solver)
+        result, index = solve_single_year(scenario, state, investment, cfg.solver)
         if not result.has_solution:
             raise ValidationError(f"year {state.year}: solver returned {result.status}")
         dispatch = extract_solution(result, index)

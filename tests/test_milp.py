@@ -306,8 +306,7 @@ _COEFS = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False))
 @given(st.data())
 def test_csr_arrays_are_scipys_canonical_layout(data):
     # Row blocks with rows out of position order, terms out of column order,
-    # empty rows, explicit zeros and variables added between blocks; then a
-    # sub-problem over a row range and a column subset.
+    # empty rows, explicit zeros and variables added between blocks.
     p = MilpProblem()
     rows, cols, vals = [], [], []
     for _ in range(data.draw(st.integers(1, 4), label="blocks")):
@@ -340,24 +339,6 @@ def test_csr_arrays_are_scipys_canonical_layout(data):
     lhs = want @ x
     residuals, _ = p.evaluate(x)
     assert residuals.tobytes() == np.maximum(np.maximum(lb - lhs, lhs - ub), 0.0).tobytes()
-
-    p.set_objective([(np.arange(p.n_variables), x)], constant=1.5)
-    first = data.draw(st.integers(0, p.n_constraints), label="first row")
-    part = range(first, data.draw(st.integers(first, p.n_constraints), label="row stop"))
-    kept = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=p.n_variables,
-                                             max_size=p.n_variables), label="columns"))
-    sub, block = p.subproblem(part, kept), want[part.start:part.stop][:, kept]
-    assert block.has_canonical_format
-    for got, ref in ((sub.indptr, block.indptr), (sub.indices, block.indices),
-                     (sub.data, block.data)):
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
-    for name in ("c", "lower", "upper", "integrality"):
-        assert np.array_equal(getattr(sub, name), getattr(p, name)[kept]), name
-    assert np.array_equal(sub.lb, lb[part.start:part.stop])
-    assert np.array_equal(sub.ub, ub[part.start:part.stop])
-    assert sub.objective_constant == 0.0
-    with pytest.raises(MilpError, match="subproblem"):
-        p.subproblem(range(0, p.n_constraints + 1), kept)
 
 
 def test_rows_sum_in_column_order():

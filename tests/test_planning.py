@@ -13,8 +13,9 @@ from dbio import milp, planning
 from dbio.degradation import DegradationState
 from dbio.planning import (InvestmentDecision, ModelBuildError, ModelIndex,
                            _add_battery_exclusion, build_integrated, build_single_year,
-                           extract_solution, solve_dispatch)
-from dbio.scenario import BessParams, CderParams, load_scenario, representative_day_indices
+                           extract_solution, solve_dispatch, solve_single_year)
+from dbio.scenario import (BessParams, CderParams, TariffSchedule, load_scenario,
+                           representative_day_indices)
 from dbio.sizing import probe
 from dbio.validation import compute_eue, validate
 
@@ -620,9 +621,26 @@ def _highs_calls(monkeypatch):
     return seen
 
 
-def _validation_year(scenario, sizes):
+def _builds(monkeypatch):
+    """(days, problem arrays as built) of each single-year build from here on."""
+    seen, build = [], planning.build_single_year
+
+    def capture(scenario, state, investment, days=slice(None)):
+        problem, index = build(scenario, state, investment, days=days)
+        seen.append((days, {k: getattr(problem, k).copy() for k in _ARRAYS}))
+        return problem, index
+
+    monkeypatch.setattr(planning, "build_single_year", capture)
+    return seen
+
+
+_ARRAYS = ("indptr", "indices", "data", "lb", "ub", "c", "lower", "upper", "integrality")
+BLOCK_COLUMNS = 4 + planning.BLOCK_DAYS * 24 * len(ModelIndex.SERIES)
+
+
+def _year(sizes, year=1):
     inv = InvestmentDecision(*sizes)
-    return build_single_year(scenario, _state(1, inv.s_bess, eta_pv=1.0, eta_bess=0.9), inv)
+    return _state(year, inv.s_bess, eta_pv=1.0, eta_bess=0.9), inv
 
 
 # The benchmark's investment, whose year starts with the battery at the bottom
@@ -631,19 +649,75 @@ def _validation_year(scenario, sizes):
                                             ((0.3, 0.5, 0.8), True), ((0.5, 2.0, 0.5), True)],
                          ids=["bottom", "interior", "interior-large"])
 def test_hourly_year_solves_in_day_blocks(hourly_year, monkeypatch, sizes, interior):
-    problem, index = _validation_year(hourly_year, sizes)
-    seen = _highs_calls(monkeypatch)
-    got = solve_dispatch(problem, index, OPTS)
+    state, inv = _year(sizes)
+    seen, built = _highs_calls(monkeypatch), _builds(monkeypatch)
+    got, index = solve_single_year(hourly_year, state, inv, OPTS)
+    monkeypatch.undo()
     assert (got.status, got.path) == ("optimal", "days")
     blocks = -(-365 // planning.BLOCK_DAYS)
-    day_columns = len(ModelIndex.SERIES) * 24
-    assert len(seen) >= blocks and max(seen) <= 4 + planning.BLOCK_DAYS * day_columns
+    assert len(seen) >= blocks and max(seen) <= BLOCK_COLUMNS
+    assert len(built) == len(seen) and max(a["c"].size for _, a in built) <= BLOCK_COLUMNS
+    problem, whole_index = build_single_year(hourly_year, state, inv)
+    assert index.shape == whole_index.shape and index.scalars == whole_index.scalars
+    assert all(np.array_equal(index.series[k], ids) for k, ids in whole_index.series.items())
     residuals, objective = problem.evaluate(got.primal)
     assert residuals.max() <= 1e-7 and objective == got.objective
     whole = milp.solve(problem, OPTS)
     assert got.objective == pytest.approx(whole.objective, rel=1e-9)
     e = index.scalars["e_init"]
     assert (problem.lower[e] < whole.primal[e] < problem.upper[e]) == interior
+
+
+def _grid_year():
+    """56 grid-tied days, year 2 of 2 with growing load, priced by a tariff that
+    varies by day and hour."""
+    days = np.arange(56)[:, None]
+    hours = np.arange(24)
+    load = 0.4 + 0.2 * np.sin(days + hours / 4.0) ** 2
+    pv_cf = np.clip(np.sin(np.pi * (hours - 6) / 12.0), 0.0, 1.0) * (0.5 + 0.5 * (days % 3 == 0))
+    sc = make_scenario(load, pv_cf, years=2, tie=0.3, load_growth=0.03)
+    price = 30.0 + days + 2.0 * hours
+    return dataclasses.replace(sc, tariff=TariffSchedule(import_price=price, export_factor=0.7))
+
+
+@pytest.mark.parametrize("case", ["islanded_base_8760h", "grid_tied_56d"])
+def test_day_blocks_are_slices_of_the_whole_year(hourly_year, monkeypatch, case):
+    # Every block a split year builds, as built, is the whole year's rows of
+    # its days over the four scalars and its days' columns.
+    sc, year = (hourly_year, 1) if case == "islanded_base_8760h" else (_grid_year(), 2)
+    state, inv = _year((0.3, 0.5, 0.8), year)
+    built = _builds(monkeypatch)
+    solve_single_year(sc, state, inv, OPTS)
+    monkeypatch.undo()
+    whole, index = build_single_year(sc, state, inv)
+    # The whole year's load and PV are Scenario.profiles' entries of the year, bit for bit.
+    profiles = sc.profiles()
+    assert np.array_equal(whole.upper[index.series["p_ls"]], profiles.load[year - 1:year])
+    assert np.array_equal(whole.upper[index.series["p_curt"]],
+                          np.asarray([1.0])[:, None, None] * profiles.pv_cf[year - 1:year] * 0.3)
+    A, D = constraint_csr(whole), index.shape[1]
+    assert whole.n_constraints % D == 0
+    per_day = whole.n_constraints // D
+    blocks = [(days, arrays) for days, arrays in built if days != slice(None)]
+    assert blocks and sum(days.stop - days.start for days, _ in blocks) >= D
+    for days, got in blocks:
+        rows = slice(per_day * days.start, per_day * days.stop)
+        cols = np.concatenate([sorted(index.scalars.values()), np.sort(np.concatenate(
+            [ids[:, days].ravel() for ids in index.series.values()]))])
+        block = A[rows][:, cols]
+        want = {"indptr": block.indptr, "indices": block.indices, "data": block.data,
+                "lb": whole.lb[rows], "ub": whole.ub[rows],
+                **{k: getattr(whole, k)[cols] for k in ("c", "lower", "upper", "integrality")}}
+        for k in _ARRAYS:
+            assert got[k].dtype == want[k].dtype and np.array_equal(got[k], want[k]), (days, k)
+
+
+def test_validation_never_builds_a_split_year_whole(hourly_year, monkeypatch):
+    seen, built = _highs_calls(monkeypatch), _builds(monkeypatch)
+    report = validate(InvestmentDecision(0.11, 0.077, 0.8), hourly_year)
+    assert [r.solve_path for r in report.per_year] == ["days"]
+    assert max(seen) <= BLOCK_COLUMNS and max(a["c"].size for _, a in built) <= BLOCK_COLUMNS
+    assert slice(None) not in [days for days, _ in built]
 
 
 def _two_regime_year():
@@ -658,20 +732,44 @@ def _two_regime_year():
 
 
 def test_split_year_that_fails_the_check_is_solved_whole(monkeypatch):
-    problem, index = _validation_year(_two_regime_year(), (1.0, 1.0, 0.0))
-    seen = _highs_calls(monkeypatch)
-    got = solve_dispatch(problem, index, OPTS)
+    sc = _two_regime_year()
+    state, inv = _year((1.0, 1.0, 0.0))
+    seen, built = _highs_calls(monkeypatch), _builds(monkeypatch)
+    got, index = solve_single_year(sc, state, inv, OPTS)
+    monkeypatch.undo()
     assert (got.status, got.path) == ("optimal", "lp")
     assert len(seen) == 4  # two blocks, one failed re-solve, the whole year
+    assert [days for days, _ in built].count(slice(None)) == 1
+    problem, _ = build_single_year(sc, state, inv)
     whole = milp.solve(problem, OPTS)
     assert got.objective == pytest.approx(whole.objective, rel=1e-9)
     assert got.primal[index.scalars["e_init"]] == pytest.approx(0.3, abs=1e-9)
     assert compute_eue(extract_solution(got, index), 365 / 56) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_split_year_with_a_block_not_optimal_is_solved_whole(monkeypatch):
+    sc = _two_regime_year()
+    state, inv = _year((1.0, 1.0, 0.0))
+    calls, solve = [], milp.solve
+
+    def first_times_out(problem, opts=None):
+        calls.append(problem.n_variables)
+        if len(calls) == 1:
+            return milp.SolveResult(status=milp.TIME_LIMIT, objective=math.nan, primal=None)
+        return solve(problem, opts)
+
+    monkeypatch.setattr(milp, "solve", first_times_out)
+    got, _ = solve_single_year(sc, state, inv, OPTS)
+    monkeypatch.undo()
+    whole, _ = build_single_year(sc, state, inv)
+    assert calls == [4 + 28 * 24 * 8, whole.n_variables]
+    assert (got.status, got.path) == ("optimal", "lp")
+    assert got.objective == pytest.approx(milp.solve(whole, OPTS).objective, rel=1e-9)
+
+
 def test_year_of_block_days_is_one_solve(tmp_path, monkeypatch):
     sc = _hourly_year(tmp_path, days=planning.BLOCK_DAYS)
-    problem, index = _validation_year(sc, (0.11, 0.077, 0.8))
-    seen = _highs_calls(monkeypatch)
-    got = solve_dispatch(problem, index, OPTS)
+    seen, built = _highs_calls(monkeypatch), _builds(monkeypatch)
+    got, _ = solve_single_year(sc, *_year((0.11, 0.077, 0.8)), OPTS)
     assert (got.status, got.path, len(seen)) == ("optimal", "lp", 1)
+    assert [days for days, _ in built] == [slice(None)]
