@@ -21,9 +21,12 @@ constant coefficients. A pinned size (the battery of a sizing probe, every
 size of a validation year) is a fixed column: the rows that cap a series by
 it become bounds on the series, and only the power balance reads it.
 
-The commitment and exclusion rows switch a series off with its own upper
-bound as the coefficient. ``horizon.big_m`` stands in only where the series
-has no finite bound, which is where its size is free in the plan.
+The commitment and exclusion rows switch a series off with a coefficient
+that bounds it at every feasible point: its own upper bound where a pinned
+size gives one, else a bound the scenario implies (the generator's
+``cder.max_size``; for the battery, the load and tie-line limit of the hour or
+of the day). Where the scenario implies none, writing the row raises
+:class:`ModelBuildError` naming the missing input.
 
 The four scalars lead every model and each hour's series follow in hour
 order (:func:`_index`), so a run of days is a contiguous run of columns.
@@ -36,6 +39,7 @@ built only when the check fails.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -79,6 +83,7 @@ class ModelIndex:
     scalars: dict  # name -> int
     scenario: Scenario
     capital: bool  # capital costs are in the objective (sizes are decisions)
+    eta_bess: float  # the efficiency every hour charges at
 
     SERIES = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt", "e_bess")
     POWER = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt")  # MW, >= 0
@@ -105,13 +110,7 @@ def _cost_total(costs):
             + costs["shed_penalty"] + costs["import_cost"] - costs["export_revenue"])
 
 
-def _finite_or_big_m(upper, big_m):
-    """Coefficient ``M`` of a switch row ``x <= M*u`` on a series with upper
-    bound ``upper``: the bound where it is finite, else ``big_m``."""
-    return np.where(np.isfinite(upper), upper, big_m)
-
-
-def _index(scenario: Scenario, shape, capital: bool) -> ModelIndex:
+def _index(scenario: Scenario, shape, capital: bool, eta_bess: float) -> ModelIndex:
     """The column layout of a model :func:`_build` assembles over ``shape`` (Y, D, T):
     the four scalars at ids 0-3, then the S series of each flattened hour h at
     ids 4 + S*h + j, j the position in ``SERIES`` plus ``u_cder`` if committed."""
@@ -119,7 +118,7 @@ def _index(scenario: Scenario, shape, capital: bool) -> ModelIndex:
     hours = len(_SCALARS) + len(names) * np.arange(math.prod(shape)).reshape(shape)
     return ModelIndex(shape=shape, series={k: hours + j for j, k in enumerate(names)},
                       scalars={k: i for i, k in enumerate(_SCALARS)}, scenario=scenario,
-                      capital=capital)
+                      capital=capital, eta_bess=eta_bess)
 
 
 def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
@@ -168,12 +167,15 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
             lower[k] = np.maximum(lower.get(k, 0.0), coef * size_lo[j])
 
     # Variables in the layout of _index: the four scalars, then the series hour by hour.
-    index = _index(scenario, (Y, D, T), capital)
+    index = _index(scenario, (Y, D, T), capital, eta_bess)
     s_pv, s_bess, p_cder_max, e_init = index.scalars.values()
     v = index.series
     prob.add_variables(
         4, lower=[*size_lo, lower.get("e_init", 0.0)], upper=[*size_hi, upper.get("e_init", INF)],
         names=list(index.scalars), family="sizes")
+
+    # Names carry the scenario's day, so a block's names are the whole year's.
+    day_ids = range(len(scenario.base_load))[days]
 
     def stacked(bounds, default):
         return np.stack([np.broadcast_to(bounds.get(k, default), (Y, D, T)) for k in v],
@@ -182,8 +184,8 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
     prob.add_variables(
         Y * D * T * len(v), lower=stacked(lower, 0.0), upper=stacked(upper, INF),
         binary=np.tile([k == "u_cder" for k in v], Y * D * T),
-        names=lambda: [f"{k}_{y}_{d}_{t}" for y, d, t in np.ndindex(Y, D, T)
-                       for k in v], family="dispatch")
+        names=lambda: [f"{k}_{y}_{d}_{t}" for y, d, t in itertools.product(
+            range(Y), day_ids, range(T)) for k in v], family="dispatch")
 
     # Energy tracking; every day restarts from the shared initial level.
     e_prev = np.concatenate([np.full((Y, D, 1), e_init), v["e_bess"][..., :-1]], axis=-1)
@@ -203,11 +205,14 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
                     (v["p_dchg"], 1.0)], EQ, 0.0),
     ]
     if commit:
-        # Committed output lies in [p_min, its upper bound], or [p_min, big_m]
-        # while the capacity is free; uncommitted output is 0.
+        # Committed output lies in [p_min, its upper bound], or [p_min,
+        # cder.max_size] while the capacity is free; uncommitted output is 0.
+        on = upper.get("p_cder", cder.max_size)
+        if not math.isfinite(on):
+            raise ModelBuildError("cder.max_size must be finite to plan a generator "
+                                  "with a minimum output or a no-load cost")
         hourly += [
-            ("cder_on", [(v["p_cder"], 1.0), (v["u_cder"], -_finite_or_big_m(
-                upper.get("p_cder", INF), cfg.big_m))], LE, 0.0),
+            ("cder_on", [(v["p_cder"], 1.0), (v["u_cder"], -on)], LE, 0.0),
             ("cder_min", [(v["p_cder"], 1.0), (v["u_cder"], -cder.p_min)], GE, 0.0),
         ]
     # Rows: the H head rows, then for each flattened day g the K rows of each
@@ -223,7 +228,7 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
         families.append(("cyclic", hour_row[..., -1] + K,
                          [(v["e_bess"][..., -1], 1.0), (e_init, -1.0)], EQ, 0.0))
     prob.add_constraints(families, names=lambda: [f for f, *_ in head] + [
-        name for y, d in np.ndindex(Y, D)
+        name for y, d in itertools.product(range(Y), day_ids)
         for name in [f"{f}_{y}_{d}_{t}" for t in range(T) for f, *_ in hourly]
         + [f"cyclic_{y}_{d}"] * cfg.cyclic_soc])
 
@@ -289,18 +294,19 @@ def build_single_year(scenario: Scenario, state: DegradationState,
                   "single_year", size_lo=sizes, size_hi=sizes, capital=False, days=days)
 
 
-def _costs(series, inv: InvestmentDecision, index: ModelIndex) -> dict:
-    """Cost breakdown of a dispatch, component name -> $."""
+def _costs(series, sizes, index: ModelIndex) -> dict:
+    """Cost breakdown of a dispatch at ``sizes`` (s_pv, s_bess, p_cder_max),
+    component name -> $."""
     sc = index.scenario
     cfg, cder, pv, bess = sc.cfg, sc.cder, sc.pv, sc.bess
     alpha = sc.alpha
+    s_pv, s_bess, p_cder_max = sizes
     capital = 0.0
     if index.capital:
-        capital = (inv.p_cder_max * cder.capital + inv.s_pv * pv.capital
-                   + inv.s_bess * bess.capital)
+        capital = p_cder_max * cder.capital + s_pv * pv.capital + s_bess * bess.capital
     cder_op = alpha * float(np.sum(series["p_cder"]) * cder.op_cost
                             + np.sum(series.get("u_cder", 0.0)) * cder.no_load)
-    pv_deg = index.shape[0] * pv.rep_frac * pv.capital * inv.s_pv * pv.deg_rate
+    pv_deg = index.shape[0] * pv.rep_frac * pv.capital * s_pv * pv.deg_rate
     bess_deg = alpha * bess.deg_cost_per_mwh * float(np.sum(series["p_dchg"]))
     shed = alpha * cfg.ls_penalty * float(np.sum(series["p_ls"]))
     imp_cost = alpha * float(np.sum(series["p_imp"] * sc.tariff.import_price[None]))
@@ -323,48 +329,62 @@ def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSol
     solved["p_imp"] -= m
     solved["p_exp"] -= m
     # Adding 0.0 turns a solver's -0.0 into 0.0, so no report shows "-0".
-    s_pv, s_bess, p_cder_max, e_init = (float(x[index.scalars[k]]) + 0.0
-                                        for k in ("s_pv", "s_bess", "p_cder_max", "e_init"))
-    inv = InvestmentDecision(s_pv=s_pv, s_bess=s_bess, p_cder_max=p_cder_max)
+    *sizes, e_init = (float(x[index.scalars[k]]) + 0.0 for k in _SCALARS)
 
     # The check prices the primal as solved: a shed of -4e-7 MW clipped to 0
     # moves the breakdown by 0.4 USD at a 1e6 $/MWh penalty.
-    total = _cost_total(_costs(solved, inv, index))
+    total = _cost_total(_costs(solved, sizes, index))
     scale = max(1.0, abs(result.objective))
     if abs(total - result.objective) > 1e-6 * scale:
         raise ModelBuildError(
             f"cost breakdown {total} inconsistent with objective {result.objective}")
 
-    # The reported dispatch and its breakdown drop tiny solver round-off
-    # below zero on the nonnegative power series.
+    # The reported dispatch, sizes and breakdown drop tiny solver round-off
+    # below zero on the nonnegative power series and sizes.
     series = {k: np.clip(v, 0.0, None) if k in ModelIndex.POWER else v
               for k, v in solved.items()}
-    return DispatchSolution(series=series, e_init=e_init,
-                            investment=inv, costs=_costs(series, inv, index),
-                            objective=result.objective, shape=index.shape)
+    sizes = [max(size, 0.0) for size in sizes]
+    return DispatchSolution(series=series, e_init=e_init, investment=InvestmentDecision(*sizes),
+                            costs=_costs(series, sizes, index), objective=result.objective,
+                            shape=index.shape)
 
 
 def _add_battery_exclusion(problem: MilpProblem, index: ModelIndex):
     """Append binaries ``u_chg``/``u_dchg`` that stop any hour of ``problem``
-    from charging and discharging at once. Each switch row's coefficient is the
-    series' upper bound, or ``horizon.big_m`` where it has none."""
+    from charging and discharging at once.
+
+    Each switch row's coefficient bounds its series at every point the
+    exclusion allows: the series' upper bound where a pinned battery gives
+    one. Else a discharging hour charges nothing, so its power balance, with
+    curtailment at most the available PV, caps the discharge at the hour's
+    load + ``tie_limit``; and a cyclic day charges 1/eta times what it
+    discharges, so no hour charges more than the day's sum of those caps over
+    eta. A free battery without cyclic days has no such charge bound.
+    """
     Y, D, T = index.shape
     n = Y * D * T
+    cfg = index.scenario.cfg
+    dchg_cap = problem.upper[index.series["p_ls"]] + cfg.tie_limit  # a shed is at most the load
+    chg_cap = np.broadcast_to(dchg_cap.sum(axis=-1, keepdims=True) / index.eta_bess,
+                              dchg_cap.shape)
+    if not (cfg.cyclic_soc or np.isfinite(problem.upper[index.series["p_chg"]]).all()):
+        raise ModelBuildError("the charge/discharge exclusion needs horizon.cyclic_soc or "
+                              "a pinned battery size to bound the charge")
     u = problem.add_variables(
         2 * n, upper=1.0, binary=True, family="exclusion",
         names=lambda: [f"{k}_{y}_{d}_{t}" for k in ("u_chg", "u_dchg")
                        for y, d, t in np.ndindex(Y, D, T)])
     u_chg, u_dchg = u[:n], u[n:]
 
-    def switch(series, u_k):
+    def switch(series, u_k, cap):
         ids = index.series[series].ravel()
-        return [(ids, 1.0), (u_k, -_finite_or_big_m(problem.upper[ids],
-                                                     index.scenario.cfg.big_m))]
+        upper = problem.upper[ids]
+        return [(ids, 1.0), (u_k, -np.where(np.isfinite(upper), upper, cap.ravel()))]
 
     rows = np.arange(n)
     families = [("excl_bess", rows, [(u_chg, 1.0), (u_dchg, 1.0)], LE, 1.0),
-                ("chg_on", n + rows, switch("p_chg", u_chg), LE, 0.0),
-                ("dchg_on", 2 * n + rows, switch("p_dchg", u_dchg), LE, 0.0)]
+                ("chg_on", n + rows, switch("p_chg", u_chg, chg_cap), LE, 0.0),
+                ("dchg_on", 2 * n + rows, switch("p_dchg", u_dchg, dchg_cap), LE, 0.0)]
     problem.add_constraints(families, names=lambda: [
         f"{f}_{y}_{d}_{t}" for f, *_ in families for y, d, t in np.ndindex(Y, D, T)])
 
@@ -411,8 +431,9 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
     bounds the year from below. The ``e_init`` most blocks chose (the
     smallest on a tie) is then fixed in every other block, which is built
     again, and each re-solve must stay within 1e-9 relative of its block's
-    bound. The blocks' primals then form an optimum of the year, priced once
-    on the year's cost vector.
+    bound. The blocks' primals then form an optimum of the year, whose
+    objective is the sum of the final block objectives plus the fixed sizes'
+    cost, counted once.
     """
     days = index.shape[1]
     n = -(-days // BLOCK_DAYS)
@@ -420,7 +441,6 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
     e_pos = index.scalars["e_init"]
     sizes = [index.scalars[k] for k in _SIZES]
     scalars = len(_SCALARS)
-    c = np.empty(scalars + sum(ids.size for ids in index.series.values()))
 
     def block(k, e_init=None):
         problem, _ = build_single_year(scenario, state, investment,
@@ -428,16 +448,18 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
         # The block's series columns are the year's from its first day's first column on.
         first = index.series[ModelIndex.SERIES[0]][0, edges[k], 0]
         span = slice(first, first + problem.n_variables - scalars)
-        c[:scalars], c[span] = problem.c[:scalars], problem.c[scalars:]
-        problem.c[sizes] = 0.0  # the sizes' cost is counted once, when the year is priced
+        # Every block prices the fixed sizes alike; each block's objective
+        # leaves their cost out, and the year's counts it once.
+        size_cost = float(problem.c[sizes] @ problem.lower[sizes])
+        problem.c[sizes] = 0.0
         if e_init is not None:
             problem.lower[e_pos] = problem.upper[e_pos] = e_init
-        return span, milp.solve(problem, opts)
+        return span, size_cost, milp.solve(problem, opts)
 
-    x = np.empty(c.size)
+    x = np.empty(scalars + sum(ids.size for ids in index.series.values()))
     runtime, solved = 0.0, []  # solved: (span, e_init, objective) of each block
     for k in range(n):
-        span, r = block(k)
+        span, size_cost, r = block(k)
         runtime += r.runtime
         if r.status != milp.OPTIMAL:
             return None, runtime
@@ -445,17 +467,19 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
         solved.append((span, r.primal[e_pos], r.objective))
     values, counts = np.unique([e for _, e, _ in solved], return_counts=True)
     e_init = values[np.argmax(counts)]
+    objectives = [objective for *_, objective in solved]
     for k, (span, e, objective) in enumerate(solved):
         if e != e_init:
-            _, fixed = block(k, e_init)
+            *_, fixed = block(k, e_init)
             runtime += fixed.runtime
             if not (fixed.status == milp.OPTIMAL and fixed.objective - objective
                     <= 1e-9 * max(1.0, abs(objective))):
                 return None, runtime
             x[span] = fixed.primal[scalars:]
+            objectives[k] = fixed.objective
     x[e_pos] = e_init
-    return milp.SolveResult(status=milp.OPTIMAL, objective=float(c @ x), primal=x,
-                            runtime=runtime, path="days"), runtime
+    return milp.SolveResult(status=milp.OPTIMAL, objective=sum(objectives) + size_cost,
+                            primal=x, runtime=runtime, path="days"), runtime
 
 
 def solve_single_year(scenario: Scenario, state: DegradationState,
@@ -473,7 +497,7 @@ def solve_single_year(scenario: Scenario, state: DegradationState,
     shape = (1, *scenario.base_load.shape)
     result, runtime = None, 0.0
     if shape[1] > BLOCK_DAYS and not scenario.cder.committed:
-        index = _index(scenario, shape, capital=False)
+        index = _index(scenario, shape, capital=False, eta_bess=state.eta_bess)
         result, runtime = _solve_days(scenario, state, investment, index, opts)
         if result is not None and not _burns(result, index):
             return result, index

@@ -46,14 +46,12 @@ class ScenarioConfig:
     load_growth: float = 0.005  # fraction per year
     ls_penalty: float = 1e6     # $/MWh, must dominate all marginal supply costs
     tie_limit: float = 0.0      # MW; 0 = islanded
-    big_m: float = 10.0         # MW, linearization constant
     cyclic_soc: bool = True     # end-of-day stored energy returns to initial level
     solver: SolveOptions = field(default_factory=SolveOptions)
 
     def __post_init__(self):
         _require(self.planning_years >= 1, "horizon.planning_years", "must be >= 1")
         _require(self.load_growth > -1, "horizon.load_growth", "must be > -1")
-        _require(self.big_m > 0, "horizon.big_m", "must be > 0")
         _require(self.tie_limit >= 0, "horizon.tie_limit", "must be >= 0")
         _require(self.ls_penalty >= 0, "horizon.ls_penalty", "must be >= 0")
 

@@ -47,7 +47,7 @@ T4_CF = np.array([0.0, 0.8, 0.9, 0.1])
 
 def t4_scenario():
     cfg = ScenarioConfig(planning_years=1, load_growth=0.0, ls_penalty=1000.0,
-                         tie_limit=0.0, big_m=5.0, cyclic_soc=True,
+                         tie_limit=0.0, cyclic_soc=True,
                          solver=milp.SolveOptions(mip_gap=0.0))
     return Scenario(
         cfg=cfg,
@@ -79,8 +79,8 @@ def enumerate_dispatch(sc, inv):
     eta = bess.efficiency(bess.soh_init)
     cap = inv.s_bess
     e_lo, e_hi = bess.soc_min * cap, bess.soh_init * bess.soc_max * cap
-    chg_cap = min(cfg.big_m, cap / bess.t_chg)
-    dchg_cap = min(cfg.big_m, cap / bess.t_dchg)
+    chg_cap = cap / bess.t_chg
+    dchg_cap = cap / bess.t_dchg
     deg = bess.deg_cost_per_mwh
 
     # Variable layout per hour: p_cder, p_chg, p_dchg, p_ls, p_curt, e; then e_init.
@@ -135,7 +135,7 @@ def enumerate_dispatch(sc, inv):
         for t, (uc, (uch, udc)) in enumerate(combo):
             if uc:
                 lows[k, col(t, 0)] = cder.p_min
-                highs[k, col(t, 0)] = min(cfg.big_m, inv.p_cder_max)
+                highs[k, col(t, 0)] = inv.p_cder_max
             if uch:
                 highs[k, col(t, 1)] = chg_cap
             if udc:

@@ -129,6 +129,21 @@ def test_extracted_sizes_have_no_negative_zero():
     assert math.copysign(1.0, sol.investment.s_bess) == math.copysign(1.0, sol.e_init) == 1.0
 
 
+def test_extract_clips_solver_round_off_in_a_size():
+    # Branch-and-bound can return a size of -1e-14. The check prices it as
+    # solved; the reported size and breakdown have it clipped to 0.
+    sc = make_scenario(np.linspace(0.2, 0.8, 24), np.zeros(24))
+    problem, index = build_integrated(sc)
+    result = milp.solve(problem, OPTS)
+    x = result.primal.copy()
+    assert x[index.scalars["s_pv"]] == 0.0
+    x[index.scalars["s_pv"]] = -1e-14
+    sol = extract_solution(dataclasses.replace(result, primal=x), index)
+    assert sol.investment.s_pv == 0.0 and sol.costs["pv_deg"] == 0.0
+    assert sol.objective == result.objective
+    assert sol.cost_total == pytest.approx(result.objective, rel=1e-9)
+
+
 def test_islanded_never_touches_grid():
     sc = make_scenario(np.linspace(0.2, 0.8, 24), np.zeros(24), tie=0.0)
     sol, prof, _ = _solve(sc)
@@ -169,29 +184,74 @@ def test_no_cyclic_soc_drains_free_initial_energy():
     assert res_open.objective <= res_cyc.objective + 1e-6
 
 
-def test_big_m_invariance():
-    load = np.linspace(0.1, 0.9, 24)
-    sc = make_scenario(load, np.zeros(24), big_m=5.0)
-    sc2 = dataclasses.replace(sc, cfg=dataclasses.replace(sc.cfg, big_m=10.0))
-    _, _, r1 = _solve(sc)
-    _, _, r2 = _solve(sc2)
-    assert r1.objective == pytest.approx(r2.objective, rel=1e-7)
+def _switch_coefficients(problem, family):
+    """The coefficient ``M`` of each row ``series <= M*u`` of ``family``, in row order."""
+    A = constraint_csr(problem)
+    rows = [r for r, name in enumerate(milp._names(problem._row_names))
+            if name.startswith(f"{family}_")]
+    return -A[rows][:, problem.binary_indices].toarray().sum(axis=1)
 
 
-def test_small_big_m_does_not_cap_the_plan(islanded_scenario):
-    # big_m is in no row of a model without commitment: a value below the
-    # optimal generator size (0.69 MW) neither caps it nor moves the objective.
-    def plan(big_m):
-        sc = dataclasses.replace(islanded_scenario,
-                                 cfg=dataclasses.replace(islanded_scenario.cfg, big_m=big_m))
-        return _solve(sc)
+def _committed(load, cf, p_min, no_load=0.0, bess_capital=5e4):
+    """A committed generator of at most 1 MW, every size free."""
+    return make_scenario(load, cf, bess=BessParams(capital=bess_capital),
+                         cder=CderParams(capital=1e5, op_cost=50.0, no_load=no_load,
+                                         p_min=p_min, max_size=1.0))
 
-    small, _, r_small = plan(0.5)
-    large, _, r_large = plan(10.0)
-    assert r_small.objective == pytest.approx(r_large.objective, rel=1e-9)
-    assert r_small.objective == pytest.approx(1_934_038.86, abs=0.01)
-    assert small.investment.p_cder_max == pytest.approx(large.investment.p_cder_max, rel=1e-9)
-    assert small.investment.p_cder_max > 0.5
+
+# Committed plans whose optimum burns a surplus, so the exclusion is appended
+# (6 commitment and 12 exclusion binaries). The objectives are those of the
+# same plans with 1000 MW in every switch row the scenario bounds, so the
+# bounds cut off no optimum.
+@pytest.mark.parametrize("load,cf,p_min,bess_capital,objective", [
+    ([0.58, 0.13, 0.58, 0.54, 0.5, 0.31], [0, 0.7, 0.89, 0, 0.31, 0.16], 0.57, 1e4,
+     119_212.031229947),
+    ([0.16, 0.09, 0.48, 0.5, 0.27, 0.21], [0, 0.04, 0.37, 0.29, 0.03, 0.46], 0.47, 1e3,
+     92_550.826203704)], ids=["burn-1", "burn-2"])
+def test_committed_plan_switch_rows_take_the_scenario_bounds(load, cf, p_min, bess_capital,
+                                                             objective):
+    sc = _committed(load, cf, p_min, no_load=1.0, bess_capital=bess_capital)
+    problem, index = build_integrated(sc)
+    result = solve_dispatch(problem, index, OPTS)
+    assert (result.path, problem.binary_indices.size) == ("highs", 18)
+    assert result.objective == pytest.approx(objective, rel=1e-9)
+    np.testing.assert_array_equal(_switch_coefficients(problem, "cder_on"), [1.0] * 6)
+    # An islanded discharging hour's balance caps it at its load; a cyclic
+    # day charges 1/eta times what it discharges.
+    np.testing.assert_array_equal(_switch_coefficients(problem, "dchg_on"), load)
+    np.testing.assert_array_equal(_switch_coefficients(problem, "chg_on"),
+                                  [sum(load) / sc.bess.efficiency(sc.bess.soh_init)] * 6)
+    check_dispatch_invariants(extract_solution(result, index), sc, sc.profiles())
+
+
+def test_committed_plan_is_capped_by_max_size():
+    # A 0.3 MW coefficient in cder_on held the generator below its 0.5 MW
+    # minimum output, and the plan shed every hour (876,000,000.00).
+    sc = _committed(np.full(24, 0.1), np.zeros(24), p_min=0.5)
+    problem, index = build_integrated(sc)
+    sol = extract_solution(solve_dispatch(problem, index, OPTS), index)
+    np.testing.assert_array_equal(_switch_coefficients(problem, "cder_on"), [1.0] * 24)
+    assert sol.objective == pytest.approx(135_215.717593, abs=1e-6)
+    assert 0.5 <= sol.investment.p_cder_max <= 1.0 and np.max(sol.series["p_ls"]) <= 1e-9
+
+
+def test_switch_rows_the_scenario_does_not_bound_are_an_error():
+    committed = CderParams(capital=1e5, op_cost=50.0, p_min=0.5)  # max_size is infinite
+    sc = make_scenario(np.full(24, 0.1), np.zeros(24), cder=committed)
+    with pytest.raises(ModelBuildError, match="cder.max_size"):
+        build_integrated(sc)
+    # A validation year pins the generator's size, which bounds its output.
+    state = _state(1, 1.0, eta_pv=1.0, eta_bess=0.9)
+    assert build_single_year(sc, state, InvestmentDecision(0.0, 1.0, 0.5))[0].n_variables > 0
+
+    open_days = make_scenario(np.full(24, 0.1), np.zeros(24), cyclic_soc=False)
+    problem, index = build_integrated(open_days)
+    n = problem.n_variables
+    with pytest.raises(ModelBuildError, match="horizon.cyclic_soc"):
+        _add_battery_exclusion(problem, index)
+    assert problem.n_variables == n
+    # A pinned battery's rate limits bound its charge.
+    _add_battery_exclusion(*build_integrated(open_days, pin_s_bess=1.0))
 
 
 def test_forced_surplus_falls_back_to_the_exclusion():
@@ -211,6 +271,10 @@ def test_forced_surplus_falls_back_to_the_exclusion():
 
     result = solve_dispatch(problem, index, OPTS)
     assert result.path == "highs" and problem.binary_indices.size == 3 * 24
+    # The switch rows take the pinned 10 MWh battery's rate limits. A 0.3 MW
+    # coefficient there left the surplus nowhere to go and the year shed its load.
+    np.testing.assert_array_equal(_switch_coefficients(problem, "chg_on"), 10.0 / sc.bess.t_chg)
+    np.testing.assert_array_equal(_switch_coefficients(problem, "dchg_on"), 10.0 / sc.bess.t_dchg)
     direct, direct_index = build_single_year(sc, state, inv)
     _add_battery_exclusion(direct, direct_index)
     expected = milp.solve(direct, OPTS)
@@ -222,32 +286,15 @@ def test_forced_surplus_falls_back_to_the_exclusion():
                               capacity=10.0)
 
 
-def test_small_big_m_does_not_cap_a_validation_year():
+def test_committed_year_switches_with_the_pinned_capacity():
     # cder_on switches the generator off with its own bound, the pinned
-    # 0.75 MW. With big_m in that row, 0.3 capped the output and the year
+    # 0.75 MW. A 0.3 MW coefficient there capped the output and the year
     # cost 138,616.24.
     sc = _synthetic()
     state = _state(1, 0.5, eta_pv=sc.pv.eta_init, eta_bess=sc.bess.efficiency(sc.bess.soh_init))
-    inv = InvestmentDecision(s_pv=0.25, s_bess=0.5, p_cder_max=0.75)
-
-    def year_cost(big_m):
-        year = dataclasses.replace(sc, cfg=dataclasses.replace(sc.cfg, big_m=big_m))
-        return solve_dispatch(*build_single_year(year, state, inv), OPTS).objective
-
-    assert year_cost(0.3) == pytest.approx(year_cost(10.0), rel=1e-9)
-    assert year_cost(10.0) == pytest.approx(134_870.56, abs=0.01)
-
-
-def test_small_big_m_does_not_cap_the_exclusion():
-    # chg_on/dchg_on switch with the pinned 10 MW rate limits. With big_m in
-    # those rows, 0.3 left the surplus nowhere to go and the year shed its load.
-    sc = make_scenario(np.full(24, 0.1), np.zeros(24), big_m=0.3,
-                       cder=CderParams(capital=1e5, op_cost=50.0, p_min=0.5))
-    state = _state(1, 10.0, eta_pv=sc.pv.eta_init, eta_bess=sc.bess.efficiency(sc.bess.soh_init))
-    inv = InvestmentDecision(s_pv=0.0, s_bess=10.0, p_cder_max=0.5)
-    result = solve_dispatch(*build_single_year(sc, state, inv), OPTS)
-    assert result.path == "highs"
-    assert result.objective == pytest.approx(36_552_833.75, abs=0.01)
+    problem, index = build_single_year(sc, state, InvestmentDecision(0.25, 0.5, 0.75))
+    np.testing.assert_array_equal(_switch_coefficients(problem, "cder_on"), 0.75)
+    assert solve_dispatch(problem, index, OPTS).objective == pytest.approx(134_870.56, abs=0.01)
 
 
 def test_pv_displaces_generation():
@@ -356,7 +403,11 @@ def test_extract_requires_solution():
 # were re-recorded when a pinned size's rows (einit_*, cder_cap, curt_cap,
 # soc_*, *chg_rate) became bounds on the series they cap and cder_on's
 # coefficient became the generator's upper bound, where finite, in place of
-# big_m; the */integrated entries did not move.
+# a constant; the */integrated entries did not move.
+# synthetic/integrated and synthetic/pinned were re-recorded when a planned
+# commitment row came to need a finite cder.max_size and _synthetic() gained
+# max_size = 10, the value the constant held there: each equals the previous
+# build with only p_cder_max's upper bound moved from inf to 10.
 # test_pinned_bounds_solve_as_the_pinned_rows checks the new builds against
 # the row formulation.
 # sizing_threshold and highuse_degradation differ only in horizon length and
@@ -387,9 +438,9 @@ SEED_SOLVER_INPUT = {
     "highuse_degradation/single_year":
         "b7999a52fa1c14b4314b1cde573f81706b0847161f2cb670c44fcddfc13fcf64",
     "synthetic/integrated":
-        "7cf238c79f68ff49192ea9ab0fbd7df947969b960e2f2407b3502e35632eee56",
+        "4e751a514a2d97dde0e00d54e2e29e4e31a5ef20fc719e559ea8ac7d87e9c192",
     "synthetic/pinned":
-        "3a6a94cc0a29c170846dd58666b34f14cba220530571660cf54e9d9955c99f48",
+        "8618e37bddd004b0a4fba972edd88bf039980c0767cb8db3e56afb0d82407f54",
     "synthetic/single_year":
         "3a35f3bd5887fd264ee6da364f36868def53f69fc0dfdf23dce90095dc643565",
     "islanded_base_8760h/integrated":
@@ -425,11 +476,12 @@ def _hourly_year(tmp_path, days=365):
 
 def _synthetic():
     """Covers what the fixtures do not: soc_min = 0, no cyclic rows, a tie-line,
-    p_min and no-load cost."""
+    p_min and no-load cost, with the generator's size capped at 10 MW."""
     return make_scenario(np.linspace(0.2, 0.8, 24),
                          np.clip(np.sin(np.linspace(0, np.pi, 24)), 0, 1), years=2,
                          tie=0.3, import_price=40.0, cyclic_soc=False,
-                         cder=CderParams(capital=1e5, op_cost=50.0, no_load=5.0, p_min=0.1),
+                         cder=CderParams(capital=1e5, op_cost=50.0, no_load=5.0, p_min=0.1,
+                                         max_size=10.0),
                          bess=BessParams(capital=5e4, soc_min=0.0))
 
 
@@ -661,7 +713,8 @@ def test_hourly_year_solves_in_day_blocks(hourly_year, monkeypatch, sizes, inter
     assert index.shape == whole_index.shape and index.scalars == whole_index.scalars
     assert all(np.array_equal(index.series[k], ids) for k, ids in whole_index.series.items())
     residuals, objective = problem.evaluate(got.primal)
-    assert residuals.max() <= 1e-7 and objective == got.objective
+    # The year's objective sums the block objectives: equal up to round-off.
+    assert residuals.max() <= 1e-7 and objective == pytest.approx(got.objective, rel=1e-14)
     whole = milp.solve(problem, OPTS)
     assert got.objective == pytest.approx(whole.objective, rel=1e-9)
     e = index.scalars["e_init"]
@@ -710,6 +763,21 @@ def test_day_blocks_are_slices_of_the_whole_year(hourly_year, monkeypatch, case)
                 **{k: getattr(whole, k)[cols] for k in ("c", "lower", "upper", "integrality")}}
         for k in _ARRAYS:
             assert got[k].dtype == want[k].dtype and np.array_equal(got[k], want[k]), (days, k)
+
+
+def test_block_names_are_the_whole_years(hourly_year):
+    # A block's columns and rows carry the names of the same ids in the whole
+    # year, so an error message or LP export names the year's day.
+    state, inv = _year((0.3, 0.5, 0.8))
+    whole, index = build_single_year(hourly_year, state, inv)
+    block, _ = build_single_year(hourly_year, state, inv, days=slice(26, 52))
+    cols = np.concatenate([sorted(index.scalars.values()), np.sort(np.concatenate(
+        [ids[:, 26:52].ravel() for ids in index.series.values()]))])
+    per_day = whole.n_constraints // index.shape[1]
+    var_names, row_names = milp._names(whole._var_names), milp._names(whole._row_names)
+    assert milp._names(block._var_names) == [var_names[i] for i in cols]
+    assert milp._names(block._row_names) == row_names[per_day * 26:per_day * 52]
+    assert "p_cder_0_26_0" in milp._names(block._var_names)
 
 
 def test_validation_never_builds_a_split_year_whole(hourly_year, monkeypatch):

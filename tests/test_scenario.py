@@ -79,6 +79,7 @@ def test_load_scenario_missing_file(tmp_path):
     ("cder", "banana"), ("solver", "thread"), ("horizon", "hours_per_day"),
     ("horizon", "alpha"),       # derived: 365 over the representative days
     ("horizon", "solver"),      # the solver settings are their own section
+    ("horizon", "big_m"),       # switch rows take bounds the scenario implies
     ("tariff", "mode"),         # the price source is import_price or price_file
     ("tariff", "import_prize"), ("profiles", "extra")])
 def test_load_scenario_rejects_unknown_field(tmp_path, section, key):
