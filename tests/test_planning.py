@@ -271,10 +271,6 @@ def test_forced_surplus_falls_back_to_the_exclusion():
 
     result = solve_dispatch(problem, index, OPTS)
     assert result.path == "highs" and problem.binary_indices.size == 3 * 24
-    # The switch rows take the pinned 10 MWh battery's rate limits. A 0.3 MW
-    # coefficient there left the surplus nowhere to go and the year shed its load.
-    np.testing.assert_array_equal(_switch_coefficients(problem, "chg_on"), 10.0 / sc.bess.t_chg)
-    np.testing.assert_array_equal(_switch_coefficients(problem, "dchg_on"), 10.0 / sc.bess.t_dchg)
     direct, direct_index = build_single_year(sc, state, inv)
     _add_battery_exclusion(direct, direct_index)
     expected = milp.solve(direct, OPTS)
@@ -285,6 +281,21 @@ def test_forced_surplus_falls_back_to_the_exclusion():
     check_dispatch_invariants(sol, sc, sc.profiles(), eta_pv_by_year=[sc.pv.eta_init],
                               capacity=10.0)
 
+
+def test_small_big_m_does_not_cap_the_exclusion():
+    # chg_on/dchg_on switch with the pinned 10 MWh battery's rate limits. A
+    # 0.3 MW coefficient there left the surplus nowhere to go and the year
+    # shed its load.
+    sc = make_scenario(np.full(24, 0.1), np.zeros(24),
+                       cder=CderParams(capital=1e5, op_cost=50.0, p_min=0.5))
+    state = _state(1, 10.0, eta_pv=sc.pv.eta_init, eta_bess=sc.bess.efficiency(sc.bess.soh_init))
+    inv = InvestmentDecision(s_pv=0.0, s_bess=10.0, p_cder_max=0.5)
+    problem, index = build_single_year(sc, state, inv)
+    result = solve_dispatch(problem, index, OPTS)
+    assert result.path == "highs"
+    np.testing.assert_array_equal(_switch_coefficients(problem, "chg_on"), 10.0 / sc.bess.t_chg)
+    np.testing.assert_array_equal(_switch_coefficients(problem, "dchg_on"), 10.0 / sc.bess.t_dchg)
+    assert result.objective == pytest.approx(36_552_833.75, abs=0.01)
 
 def test_committed_year_switches_with_the_pinned_capacity():
     # cder_on switches the generator off with its own bound, the pinned
