@@ -33,6 +33,7 @@ gc.disable()
 import argparse
 import dataclasses
 import json
+import math
 import platform
 import sys
 from datetime import datetime, timezone
@@ -181,6 +182,11 @@ def main(argv=None) -> int:
 
     try:
         scenario = _apply_overrides(load_scenario(args.scenario), args)
+        if (args.mode != "validate" and scenario.cder.committed
+                and math.isinf(scenario.cder.max_size)):
+            # The plan's commitment rows switch the generator off at its size cap.
+            raise ScenarioError("cder.max_size must be finite to plan a generator with a "
+                                "minimum output or a no-load cost")
         if args.mode == "validate":
             if not args.investment:
                 raise ScenarioError("--investment is required in validate mode")

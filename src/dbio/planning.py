@@ -34,11 +34,15 @@ Once every size is pinned, the days share only ``e_init``, so
 :func:`solve_single_year` builds and solves a validation year of more than
 ``BLOCK_DAYS`` days as blocks of consecutive days, one block's model at a
 time, checked against the lower bound the blocks give; the whole year is
-built only when the check fails.
+built only when the check fails. The blocks differ only in bounds and
+right-hand sides, so each starts from the simplex basis of the block before
+it, mapped day by day through that layout, and a year's first block from the
+last block of the year before.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -395,19 +399,6 @@ def _burns(result: milp.SolveResult, index: ModelIndex) -> bool:
         result.primal[index.series["p_chg"]], result.primal[index.series["p_dchg"]])) > 1e-6)
 
 
-def _excluded(problem: MilpProblem, index: ModelIndex, result: milp.SolveResult,
-              opts: milp.SolveOptions) -> milp.SolveResult:
-    """``result``, a solve of ``problem``'s model; or, when that optimum
-    charges and discharges in one hour, the solve of ``problem`` with the
-    exclusion appended, its ``runtime`` covering both."""
-    if not _burns(result, index):
-        return result
-    _add_battery_exclusion(problem, index)
-    excluded = milp.solve(problem, opts)
-    excluded.runtime += result.runtime
-    return excluded
-
-
 def solve_dispatch(problem: MilpProblem, index: ModelIndex,
                    opts: milp.SolveOptions) -> milp.SolveResult:
     """Solve a model from :func:`build_integrated` or :func:`build_single_year`.
@@ -415,16 +406,62 @@ def solve_dispatch(problem: MilpProblem, index: ModelIndex,
     The model has no charge/discharge exclusion, so an optimum that must burn
     a surplus may charge and discharge in one hour. Only then is the
     exclusion appended to ``problem`` and the whole problem solved again;
-    ``runtime`` covers every solve.
+    ``runtime`` and ``iterations`` cover every solve.
     """
-    return _excluded(problem, index, milp.solve(problem, opts), opts)
+    result = milp.solve(problem, opts)
+    if not _burns(result, index):
+        return result
+    _add_battery_exclusion(problem, index)
+    excluded = milp.solve(problem, opts)
+    excluded.runtime += result.runtime
+    excluded.iterations += result.iterations
+    return excluded
+
+
+class _YearSolves:
+    """The solves of one validation year, which share ``opts.time_limit``:
+    each HiGHS call gets what the calls before it left, and once it is spent
+    a solve returns ``time-limit`` without calling HiGHS."""
+
+    def __init__(self, opts: milp.SolveOptions):
+        self.opts, self.runtime, self.iterations = opts, 0.0, 0
+
+    def solve(self, problem: MilpProblem, **warm) -> milp.SolveResult:
+        """``milp.solve(problem, ..., **warm)`` within what is left of the limit."""
+        left = self.opts.time_limit - self.runtime
+        if left <= 0:
+            return milp.SolveResult(status=milp.TIME_LIMIT, objective=math.nan, primal=None)
+        result = milp.solve(problem, dataclasses.replace(self.opts, time_limit=left), **warm)
+        self.runtime += result.runtime
+        self.iterations += result.iterations
+        return result
+
+    def total(self, result: milp.SolveResult) -> milp.SolveResult:
+        """``result``, the year's answer, with the runtime and iterations of every solve."""
+        result.runtime, result.iterations = self.runtime, self.iterations
+        return result
+
+
+def _block_basis(basis, days: int, day_columns: int):
+    """A starting basis for a block of ``days`` days, mapped day by day from
+    ``basis``, another block's (or a year's) of the layout of :func:`_index`:
+    the four scalars' statuses, then each day's ``day_columns`` columns and
+    its rows. Days past the last of ``basis`` repeat that day's statuses."""
+    if basis is None:
+        return None
+    cols, rows = basis
+    held = (cols.size - len(_SCALARS)) // day_columns
+    pick = np.minimum(np.arange(days), held - 1)
+    return (np.concatenate([cols[:len(_SCALARS)],
+                            cols[len(_SCALARS):].reshape(held, -1)[pick].ravel()]),
+            rows.reshape(held, -1)[pick].ravel())
 
 
 def _solve_days(scenario: Scenario, state: DegradationState, investment: InvestmentDecision,
-                index: ModelIndex, opts: milp.SolveOptions):
+                index: ModelIndex, solves: _YearSolves, basis):
     """Solve the year of ``index`` as blocks of consecutive days, each built
     on its own; return the year's result, or None when the whole year must be
-    solved, and the runtime of every block solve.
+    solved.
 
     With the sizes fixed, a year's days share only ``e_init``. Each block is
     solved with its own copy of ``e_init`` free; the sum of the block optima
@@ -434,6 +471,12 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
     bound. The blocks' primals then form an optimum of the year, whose
     objective is the sum of the final block objectives plus the fixed sizes'
     cost, counted once.
+
+    The blocks share their matrix structure and costs, so each block starts
+    from the basis of the block before it (the first from ``basis``, another
+    year's), mapped by :func:`_block_basis`, and each re-solve from its own
+    block's first basis: only ``e_init``'s bounds differ. The result carries
+    the last block's basis.
     """
     days = index.shape[1]
     n = -(-days // BLOCK_DAYS)
@@ -441,8 +484,9 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
     e_pos = index.scalars["e_init"]
     sizes = [index.scalars[k] for k in _SIZES]
     scalars = len(_SCALARS)
+    day_columns = len(index.series) * index.shape[2]
 
-    def block(k, e_init=None):
+    def block(k, start, e_init=None):
         problem, _ = build_single_year(scenario, state, investment,
                                        days=slice(edges[k], edges[k + 1]))
         # The block's series columns are the year's from its first day's first column on.
@@ -454,55 +498,60 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
         problem.c[sizes] = 0.0
         if e_init is not None:
             problem.lower[e_pos] = problem.upper[e_pos] = e_init
-        return span, size_cost, milp.solve(problem, opts)
+        return span, size_cost, solves.solve(problem, basis=start)
 
     x = np.empty(scalars + sum(ids.size for ids in index.series.values()))
-    runtime, solved = 0.0, []  # solved: (span, e_init, objective) of each block
+    solved = []  # (span, e_init, objective, basis) of each block
     for k in range(n):
-        span, size_cost, r = block(k)
-        runtime += r.runtime
+        span, size_cost, r = block(k, _block_basis(basis, edges[k + 1] - edges[k], day_columns))
         if r.status != milp.OPTIMAL:
-            return None, runtime
+            return None
         x[:scalars], x[span] = r.primal[:scalars], r.primal[scalars:]
-        solved.append((span, r.primal[e_pos], r.objective))
-    values, counts = np.unique([e for _, e, _ in solved], return_counts=True)
+        solved.append((span, r.primal[e_pos], r.objective, r.basis))
+        basis = r.basis
+    values, counts = np.unique([e for _, e, *_ in solved], return_counts=True)
     e_init = values[np.argmax(counts)]
-    objectives = [objective for *_, objective in solved]
-    for k, (span, e, objective) in enumerate(solved):
+    objectives = [objective for _, _, objective, _ in solved]
+    for k, (span, e, objective, start) in enumerate(solved):
         if e != e_init:
-            *_, fixed = block(k, e_init)
-            runtime += fixed.runtime
+            *_, fixed = block(k, start, e_init)
             if not (fixed.status == milp.OPTIMAL and fixed.objective - objective
                     <= 1e-9 * max(1.0, abs(objective))):
-                return None, runtime
+                return None
             x[span] = fixed.primal[scalars:]
             objectives[k] = fixed.objective
     x[e_pos] = e_init
     return milp.SolveResult(status=milp.OPTIMAL, objective=sum(objectives) + size_cost,
-                            primal=x, runtime=runtime, path="days"), runtime
+                            primal=x, path="days", basis=basis)
 
 
 def solve_single_year(scenario: Scenario, state: DegradationState,
-                      investment: InvestmentDecision, opts: milp.SolveOptions):
+                      investment: InvestmentDecision, opts: milp.SolveOptions, basis=None):
     """Build and solve validation year ``state.year``; return the solve and the year's index.
 
     A year of more than ``BLOCK_DAYS`` days without generator commitment is
     built and solved in day blocks (:func:`_solve_days`, path ``days``), one
-    block's model alive at a time. The whole year is built only when it has
-    fewer days or commitment, a block is not optimal or a re-solve fails the
-    blocks' check, and is then solved as :func:`solve_dispatch` solves it;
-    or when the blocks' optimum charges and discharges in one hour, and is
-    then solved with the exclusion. ``runtime`` covers every solve.
+    block's model alive at a time, the first block warm-started from
+    ``basis`` (the result's ``basis`` of the year before) when one is given.
+    The whole year is built only when it has fewer days or commitment, a
+    block is not optimal or a re-solve fails the blocks' check, and is then
+    solved cold as :func:`solve_dispatch` solves it; or when the blocks'
+    optimum charges and discharges in one hour, and is then solved with the
+    exclusion. Every HiGHS call of the year gets what the calls before it
+    left of ``opts.time_limit``, and the year is ``time-limit`` once that
+    is spent. ``runtime`` and ``iterations`` cover every solve.
     """
     shape = (1, *scenario.base_load.shape)
-    result, runtime = None, 0.0
+    solves, result = _YearSolves(opts), None
     if shape[1] > BLOCK_DAYS and not scenario.cder.committed:
         index = _index(scenario, shape, capital=False, eta_bess=state.eta_bess)
-        result, runtime = _solve_days(scenario, state, investment, index, opts)
+        result = _solve_days(scenario, state, investment, index, solves, basis)
         if result is not None and not _burns(result, index):
-            return result, index
+            return solves.total(result), index
     problem, index = build_single_year(scenario, state, investment)
     if result is None:
-        result = milp.solve(problem, opts)
-        result.runtime += runtime
-    return _excluded(problem, index, result, opts), index
+        result = solves.solve(problem)
+    if _burns(result, index):
+        _add_battery_exclusion(problem, index)
+        result = solves.solve(problem)
+    return solves.total(result), index

@@ -134,6 +134,7 @@ def _validation_json(report: ValidationReport) -> dict:
             "eue_mwh": r.eue_y,
             "operating_cost_usd": r.operating_cost_y,
             "solve_path": r.solve_path,
+            "simplex_iterations": r.simplex_iterations,
             "state_in": asdict(r.state_in),
             "state_out": asdict(r.state_out),
         } for r in report.per_year],

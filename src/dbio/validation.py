@@ -32,6 +32,7 @@ class YearlyResult:
     eue_y: float            # MWh
     operating_cost_y: float  # $
     solve_path: str         # milp.SolveResult.path of the year's solve
+    simplex_iterations: int  # milp.SolveResult.iterations of the year's solve
 
 
 @dataclass
@@ -69,6 +70,8 @@ def validate(investment: InvestmentDecision, scenario: Scenario, *,
     freezes the battery chain (PV fade still follows its configured rate)
     and exists for degradation-off baselines. A run whose battery is
     exhausted before the horizon ends is ``truncated`` and never feasible.
+    Each year's solve starts from the final basis of the year before (see
+    :func:`solve_single_year`).
     """
     cfg = scenario.cfg
     rated = investment.s_bess
@@ -76,8 +79,10 @@ def validate(investment: InvestmentDecision, scenario: Scenario, *,
     state = initial_state(scenario, investment)
     per_year = []
     truncated = False
+    basis = None
     while not truncated and state.year <= cfg.planning_years:
-        result, index = solve_single_year(scenario, state, investment, cfg.solver)
+        result, index = solve_single_year(scenario, state, investment, cfg.solver, basis)
+        basis = result.basis
         if not result.has_solution:
             raise ValidationError(f"year {state.year}: solver returned {result.status}")
         dispatch = extract_solution(result, index)
@@ -97,7 +102,8 @@ def validate(investment: InvestmentDecision, scenario: Scenario, *,
                                      state_out=state_out,
                                      eue_y=compute_eue(dispatch, scenario.alpha),
                                      operating_cost_y=result.objective,
-                                     solve_path=result.path))
+                                     solve_path=result.path,
+                                     simplex_iterations=result.iterations))
         if on_year is not None:
             on_year(per_year[-1])
         state = state_out

@@ -100,6 +100,8 @@ def test_validate_mode_feasible(fixtures_dir, tmp_path):
     # A year of one representative day is never split into day blocks.
     paths = [y["solve_path"] for y in report["validation"]["per_year"]]
     assert paths and set(paths) == {"lp"}
+    assert all(type(y["simplex_iterations"]) is int and y["simplex_iterations"] >= 0
+               for y in report["validation"]["per_year"])
 
 
 def test_validate_mode_infeasible_exit_code(fixtures_dir, tmp_path):
@@ -257,6 +259,34 @@ def test_bad_scenario_document_exits_before_solving(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {section}:") and key in err[0]
     assert not solves and not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["plan", "size"])
+@pytest.mark.parametrize("cder", [{"p_min": 0.1}, {"no_load": 5.0}], ids=["p_min", "no_load"])
+def test_committed_generator_without_max_size_exits_before_planning(tmp_path, monkeypatch,
+                                                                    capsys, mode, cder):
+    # The plan's commitment rows switch the generator off at cder.max_size,
+    # so planning one without a cap is an input error.
+    solves = []
+    monkeypatch.setattr(milp, "solve", lambda *a, **k: solves.append(a))
+    scenario = write_sizing_doc(tmp_path, lambda doc: doc["cder"].update(cder, max_size=None))
+    out = tmp_path / "o"
+    assert run(["--scenario", scenario, "--out", out, "--mode", mode]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cder.max_size must be finite")
+    assert not solves and not (out / "manifest.json").exists()
+
+
+def test_committed_generator_without_max_size_still_validates(tmp_path):
+    # Validation pins the generator's size, which caps its commitment rows.
+    inv = tmp_path / "inv.json"
+    inv.write_text(json.dumps({"s_pv": 0.0, "s_bess": 0.6, "p_cder_max": 0.6}))
+    scenario = write_sizing_doc(tmp_path, lambda doc: doc["cder"].update(p_min=0.1,
+                                                                         max_size=None))
+    out = tmp_path / "val"
+    assert run(["--scenario", scenario, "--out", out, "--mode", "validate",
+                "--investment", inv]) == 0
+    assert (out / "manifest.json").exists()
 
 
 def test_solver_overrides_reach_every_solve(fixtures_dir, tmp_path, monkeypatch):

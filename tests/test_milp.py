@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -199,6 +200,61 @@ def test_unbounded_detected():
     x = p.add_variable("x", -INF, INF)
     p.set_objective([(x, 1.0)])
     assert solve(p).status == "unbounded"
+
+
+def _fixed_column_lp():
+    """``simple_lp`` with a fixed column z = 1 in the cover row: optimum x = 2, z = 1."""
+    p = MilpProblem("lp")
+    x, y, z = p.add_variable("x"), p.add_variable("y", 0.0, 1.5), p.add_variable("z", 1.0, 1.0)
+    p.add_constraint([(x, 1.0), (y, 1.0), (z, 1.0)], GE, 3.0, "cover")
+    p.set_objective([(x, 1.0), (y, 2.0)])
+    return p, x, z
+
+
+def test_lp_basis_is_full_length_and_restarts_the_solve():
+    p, x, z = _fixed_column_lp()
+    cold = solve(p)
+    cols, rows = cold.basis
+    assert (cols.dtype, cols.shape, rows.dtype, rows.shape) == (np.int8, (3,), np.int8, (1,))
+    assert cols[z] == milp.LOWER and cols[x] == milp.BASIC
+    warm = solve(p, basis=cold.basis)
+    assert (warm.status, warm.objective, warm.iterations) == ("optimal", cold.objective, 0)
+    assert np.array_equal(warm.primal, cold.primal)
+    with pytest.raises(MilpError, match="basis covers 2 columns"):
+        solve(p, basis=(cols[:2], rows))
+
+
+def test_a_mip_returns_no_basis():
+    p = MilpProblem()
+    b = p.add_variable("b", 0.0, 1.0, binary=True)
+    p.add_constraint([(b, 1.0)], GE, 0.5)
+    p.set_objective([(b, 1.0)])
+    assert (solve(p).path, solve(p).basis) == ("highs", None)
+
+
+def test_warm_solve_not_optimal_is_repeated_cold(monkeypatch):
+    # The cold run gets what the warm run left of the time limit, and the
+    # result's runtime and iterations cover both runs.
+    p, _, _ = _fixed_column_lp()
+    basis = solve(p).basis
+    calls, highs = [], milp.milp
+
+    def warm_times_out(c, **kwargs):
+        calls.append(kwargs)
+        if kwargs.get("basis") is not None:
+            time.sleep(0.05)
+            return milp.HighsResult(status=Status.kTimeLimit, objective=INF, x=np.zeros(0),
+                                    mip_gap=INF, mip_node_count=0, iterations=7)
+        calls.append(highs(c, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(milp, "milp", warm_times_out)
+    got = solve(p, SolveOptions(time_limit=10.0), basis=basis)
+    warm, cold, cold_result = calls
+    assert warm["basis"] is not None and cold.get("basis") is None
+    assert warm["time_limit"] == 10.0 and cold["time_limit"] <= 10.0 - 0.05
+    assert (got.status, got.objective) == ("optimal", 2.0)
+    assert got.runtime >= 0.05 and got.iterations == 7 + cold_result.iterations
 
 
 def _fake_highs(monkeypatch, status, objective, mip_gap):

@@ -17,7 +17,7 @@ from dbio.planning import (InvestmentDecision, ModelBuildError, ModelIndex,
 from dbio.scenario import (BessParams, CderParams, TariffSchedule, load_scenario,
                            representative_day_indices)
 from dbio.sizing import probe
-from dbio.validation import compute_eue, validate
+from dbio.validation import ValidationError, compute_eue, validate
 
 from conftest import (FIXTURES, check_dispatch_invariants, constraint_csr, make_scenario,
                       solve_plan, write_sizing_doc)
@@ -730,6 +730,48 @@ def test_hourly_year_solves_in_day_blocks(hourly_year, monkeypatch, sizes, inter
     assert got.objective == pytest.approx(whole.objective, rel=1e-9)
     e = index.scalars["e_init"]
     assert (problem.lower[e] < whole.primal[e] < problem.upper[e]) == interior
+    # Each block starts from the basis of the one before: fewer than half the
+    # simplex iterations of the same blocks started cold.
+    solve = milp.solve
+    monkeypatch.setattr(milp, "solve", lambda problem, opts=None, basis=None: solve(problem, opts))
+    cold, _ = solve_single_year(hourly_year, state, inv, OPTS)
+    monkeypatch.undo()
+    assert cold.path == "days" and 0 < got.iterations < cold.iterations / 2
+
+
+def _shifting_year():
+    """120 islanded days whose sunrise, sunset and zero-load hours move from
+    day to day, so each block fixes other curtailment and shed columns."""
+    days, hours = np.arange(120)[:, None], np.arange(24)
+    rise, dusk = 5 + days % 4, 17 + days % 3
+    pv_cf = np.where((hours > rise) & (hours < dusk),
+                     np.sin(np.pi * (hours - rise) / (dusk - rise)), 0.0)
+    load = 0.3 + 0.2 * np.sin(days + hours / 3.0) ** 2
+    load[(hours + days) % 7 == 0] = 0.0
+    return make_scenario(load, pv_cf)
+
+
+def test_blocks_with_other_free_columns_start_warm(monkeypatch):
+    # The basis a block hands on covers other free columns than the next
+    # block's; HiGHS repairs it as an alien basis and the year stays optimal.
+    sc = _shifting_year()
+    state, inv = _year((0.3, 0.1, 0.5))
+    built, bases, solve = _builds(monkeypatch), [], milp.solve
+
+    def spy(problem, opts=None, basis=None):
+        bases.append(basis)
+        return solve(problem, opts, basis)
+
+    monkeypatch.setattr(milp, "solve", spy)
+    got, _ = solve_single_year(sc, state, inv, OPTS)
+    monkeypatch.undo()
+    blocks = built[:-(-120 // planning.BLOCK_DAYS)]  # the first pass; re-solves follow
+    masks = {(a["lower"] < a["upper"]).tobytes() for _, a in blocks}
+    assert len(masks) == len(blocks) == 5
+    assert bases[0] is None and all(b is not None for b in bases[1:])
+    assert (got.status, got.path) == ("optimal", "days")
+    problem, _ = build_single_year(sc, state, inv)
+    assert got.objective == pytest.approx(milp.solve(problem, OPTS).objective, rel=1e-9)
 
 
 def _grid_year():
@@ -831,11 +873,11 @@ def test_split_year_with_a_block_not_optimal_is_solved_whole(monkeypatch):
     state, inv = _year((1.0, 1.0, 0.0))
     calls, solve = [], milp.solve
 
-    def first_times_out(problem, opts=None):
+    def first_times_out(problem, opts=None, basis=None):
         calls.append(problem.n_variables)
         if len(calls) == 1:
             return milp.SolveResult(status=milp.TIME_LIMIT, objective=math.nan, primal=None)
-        return solve(problem, opts)
+        return solve(problem, opts, basis)
 
     monkeypatch.setattr(milp, "solve", first_times_out)
     got, _ = solve_single_year(sc, state, inv, OPTS)
@@ -844,6 +886,32 @@ def test_split_year_with_a_block_not_optimal_is_solved_whole(monkeypatch):
     assert calls == [4 + 28 * 24 * 8, whole.n_variables]
     assert (got.status, got.path) == ("optimal", "lp")
     assert got.objective == pytest.approx(milp.solve(whole, OPTS).objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("limit,limits", [(10.0, [10.0, 7.0, 4.0, 1.0]), (9.0, [9.0, 6.0, 3.0])])
+def test_split_year_solves_share_the_time_limit(monkeypatch, limit, limits):
+    # Every solve takes 3 s here. Each HiGHS call of the year (two blocks, the
+    # failed re-solve, the whole year) gets what the calls before it left;
+    # once that is spent the year is time-limit without another call.
+    sc = _two_regime_year()
+    state, inv = _year((1.0, 1.0, 0.0))
+    seen, solve = [], milp.solve
+
+    def three_seconds(problem, opts=None, basis=None):
+        seen.append(opts.time_limit)
+        if opts.time_limit <= 3.0:
+            return milp.SolveResult(status=milp.TIME_LIMIT, objective=math.nan, primal=None,
+                                    runtime=opts.time_limit)
+        return dataclasses.replace(solve(problem, opts, basis), runtime=3.0)
+
+    monkeypatch.setattr(milp, "solve", three_seconds)
+    opts = dataclasses.replace(OPTS, time_limit=limit)
+    got, _ = solve_single_year(sc, state, inv, opts)
+    assert seen == limits
+    assert (got.status, got.runtime) == ("time-limit", limit)
+    sc = dataclasses.replace(sc, cfg=dataclasses.replace(sc.cfg, solver=opts))
+    with pytest.raises(ValidationError, match="year 1: solver returned time-limit"):
+        validate(inv, sc)
 
 
 def test_year_of_block_days_is_one_solve(tmp_path, monkeypatch):

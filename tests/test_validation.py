@@ -1,10 +1,12 @@
 """Year-by-year validation loop and the degradation state threading."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from dbio import milp, validation
 from dbio.planning import InvestmentDecision, build_integrated
 from dbio.scenario import CycleLifeCurveSpec, load_scenario
 from dbio.validation import compute_eue, initial_state, validate
@@ -143,3 +145,31 @@ def test_total_cost_is_sum_of_years(highuse_validation):
     report = highuse_validation
     assert report.total_cost == pytest.approx(
         sum(r.operating_cost_y for r in report.per_year), rel=1e-12)
+
+
+def test_each_hourly_year_starts_from_the_basis_of_the_year_before(tmp_path, monkeypatch):
+    # Three hourly years of islanded_base, each solved in day blocks: the first
+    # block of years 2 and 3 starts from the basis the year before ended with.
+    doc = json.loads((FIXTURES / "islanded_base.json").read_text())
+    doc["horizon"].update(planning_years=3, rep_days=365)
+    for key in ("load_file", "pv_cf_file"):
+        doc["profiles"][key] = str(FIXTURES / doc["profiles"][key])
+    path = tmp_path / "hourly.json"
+    path.write_text(json.dumps(doc))
+    years, solve, solve_year = [], milp.solve, validation.solve_single_year
+
+    def per_year(*args):
+        years.append([])
+        return solve_year(*args)
+
+    def spy(problem, opts=None, basis=None):
+        years[-1].append(basis)
+        return solve(problem, opts, basis)
+
+    monkeypatch.setattr(validation, "solve_single_year", per_year)
+    monkeypatch.setattr(milp, "solve", spy)
+    report = validate(InvestmentDecision(0.11, 0.077, 0.8), load_scenario(path))
+    assert [r.solve_path for r in report.per_year] == ["days"] * 3
+    assert [calls[0] is not None for calls in years] == [False, True, True]
+    assert all(basis is not None for calls in years for basis in calls[1:])
+    assert [r.simplex_iterations > 0 for r in report.per_year] == [True] * 3
