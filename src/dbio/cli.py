@@ -43,7 +43,7 @@ try:  # CPython's own SHA-256; hashlib would load OpenSSL's libcrypto for one di
     from _sha2 import sha256  # Python 3.12+
 except ImportError:
     try:
-        from _sha256 import sha256  # Python 3.10-3.11
+        from _sha256 import sha256  # Python 3.11
     except ImportError:
         from hashlib import sha256
 
@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mip-gap", type=float, default=None,
                    help="override the scenario's relative MIP gap")
     p.add_argument("--time-limit", type=float, default=None,
-                   help="override the scenario's per-solve time limit, seconds")
+                   help="override the scenario's time limit, seconds, which every HiGHS call "
+                        "of a plan, a probe's plan or a validation year shares")
     p.add_argument("--dump-lp", action="store_true",
                    help="write the integrated model to <out>/integrated.lp (plan and size modes)")
     p.add_argument("--no-cyclic-soc", action="store_true",

@@ -14,8 +14,7 @@ statuses (``HighsBasisStatus`` values), one per column and one per row.
 HiGHS repairs when its count of basic variables is wrong. With a basis set,
 HiGHS skips presolve and starts the dual simplex from it; a run of related
 LPs (the day blocks of a validation year) then takes a fraction of the
-iterations of cold starts. A warm solve that ends anything but optimal is
-repeated cold. Only the arrays are held, never a HiGHS instance.
+iterations of cold starts. Only the arrays are held, never a HiGHS instance.
 
 HiGHS is called through the binding scipy vendors
 (``scipy.optimize._highspy._core``, private to scipy), not through
@@ -513,10 +512,8 @@ def solve(problem: MilpProblem, opts: SolveOptions | None = None, basis=None) ->
     :class:`MilpError`.
 
     ``basis``, full-length (column statuses, row statuses), starts HiGHS
-    from its free columns' part. A warm run that does not end optimal is
-    repeated cold within what is left of ``opts.time_limit``; ``runtime``
-    and ``iterations`` cover both runs. An LP's final basis is returned
-    full-length on the result, with fixed columns at ``LOWER``.
+    from its free columns' part. An LP's final basis is returned full-length
+    on the result, with fixed columns at ``LOWER``.
     """
     opts = opts or SolveOptions()
     if basis is not None and (basis[0].shape, basis[1].shape) != (
@@ -536,19 +533,13 @@ def solve(problem: MilpProblem, opts: SolveOptions | None = None, basis=None) ->
     shift = problem._matvec(x)
     constant = problem.objective_constant + float(problem.c @ x)
     col_ptr, rows, values = _free_columns(problem, free)
-    model = dict(lower=problem.lower[free], upper=problem.upper[free],
-                 row_lower=problem.lb - shift, row_upper=problem.ub - shift, indptr=col_ptr,
-                 indices=rows, data=values, integrality=integrality, mip_gap=opts.mip_gap)
     t0 = time.perf_counter()
-    res = milp(problem.c[free], **model, time_limit=opts.time_limit,
+    res = milp(problem.c[free], lower=problem.lower[free], upper=problem.upper[free],
+               row_lower=problem.lb - shift, row_upper=problem.ub - shift, indptr=col_ptr,
+               indices=rows, data=values, integrality=integrality, mip_gap=opts.mip_gap,
+               time_limit=opts.time_limit,
                basis=None if basis is None else (basis[0][free], basis[1]))
     runtime = time.perf_counter() - t0
-    iterations = res.iterations
-    if basis is not None and res.status != _Model.kOptimal and runtime < opts.time_limit:
-        t0 = time.perf_counter()
-        res = milp(problem.c[free], **model, time_limit=opts.time_limit - runtime)
-        runtime += time.perf_counter() - t0
-        iterations += res.iterations
     status = _STATUSES.get(res.status)
     if status is None:
         raise MilpError(f"HiGHS failed: model status {res.status.name}")
@@ -566,7 +557,7 @@ def solve(problem: MilpProblem, opts: SolveOptions | None = None, basis=None) ->
         final = (np.full(problem.n_variables, LOWER, dtype=np.int8), res.basis[1])
         final[0][free] = res.basis[0]
     return SolveResult(status=status, objective=objective, primal=primal, achieved_gap=gap,
-                       runtime=runtime, path=path, iterations=iterations, basis=final)
+                       runtime=runtime, path=path, iterations=res.iterations, basis=final)
 
 
 def default_backend() -> str:

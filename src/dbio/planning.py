@@ -399,47 +399,60 @@ def _burns(result: milp.SolveResult, index: ModelIndex) -> bool:
         result.primal[index.series["p_chg"]], result.primal[index.series["p_dchg"]])) > 1e-6)
 
 
+def _timed_out() -> milp.SolveResult:
+    return milp.SolveResult(status=milp.TIME_LIMIT, objective=math.nan, primal=None)
+
+
+class _Solves:
+    """The HiGHS calls of one model's solve: a plan, a probe's plan or a
+    validation year. They share ``opts.time_limit``: each call gets what the
+    calls before it left, and once it is spent a solve is ``time-limit``
+    without a call. A warm solve that does not end optimal is repeated cold."""
+
+    def __init__(self, opts: milp.SolveOptions):
+        self.opts, self.runtime, self.iterations = opts, 0.0, 0
+
+    def solve(self, problem: MilpProblem, basis=None) -> milp.SolveResult:
+        """``problem``'s solve, from ``basis`` when one is given."""
+        if self.runtime >= self.opts.time_limit:
+            return _timed_out()
+        opts = dataclasses.replace(self.opts, time_limit=self.opts.time_limit - self.runtime)
+        # A cold call is milp.solve(problem, opts): ``basis=`` is passed only to start warm.
+        result = milp.solve(problem, opts, **({} if basis is None else {"basis": basis}))
+        self.runtime += result.runtime
+        self.iterations += result.iterations
+        if basis is not None and result.status != milp.OPTIMAL:
+            return self.solve(problem)
+        return result
+
+    def total(self, result: milp.SolveResult) -> milp.SolveResult:
+        """``result``, the model's answer, with the runtime and iterations of every call."""
+        result.runtime, result.iterations = self.runtime, self.iterations
+        return result
+
+
+def _solve_whole(problem: MilpProblem, index: ModelIndex, solves: _Solves,
+                 result: milp.SolveResult | None = None) -> milp.SolveResult:
+    """Solve ``problem``, or take ``result``, an optimum of it found another
+    way; if the optimum charges and discharges in one hour, append the
+    exclusion and solve again. The answer totals every call of ``solves``."""
+    if result is None:
+        result = solves.solve(problem)
+    if _burns(result, index):
+        _add_battery_exclusion(problem, index)
+        result = solves.solve(problem)
+    return solves.total(result)
+
+
 def solve_dispatch(problem: MilpProblem, index: ModelIndex,
                    opts: milp.SolveOptions) -> milp.SolveResult:
     """Solve a model from :func:`build_integrated` or :func:`build_single_year`.
 
     The model has no charge/discharge exclusion, so an optimum that must burn
-    a surplus may charge and discharge in one hour. Only then is the
-    exclusion appended to ``problem`` and the whole problem solved again;
-    ``runtime`` and ``iterations`` cover every solve.
+    a surplus may charge and discharge in one hour; only then is the
+    exclusion appended and the model solved again (:func:`_solve_whole`).
     """
-    result = milp.solve(problem, opts)
-    if not _burns(result, index):
-        return result
-    _add_battery_exclusion(problem, index)
-    excluded = milp.solve(problem, opts)
-    excluded.runtime += result.runtime
-    excluded.iterations += result.iterations
-    return excluded
-
-
-class _YearSolves:
-    """The solves of one validation year, which share ``opts.time_limit``:
-    each HiGHS call gets what the calls before it left, and once it is spent
-    a solve returns ``time-limit`` without calling HiGHS."""
-
-    def __init__(self, opts: milp.SolveOptions):
-        self.opts, self.runtime, self.iterations = opts, 0.0, 0
-
-    def solve(self, problem: MilpProblem, **warm) -> milp.SolveResult:
-        """``milp.solve(problem, ..., **warm)`` within what is left of the limit."""
-        left = self.opts.time_limit - self.runtime
-        if left <= 0:
-            return milp.SolveResult(status=milp.TIME_LIMIT, objective=math.nan, primal=None)
-        result = milp.solve(problem, dataclasses.replace(self.opts, time_limit=left), **warm)
-        self.runtime += result.runtime
-        self.iterations += result.iterations
-        return result
-
-    def total(self, result: milp.SolveResult) -> milp.SolveResult:
-        """``result``, the year's answer, with the runtime and iterations of every solve."""
-        result.runtime, result.iterations = self.runtime, self.iterations
-        return result
+    return _solve_whole(problem, index, _Solves(opts))
 
 
 def _block_basis(basis, days: int, day_columns: int):
@@ -458,7 +471,7 @@ def _block_basis(basis, days: int, day_columns: int):
 
 
 def _solve_days(scenario: Scenario, state: DegradationState, investment: InvestmentDecision,
-                index: ModelIndex, solves: _YearSolves, basis):
+                index: ModelIndex, solves: _Solves, basis):
     """Solve the year of ``index`` as blocks of consecutive days, each built
     on its own; return the year's result, or None when the whole year must be
     solved.
@@ -498,7 +511,7 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
         problem.c[sizes] = 0.0
         if e_init is not None:
             problem.lower[e_pos] = problem.upper[e_pos] = e_init
-        return span, size_cost, solves.solve(problem, basis=start)
+        return span, size_cost, solves.solve(problem, start)
 
     x = np.empty(scalars + sum(ids.size for ids in index.series.values()))
     solved = []  # (span, e_init, objective, basis) of each block
@@ -533,25 +546,20 @@ def solve_single_year(scenario: Scenario, state: DegradationState,
     built and solved in day blocks (:func:`_solve_days`, path ``days``), one
     block's model alive at a time, the first block warm-started from
     ``basis`` (the result's ``basis`` of the year before) when one is given.
-    The whole year is built only when it has fewer days or commitment, a
-    block is not optimal or a re-solve fails the blocks' check, and is then
-    solved cold as :func:`solve_dispatch` solves it; or when the blocks'
-    optimum charges and discharges in one hour, and is then solved with the
-    exclusion. Every HiGHS call of the year gets what the calls before it
-    left of ``opts.time_limit``, and the year is ``time-limit`` once that
-    is spent. ``runtime`` and ``iterations`` cover every solve.
+    The whole year is built and solved cold, as :func:`solve_dispatch` solves
+    a model, when it has fewer days or commitment, when the blocks fail their
+    check or when their optimum charges and discharges in one hour. All of
+    the year's HiGHS calls share ``opts.time_limit`` (:class:`_Solves`); once
+    it is spent the year is ``time-limit``, and the whole year is not built.
     """
     shape = (1, *scenario.base_load.shape)
-    solves, result = _YearSolves(opts), None
+    solves, result = _Solves(opts), None
     if shape[1] > BLOCK_DAYS and not scenario.cder.committed:
         index = _index(scenario, shape, capital=False, eta_bess=state.eta_bess)
         result = _solve_days(scenario, state, investment, index, solves, basis)
         if result is not None and not _burns(result, index):
             return solves.total(result), index
+        if solves.runtime >= opts.time_limit:  # spent: no call is left for the whole year
+            return solves.total(_timed_out()), index
     problem, index = build_single_year(scenario, state, investment)
-    if result is None:
-        result = solves.solve(problem)
-    if _burns(result, index):
-        _add_battery_exclusion(problem, index)
-        result = solves.solve(problem)
-    return solves.total(result), index
+    return _solve_whole(problem, index, solves, result), index

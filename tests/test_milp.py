@@ -2,7 +2,6 @@
 
 import math
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -230,31 +229,6 @@ def test_a_mip_returns_no_basis():
     p.add_constraint([(b, 1.0)], GE, 0.5)
     p.set_objective([(b, 1.0)])
     assert (solve(p).path, solve(p).basis) == ("highs", None)
-
-
-def test_warm_solve_not_optimal_is_repeated_cold(monkeypatch):
-    # The cold run gets what the warm run left of the time limit, and the
-    # result's runtime and iterations cover both runs.
-    p, _, _ = _fixed_column_lp()
-    basis = solve(p).basis
-    calls, highs = [], milp.milp
-
-    def warm_times_out(c, **kwargs):
-        calls.append(kwargs)
-        if kwargs.get("basis") is not None:
-            time.sleep(0.05)
-            return milp.HighsResult(status=Status.kTimeLimit, objective=INF, x=np.zeros(0),
-                                    mip_gap=INF, mip_node_count=0, iterations=7)
-        calls.append(highs(c, **kwargs))
-        return calls[-1]
-
-    monkeypatch.setattr(milp, "milp", warm_times_out)
-    got = solve(p, SolveOptions(time_limit=10.0), basis=basis)
-    warm, cold, cold_result = calls
-    assert warm["basis"] is not None and cold.get("basis") is None
-    assert warm["time_limit"] == 10.0 and cold["time_limit"] <= 10.0 - 0.05
-    assert (got.status, got.objective) == ("optimal", 2.0)
-    assert got.runtime >= 0.05 and got.iterations == 7 + cold_result.iterations
 
 
 def _fake_highs(monkeypatch, status, objective, mip_gap):

@@ -4,10 +4,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.optimize._highspy._core import HighsModelStatus as Status
 
 from dbio import milp, planning
 from dbio.degradation import DegradationState
@@ -203,11 +205,13 @@ def _committed(load, cf, p_min, no_load=0.0, bess_capital=5e4):
 # (6 commitment and 12 exclusion binaries). The objectives are those of the
 # same plans with 1000 MW in every switch row the scenario bounds, so the
 # bounds cut off no optimum.
-@pytest.mark.parametrize("load,cf,p_min,bess_capital,objective", [
-    ([0.58, 0.13, 0.58, 0.54, 0.5, 0.31], [0, 0.7, 0.89, 0, 0.31, 0.16], 0.57, 1e4,
-     119_212.031229947),
-    ([0.16, 0.09, 0.48, 0.5, 0.27, 0.21], [0, 0.04, 0.37, 0.29, 0.03, 0.46], 0.47, 1e3,
-     92_550.826203704)], ids=["burn-1", "burn-2"])
+BURNS = [([0.58, 0.13, 0.58, 0.54, 0.5, 0.31], [0, 0.7, 0.89, 0, 0.31, 0.16], 0.57, 1e4,
+          119_212.031229947),
+         ([0.16, 0.09, 0.48, 0.5, 0.27, 0.21], [0, 0.04, 0.37, 0.29, 0.03, 0.46], 0.47, 1e3,
+          92_550.826203704)]
+
+
+@pytest.mark.parametrize("load,cf,p_min,bess_capital,objective", BURNS, ids=["burn-1", "burn-2"])
 def test_committed_plan_switch_rows_take_the_scenario_bounds(load, cf, p_min, bess_capital,
                                                              objective):
     sc = _committed(load, cf, p_min, no_load=1.0, bess_capital=bess_capital)
@@ -222,6 +226,55 @@ def test_committed_plan_switch_rows_take_the_scenario_bounds(load, cf, p_min, be
     np.testing.assert_array_equal(_switch_coefficients(problem, "chg_on"),
                                   [sum(load) / sc.bess.efficiency(sc.bess.soh_init)] * 6)
     check_dispatch_invariants(extract_solution(result, index), sc, sc.profiles())
+
+
+def test_a_plans_exclusion_solve_gets_what_the_first_solve_left(monkeypatch):
+    # A plan's HiGHS calls share the time limit as a validation year's do.
+    # Every solve takes 2 s here; burn-1's first optimum burns a surplus.
+    load, cf, p_min, bess_capital, objective = BURNS[0]
+    sc = _committed(load, cf, p_min, no_load=1.0, bess_capital=bess_capital)
+    problem, index = build_integrated(sc)
+    seen, solve = [], milp.solve
+
+    def two_seconds(problem, opts):
+        seen.append(opts.time_limit)
+        return dataclasses.replace(solve(problem, opts), runtime=2.0)
+
+    monkeypatch.setattr(milp, "solve", two_seconds)
+    result = solve_dispatch(problem, index, dataclasses.replace(OPTS, time_limit=10.0))
+    assert seen == [10.0, 8.0]
+    assert (result.path, result.runtime) == ("highs", 4.0)
+    assert result.objective == pytest.approx(objective, rel=1e-9)
+
+
+def test_warm_solve_not_optimal_is_repeated_cold(monkeypatch):
+    # The cold call gets what the warm call left of the time limit, and the
+    # total's runtime and iterations cover both calls.
+    p = milp.MilpProblem("lp")
+    x, y = p.add_variable("x"), p.add_variable("y", 0.0, 1.5)
+    p.add_constraint([(x, 1.0), (y, 1.0)], milp.GE, 3.0, "cover")
+    p.set_objective([(x, 1.0), (y, 2.0)])
+    basis = milp.solve(p).basis
+    calls, highs = [], milp.milp
+
+    def warm_times_out(c, **kwargs):
+        calls.append(kwargs)
+        if kwargs.get("basis") is not None:
+            time.sleep(0.05)
+            return milp.HighsResult(status=Status.kTimeLimit, objective=math.inf,
+                                    x=np.zeros(0), mip_gap=math.inf, mip_node_count=0,
+                                    iterations=7)
+        calls.append(highs(c, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(milp, "milp", warm_times_out)
+    solves = planning._Solves(milp.SolveOptions(time_limit=10.0))
+    got = solves.total(solves.solve(p, basis))
+    warm, cold, cold_result = calls
+    assert warm["basis"] is not None and cold.get("basis") is None
+    assert warm["time_limit"] == 10.0 and cold["time_limit"] <= 10.0 - 0.05
+    assert (got.status, got.objective) == ("optimal", 3.0)
+    assert got.runtime >= 0.05 and got.iterations == 7 + cold_result.iterations
 
 
 def test_committed_plan_is_capped_by_max_size():
@@ -892,10 +945,11 @@ def test_split_year_with_a_block_not_optimal_is_solved_whole(monkeypatch):
 def test_split_year_solves_share_the_time_limit(monkeypatch, limit, limits):
     # Every solve takes 3 s here. Each HiGHS call of the year (two blocks, the
     # failed re-solve, the whole year) gets what the calls before it left;
-    # once that is spent the year is time-limit without another call.
+    # once that is spent the year is time-limit without another call, and
+    # without a build of the whole year.
     sc = _two_regime_year()
     state, inv = _year((1.0, 1.0, 0.0))
-    seen, solve = [], milp.solve
+    seen, solve, built = [], milp.solve, _builds(monkeypatch)
 
     def three_seconds(problem, opts=None, basis=None):
         seen.append(opts.time_limit)
@@ -909,6 +963,7 @@ def test_split_year_solves_share_the_time_limit(monkeypatch, limit, limits):
     got, _ = solve_single_year(sc, state, inv, opts)
     assert seen == limits
     assert (got.status, got.runtime) == ("time-limit", limit)
+    assert [days for days, _ in built].count(slice(None)) == (len(limits) == 4)
     sc = dataclasses.replace(sc, cfg=dataclasses.replace(sc.cfg, solver=opts))
     with pytest.raises(ValidationError, match="year 1: solver returned time-limit"):
         validate(inv, sc)
