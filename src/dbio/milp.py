@@ -10,11 +10,23 @@ by branch-and-bound (path ``highs``).
 An LP solve can start from a simplex basis: two int8 arrays of HiGHS basis
 statuses (``HighsBasisStatus`` values), one per column and one per row.
 :func:`solve` takes and returns it full-length, with fixed columns at
-``LOWER``, and hands HiGHS the free columns' part as an *alien* basis, which
-HiGHS repairs when its count of basic variables is wrong. With a basis set,
-HiGHS skips presolve and starts the dual simplex from it; a run of related
-LPs (the day blocks of a validation year) then takes a fraction of the
-iterations of cold starts. Only the arrays are held, never a HiGHS instance.
+``LOWER``, and hands HiGHS the free columns' part. One whose count of basic
+variables is not the row count is set as an *alien* basis, which HiGHS
+repairs at the cost of a factorization; any other is set as it is. With a
+basis set, HiGHS skips presolve and starts the dual simplex from it; a run
+of related LPs (the day blocks of a validation year, its years, a sizing
+search's probe plans) then takes a fraction of the iterations of cold
+starts. Only the arrays are held, never a HiGHS instance. Every result
+reports how far HiGHS's values leave their bounds (``off_bound``), so a
+caller can tell a warm run that stopped just past a bound, which HiGHS's
+feasibility tolerance allows, from a cold one that pivoted onto it
+(``planning._Solves`` solves such a model again cold).
+
+A block of constraint rows is assembled in two parts: its :class:`RowLayout`,
+the sparsity and the places its values land, which depends on no value and
+is checked once, and the values themselves. A caller that builds models of
+one structure again and again (the planning model) keeps the layout and
+hands it back, so a later build only writes and checks values.
 
 HiGHS is called through the binding scipy vendors
 (``scipy.optimize._highspy._core``, private to scipy), not through
@@ -97,6 +109,7 @@ INF = math.inf
 
 LE, EQ, GE = "<=", "=", ">="
 _SENSES = (LE, EQ, GE)
+_MAX_ENTRIES = np.iinfo(np.int32).max  # HiGHS's index width
 
 
 class MilpError(RuntimeError):
@@ -133,6 +146,9 @@ class SolveResult:
     runtime: float = 0.0  # seconds, every solver call of the solve together
     path: str = "highs"  # what produced the answer: lp, highs (B&B) or days (day blocks)
     iterations: int = 0  # simplex iterations, every solver call of the solve together
+    # How far the values leave a column or row bound (HiGHS's
+    # max_primal_infeasibility); 0.0 when HiGHS did not run.
+    off_bound: float = 0.0
     # (column statuses, row statuses) of an LP's final basis, int8, full-length;
     # None for a MIP, a problem that never reached HiGHS, or no basis from HiGHS.
     basis: tuple | None = field(default=None, repr=False, compare=False)
@@ -147,6 +163,140 @@ def _names(blocks):
     return [name for block in blocks for name in (block() if callable(block) else block)]
 
 
+def _vector(a, n, dtype):
+    """``a`` as a ``dtype`` array of shape ``(n,)``, broadcast if it is not one."""
+    a = np.asarray(a, dtype=dtype)
+    return a if a.shape == (n,) else np.broadcast_to(a, (n,))
+
+
+def _fill(families, part):
+    """Every family's terms over its rows, family by family and term by term:
+    part 0 gives the variable ids (int64), part 1 the coefficients."""
+    sizes = [len(terms) * np.size(rows) for _, rows, terms, _, _ in families]
+    out = np.empty(sum(sizes), dtype=np.int64 if part == 0 else float)
+    start = 0
+    for (_, rows, terms, _, _), size in zip(families, sizes):
+        view = out[start:start + size].reshape((len(terms),) + np.shape(rows))
+        for j, term in enumerate(terms):
+            view[j] = term[part]
+        start += size
+    return out
+
+
+def _rhs(families):
+    """Every family's right-hand sides over its rows, family by family."""
+    sizes = [np.size(rows) for _, rows, _, _, _ in families]
+    out = np.empty(sum(sizes))
+    start = 0
+    for (_, rows, _, _, rhs), size in zip(families, sizes):
+        out[start:start + size].reshape(np.shape(rows))[...] = rhs
+        start += size
+    return out
+
+
+def _locate(families, i, by_term):
+    """(family, term, position in its raveled rows) of entry ``i`` of
+    :func:`_fill` (``by_term``) or of :func:`_rhs`."""
+    for f, (_, rows, terms, _, _) in enumerate(families):
+        size = np.size(rows)
+        span = size * len(terms) if by_term else size
+        if i < span:
+            return f, i // size, i % size
+        i -= span
+    raise IndexError(i)
+
+
+def _entry_rows(indptr):
+    """The row of each entry of the CSR matrix with ``indptr``."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int32), np.diff(indptr))
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+class RowLayout:
+    """Where the values of a block of constraint families land in ``A`` and
+    the row bounds: the part of :meth:`MilpProblem.add_constraints` that
+    depends on no value.
+
+    ``indptr``/``indices`` are the block's CSR structure. ``entries`` picks,
+    in CSR order, the coefficients listed family by family and term by term
+    over each family's rows; ``rows`` picks the right-hand sides, listed
+    family by family, in row order. ``le``/``ge`` mark the rows of sense
+    ``<=``/``>=``, and ``columns`` is one past the largest variable id. The
+    arrays are read-only, so every model assembled from a held layout shares
+    them, and so do the ones :meth:`entry_rows` and :meth:`by_column` make
+    for its solves on first use.
+    """
+
+    __slots__ = ("indptr", "indices", "entries", "rows", "le", "ge", "columns",
+                 "_entry_rows", "_by_column")
+
+    def __init__(self, indptr, indices, entries, rows, le, ge, columns):
+        self.indptr, self.indices, self.entries, self.rows, self.le, self.ge = _read_only(
+            indptr, indices, entries, rows, le, ge)
+        self.columns = columns
+        self._entry_rows = self._by_column = None
+
+    def entry_rows(self):
+        """The row of each entry."""
+        if self._entry_rows is None:
+            (self._entry_rows,) = _read_only(_entry_rows(self.indptr))
+        return self._entry_rows
+
+    def by_column(self):
+        """The entries in column order, rows ascending within a column."""
+        if self._by_column is None:
+            (self._by_column,) = _read_only(np.argsort(self.indices, kind="stable"))
+        return self._by_column
+
+    @classmethod
+    def of(cls, families, n_vars, names) -> RowLayout:
+        """The layout of ``families`` (see :meth:`MilpProblem.add_constraints`)
+        over ``n_vars`` variables, after the checks of their structure: known
+        senses and variable ids, no variable twice in a row, every position
+        of the block given by exactly one family."""
+        for family, _, _, sense, _ in families:
+            if sense not in _SENSES:
+                raise MilpError(f"constraints {family}: unknown sense {sense!r}")
+        cols = _fill(families, 0)
+        n = sum(np.size(rows) for _, rows, _, _, _ in families)
+        positions, entry_rows, start = [], [], 0
+        for family, rows, terms, _, _ in families:
+            rows = np.ravel(np.asarray(rows, dtype=np.int64))
+            block = cols[start:start + len(terms) * rows.size].reshape(len(terms), rows.size).T
+            start += block.size
+            for bad, what in (
+                    ((rows < 0) | (rows >= n), lambda k, j: f"position outside block of {n}"),
+                    (np.diff(np.sort(block), axis=1) == 0,
+                     lambda k, j: "duplicate variable ids"),
+                    ((block < 0) | (block >= n_vars),
+                     lambda k, j: f"unknown variable id {block[k, j]}")):
+                if bad.any():
+                    k, j = np.argwhere(bad.reshape(rows.size, -1))[0]
+                    row = _names([names])[rows[k]] if 0 <= rows[k] < n else rows[k]
+                    raise MilpError(f"constraints {family}, row {row}: {what(k, j)}")
+            positions.append(rows)
+            entry_rows.append(np.tile(rows, len(terms)))
+        positions = np.concatenate(positions)
+        cover = np.bincount(positions, minlength=n)
+        if np.any(cover != 1):
+            raise MilpError(f"constraint block: row {_names([names])[np.argmax(cover != 1)]} "
+                            "is not given by exactly one family")
+        entry_rows = np.concatenate(entry_rows)
+        entries = np.lexsort((cols, entry_rows))  # row-major, columns sorted within a row
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        indptr[1:] = np.cumsum(np.bincount(entry_rows, minlength=n))
+        rows = np.argsort(positions)
+        senses = np.repeat([sense for _, _, _, sense, _ in families],
+                           [np.size(r) for _, r, _, _, _ in families])[rows]
+        return cls(indptr, cols[entries].astype(np.int32), entries, rows, senses == LE,
+                   senses == GE, int(cols.max(initial=-1)) + 1)
+
+
 class MilpProblem:
     """Sparse minimize-only MILP held as arrays.
 
@@ -157,10 +307,13 @@ class MilpProblem:
     within each row, explicit zeros kept. Variables and rows are appended in
     blocks (:meth:`add_variables`, :meth:`add_constraints`), each checked with
     one vectorized pass; :meth:`add_variable` and :meth:`add_constraint` are
-    one-element blocks. A block's names may be given as a function that is
-    only called for LP export and error messages. Blocks may be appended
-    after a solve, as the planning model does with its charge/discharge
-    exclusion; each solve reads the problem as it is at the call.
+    one-element blocks. While ``A`` is one block, ``indptr`` and ``indices``
+    are its :class:`RowLayout`'s read-only arrays, which every model built
+    from one held layout shares. A block's names may be given as a function
+    that is only called for LP export and error messages. Blocks may be
+    appended after a solve, as the planning model does with its
+    charge/discharge exclusion; each solve reads the problem as it is at the
+    call.
     """
 
     def __init__(self, name="problem"):
@@ -177,19 +330,20 @@ class MilpProblem:
         self.objective_constant = 0.0
         self._var_names: list = []  # one entry per block, see _names
         self._row_names: list = []
+        self._layout = None  # the held RowLayout of A while A is one block
 
     # -- variables ---------------------------------------------------------
 
     def add_variables(self, n, lower=0.0, upper=INF, binary=False, *, names,
-                      family="variables") -> np.ndarray:
+                      family="variables", cost=0.0) -> np.ndarray:
         """Append ``n`` variables and return their ids.
 
-        ``lower``, ``upper`` and ``binary`` broadcast to ``(n,)``; ``names``
-        is a list of ``n`` names or a function returning one.
+        ``lower``, ``upper``, ``binary`` and ``cost``, each new variable's
+        objective coefficient, broadcast to ``(n,)``; ``names`` is a list of
+        ``n`` names or a function returning one.
         """
-        lower = np.broadcast_to(np.asarray(lower, dtype=float), (n,))
-        upper = np.broadcast_to(np.asarray(upper, dtype=float), (n,))
-        binary = np.broadcast_to(np.asarray(binary, dtype=bool), (n,))
+        lower, upper, cost = (_vector(a, n, float) for a in (lower, upper, cost))
+        binary = _vector(binary, n, bool)
         for bad, what in ((~(lower <= upper), "lower > upper or a bound is NaN"),
                           ((lower == INF) | (upper == -INF), "no finite value"),
                           (binary & ~((lower >= 0) & (upper <= 1)),
@@ -200,10 +354,10 @@ class MilpProblem:
                                 f"[{lower[i]}, {upper[i]}]: {what}")
         first = self.n_variables
         self._var_names.append(names)
-        self.c = np.concatenate([self.c, np.zeros(n)])
-        self.lower = np.concatenate([self.lower, lower])
-        self.upper = np.concatenate([self.upper, upper])
-        self.integrality = np.concatenate([self.integrality, binary.astype(int)])
+        self.c, self.lower, self.upper, self.integrality = (
+            np.concatenate([old, new]) for old, new in (
+                (self.c, cost), (self.lower, lower), (self.upper, upper),
+                (self.integrality, binary.astype(int))))
         return np.arange(first, first + n)
 
     def add_variable(self, name, lower=0.0, upper=INF, binary=False) -> int:
@@ -224,7 +378,7 @@ class MilpProblem:
 
     # -- constraints and objective -----------------------------------------
 
-    def add_constraints(self, families, *, names) -> np.ndarray:
+    def add_constraints(self, families, *, names, layout: RowLayout | None = None) -> np.ndarray:
         """Append the rows of one or more constraint families; return their ids.
 
         Each family is ``(family, rows, terms, sense, rhs)``: the new row at
@@ -234,57 +388,50 @@ class MilpProblem:
         positions ``0 .. n-1`` of the block once each; no family appends no
         row. ``names`` is a list of the block's row names or a function
         returning one.
+
+        ``layout``, the :class:`RowLayout` of families of this structure,
+        which the caller holds, skips the checks and the sort that depend on
+        no value; the coefficients and right-hand sides are still checked.
+        Without it the block's layout is made here and not kept.
         """
-        first, n_vars = self.n_constraints, self.n_variables
+        first, held = self.n_constraints, layout
         if not families:
             return np.arange(first, first)
-        n = sum(np.size(f[1]) for f in families)
-        lb, ub = np.empty(n), np.empty(n)
-        parts = []  # (rows, cols, coefs) per family, cols and coefs (k, terms)
-        for family, rows, terms, sense, rhs in families:
-            if sense not in _SENSES:
-                raise MilpError(f"constraints {family}: unknown sense {sense!r}")
-            rows = np.asarray(rows, dtype=np.int64)
-            cols = np.empty(rows.shape + (len(terms),), dtype=np.int64)
-            coefs = np.empty(cols.shape)
-            for j, (ids, vals) in enumerate(terms):
-                cols[..., j], coefs[..., j] = ids, vals
-            rhs = np.broadcast_to(np.asarray(rhs, dtype=float), rows.shape).ravel()
-            rows = rows.ravel()
-            cols, coefs = cols.reshape(rows.size, len(terms)), coefs.reshape(rows.size, len(terms))
-            for bad, what in (
-                    ((rows < 0) | (rows >= n), lambda k, j: f"position outside block of {n}"),
-                    (np.diff(np.sort(cols), axis=1) == 0, lambda k, j: "duplicate variable ids"),
-                    ((cols < 0) | (cols >= n_vars), lambda k, j: f"unknown variable id {cols[k, j]}"),
-                    (~np.isfinite(coefs), lambda k, j: "non-finite coefficient on "
-                     f"{_names(self._var_names)[cols[k, j]]}"),
-                    (~np.isfinite(rhs), lambda k, j: "non-finite rhs")):
-                if bad.any():
-                    k, j = np.argwhere(bad.reshape(rows.size, -1))[0]
-                    row = _names([names])[rows[k]] if 0 <= rows[k] < n else rows[k]
-                    raise MilpError(f"constraints {family}, row {row}: {what(k, j)}")
-            lb[rows] = -INF if sense == LE else rhs
-            ub[rows] = INF if sense == GE else rhs
-            parts.append((rows, cols, coefs))
-
-        cover = np.bincount(np.concatenate([r for r, _, _ in parts]), minlength=n)
-        if np.any(cover != 1):
-            raise MilpError(f"constraint block: row {_names([names])[np.argmax(cover != 1)]} "
-                            "is not given by exactly one family")
-        rows = np.concatenate([np.repeat(r, c.shape[1]) for r, c, _ in parts])
-        cols = np.concatenate([c.ravel() for _, c, _ in parts])
-        data = np.concatenate([v.ravel() for _, _, v in parts])
-        if self.data.size + data.size > np.iinfo(np.int32).max:
+        if layout is None:
+            layout = RowLayout.of(families, self.n_variables, names)
+        coefs, rhs = _fill(families, 1), _rhs(families)
+        if (coefs.size, rhs.size) != (layout.entries.size, layout.rows.size) or (
+                layout.columns > self.n_variables):
+            raise MilpError(f"constraint block of {rhs.size} rows and {coefs.size} entries "
+                            f"does not match its layout")
+        for values, by_term in ((coefs, True), (rhs, False)):
+            finite = np.isfinite(values)
+            if not finite.all():
+                f, j, k = _locate(families, int(np.argmin(finite)), by_term)
+                family, rows, terms, _, _ = families[f]
+                what = "non-finite rhs"
+                if by_term:
+                    var = np.broadcast_to(terms[j][0], np.shape(rows)).ravel()[k]
+                    what = f"non-finite coefficient on {_names(self._var_names)[var]}"
+                raise MilpError(f"constraints {family}, row {_names([names])[np.ravel(rows)[k]]}: "
+                                f"{what}")
+        if self.data.size + coefs.size > _MAX_ENTRIES:
             raise MilpError("constraint matrix: more entries than a 32-bit index holds")
-        order = np.lexsort((cols, rows))  # row-major, columns sorted within a row
-        ends = self.data.size + np.cumsum(np.bincount(rows, minlength=n))
-        self.indptr = np.concatenate([self.indptr, ends.astype(np.int32)])
-        self.indices = np.concatenate([self.indices, cols[order].astype(np.int32)])
-        self.data = np.concatenate([self.data, data[order]])
-        self.lb = np.concatenate([self.lb, lb])
-        self.ub = np.concatenate([self.ub, ub])
+        rhs, data = rhs[layout.rows], coefs[layout.entries]
+        lb, ub = np.where(layout.le, -INF, rhs), np.where(layout.ge, INF, rhs)
+        if first == 0:  # the block is the matrix: share the layout's read-only structure
+            self.indptr, self.indices, self.data, self.lb, self.ub = (
+                layout.indptr, layout.indices, data, lb, ub)
+            self._layout = held
+        else:
+            self.indptr = np.concatenate([self.indptr, self.data.size + layout.indptr[1:]])
+            self.indices = np.concatenate([self.indices, layout.indices])
+            self.data = np.concatenate([self.data, data])
+            self.lb = np.concatenate([self.lb, lb])
+            self.ub = np.concatenate([self.ub, ub])
+            self._layout = None
         self._row_names.append(names)
-        return np.arange(first, first + n)
+        return np.arange(first, first + rhs.size)
 
     def add_constraint(self, terms, sense, rhs, name=None) -> int:
         """Add ``sum(coef * var) sense rhs``; ``terms`` is [(var_index, coef)]."""
@@ -313,7 +460,15 @@ class MilpProblem:
 
     def _entry_rows(self):
         """The row of each entry of ``A``."""
-        return np.repeat(np.arange(self.n_constraints, dtype=np.int32), np.diff(self.indptr))
+        if self._layout is not None:
+            return self._layout.entry_rows()
+        return _entry_rows(self.indptr)
+
+    def _by_column(self):
+        """``A``'s entries in column order, rows ascending within a column."""
+        if self._layout is not None:
+            return self._layout.by_column()
+        return np.argsort(self.indices, kind="stable")
 
     def _matvec(self, x):
         """``A @ x``, each row summed in entry order as scipy's CSR product does."""
@@ -390,7 +545,8 @@ _STATUSES = {_Model.kOptimal: OPTIMAL, _Model.kTimeLimit: TIME_LIMIT,
 
 
 # HiGHS basis statuses, indexed by the int8 value a basis holds.
-_BASIS_STATUSES = sorted(_highs.HighsBasisStatus.__members__.values(), key=int)
+_BASIS_STATUSES = np.array(sorted(_highs.HighsBasisStatus.__members__.values(), key=int),
+                           dtype=object)
 LOWER, BASIC, UPPER = (int(_highs.HighsBasisStatus.__members__[k])
                        for k in ("kLower", "kBasic", "kUpper"))
 
@@ -405,6 +561,7 @@ class HighsResult:
     mip_gap: float  # HiGHS reports inf for an LP
     mip_node_count: int  # branch-and-bound nodes, 0 for an LP
     iterations: int = 0  # simplex iterations
+    off_bound: float = 0.0  # max_primal_infeasibility: how far values leave a bound
     basis: tuple | None = None  # (column, row) statuses of an LP's final basis, int8
 
 
@@ -426,11 +583,11 @@ def milp(c, *, lower, upper, row_lower, row_upper, indptr, indices, data, integr
 
     ``A`` is given column-wise (CSC ``indptr``, ``indices``, ``data``);
     ``integrality`` is 1 for an integer column and all zeros for an LP.
-    ``basis``, (column statuses, row statuses) as int8 arrays, is set as an
-    alien basis before the run, so HiGHS repairs one whose count of basic
-    variables is wrong. An LP's final basis is returned in the same form. A
-    call HiGHS refuses (an option, the model or the basis) raises
-    :class:`MilpError`.
+    ``basis``, (column statuses, row statuses) as int8 arrays, is set before
+    the run; one whose count of basic variables is not the row count is set
+    as an alien basis, which HiGHS repairs. An LP's final basis is returned
+    in the same form. A call HiGHS refuses (an option, the model or the
+    basis) raises :class:`MilpError`.
     """
     highs = _highs._Highs()
     for name, value in (("log_to_console", False), ("mip_rel_gap", float(mip_gap)),
@@ -443,9 +600,9 @@ def milp(c, *, lower, upper, row_lower, row_upper, indptr, indices, data, integr
            f"the model ({c.size} columns, {row_lower.size} rows)")
     if basis is not None:
         start = _highs.HighsBasis()
-        start.col_status, start.row_status = (
-            list(map(_BASIS_STATUSES.__getitem__, part.tolist())) for part in basis)
-        start.alien = True
+        start.col_status, start.row_status = (_BASIS_STATUSES[part].tolist() for part in basis)
+        start.alien = np.count_nonzero(basis[0] == BASIC) + np.count_nonzero(
+            basis[1] == BASIC) != basis[1].size
         _check(highs.setBasis(start),
                f"the basis ({basis[0].size} columns, {basis[1].size} rows)")
     _check(highs.run(), "to run the model")
@@ -458,7 +615,8 @@ def milp(c, *, lower, upper, row_lower, row_upper, indptr, indices, data, integr
                              (np.array(solution.row_value), row_lower, row_upper))
     return HighsResult(status=highs.getModelStatus(), objective=info.objective_function_value,
                        x=x, mip_gap=info.mip_gap, mip_node_count=max(info.mip_node_count, 0),
-                       iterations=max(info.simplex_iteration_count, 0), basis=final)
+                       iterations=max(info.simplex_iteration_count, 0),
+                       off_bound=max(info.max_primal_infeasibility, 0.0), basis=final)
 
 
 def _final_basis(highs, cols, rows):
@@ -474,9 +632,8 @@ def _final_basis(highs, cols, rows):
     status, basic = highs.getBasicVariables()
     if status == _highs.HighsStatus.kError:
         return None
-    cols, rows = (np.where(np.abs(hi - v) < np.abs(v - lo), UPPER, LOWER).astype(np.int8)
+    cols, rows = (np.where(np.abs(hi - v) < np.abs(v - lo), np.int8(UPPER), np.int8(LOWER))
                   for v, lo, hi in (cols, rows))
-    basic = np.asarray(basic)
     cols[basic[basic >= 0]] = BASIC
     rows[-1 - basic[basic < 0]] = BASIC
     return cols, rows
@@ -490,12 +647,11 @@ def _free_columns(problem, free):
     entries, are freed before HiGHS runs.
     """
     _, indices, data, _, _ = problem.constraint_matrix()
-    kept = free[indices]
-    cols = (np.cumsum(free) - 1)[indices[kept]]
-    order = np.argsort(cols, kind="stable")  # stable: CSR order is row order
+    order = problem._by_column()
+    kept = order[free[indices[order]]]
     col_ptr = np.zeros(np.count_nonzero(free) + 1, dtype=np.int32)
-    col_ptr[1:] = np.cumsum(np.bincount(cols, minlength=col_ptr.size - 1))
-    return col_ptr, problem._entry_rows()[kept][order], data[kept][order]
+    col_ptr[1:] = np.cumsum(np.bincount(indices, minlength=free.size)[free])
+    return col_ptr, problem._entry_rows()[kept], data[kept]
 
 
 def solve(problem: MilpProblem, opts: SolveOptions | None = None, basis=None) -> SolveResult:
@@ -524,7 +680,8 @@ def solve(problem: MilpProblem, opts: SolveOptions | None = None, basis=None) ->
     x = np.where(free, 0.0, problem.lower)  # the fixed columns at their value
     integrality = problem.integrality[free]
     path = "highs" if integrality.any() else "lp"
-    off_binary = np.any((problem.integrality == 1) & (0 < x) & (x < 1))  # fixed in (0, 1)
+    off_binary = problem.integrality.any() and np.any(  # a binary fixed in (0, 1)
+        (problem.integrality == 1) & (0 < x) & (x < 1))
     if off_binary or not free.any():
         residuals, objective = problem.evaluate(x)
         if off_binary or residuals.max(initial=0.0) > 1e-7:
@@ -557,7 +714,8 @@ def solve(problem: MilpProblem, opts: SolveOptions | None = None, basis=None) ->
         final = (np.full(problem.n_variables, LOWER, dtype=np.int8), res.basis[1])
         final[0][free] = res.basis[0]
     return SolveResult(status=status, objective=objective, primal=primal, achieved_gap=gap,
-                       runtime=runtime, path=path, iterations=res.iterations, basis=final)
+                       runtime=runtime, path=path, iterations=res.iterations,
+                       off_bound=res.off_bound, basis=final)
 
 
 def default_backend() -> str:

@@ -37,15 +37,27 @@ time, checked against the lower bound the blocks give; the whole year is
 built only when the check fails. The blocks differ only in bounds and
 right-hand sides, so each starts from the simplex basis of the block before
 it, mapped day by day through that layout, and a year's first block from the
-last block of the year before.
+last block of the year before. A year solved whole starts from the basis of
+the year before when that year was solved whole too, and a sizing probe's
+plan from the plan of the probe before it (:func:`solve_dispatch`).
+
+Models of one structure are built over and over: a sizing search builds
+its probes' plans and their validation years, a split year its blocks.
+Inside a sizing search or a validation (:func:`holding_layouts`),
+:func:`_build` keeps the structure of a layout it has built twice (a few
+layouts at most, see ``_LAYOUTS_KEPT``), so later builds of it only write
+values. A one-off model, such as a plan at the paper's scale, holds nothing,
+and the run's end drops what it held.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +72,7 @@ from .scenario import Scenario
 BLOCK_DAYS = 28
 
 _SCALARS = ("s_pv", "s_bess", "p_cder_max", "e_init")
+_SCALAR_IDS = {k: i for i, k in enumerate(_SCALARS)}
 _SIZES = _SCALARS[:3]
 
 
@@ -114,15 +127,69 @@ def _cost_total(costs):
             + costs["shed_penalty"] + costs["import_cost"] - costs["export_revenue"])
 
 
-def _index(scenario: Scenario, shape, capital: bool, eta_bess: float) -> ModelIndex:
+def _index(scenario: Scenario, shape, capital: bool, eta_bess: float,
+           series: dict | None = None) -> ModelIndex:
     """The column layout of a model :func:`_build` assembles over ``shape`` (Y, D, T):
     the four scalars at ids 0-3, then the S series of each flattened hour h at
-    ids 4 + S*h + j, j the position in ``SERIES`` plus ``u_cder`` if committed."""
-    names = ModelIndex.SERIES + ("u_cder",) * scenario.cder.committed
-    hours = len(_SCALARS) + len(names) * np.arange(math.prod(shape)).reshape(shape)
-    return ModelIndex(shape=shape, series={k: hours + j for j, k in enumerate(names)},
-                      scalars={k: i for i, k in enumerate(_SCALARS)}, scenario=scenario,
-                      capital=capital, eta_bess=eta_bess)
+    ids 4 + S*h + j, j the position in ``SERIES`` plus ``u_cder`` if committed.
+    ``series`` gives the read-only id arrays of a held layout."""
+    if series is None:
+        names = ModelIndex.SERIES + ("u_cder",) * scenario.cder.committed
+        hours = len(_SCALARS) + len(names) * np.arange(math.prod(shape)).reshape(shape)
+        series = {k: hours + j for j, k in enumerate(names)}
+    return ModelIndex(shape=shape, series=dict(series), scalars=dict(_SCALAR_IDS),
+                      scenario=scenario, capital=capital, eta_bess=eta_bess)
+
+
+class _Layout(NamedTuple):
+    """What every build of one layout shares: the series ids of its index,
+    which columns are binary, each hour's previous stored-energy column, each
+    constraint family's row positions, and where its rows' values land.
+    Read-only."""
+
+    series: dict
+    binary: np.ndarray
+    e_prev: np.ndarray
+    at: list
+    rows: milp.RowLayout
+
+
+# Layouts held at once, the least recently built dropped first. A sizing
+# search builds two (its probes' plans and their validation years), a split
+# hourly validation year about two block lengths.
+_LAYOUTS_KEPT = 4
+# Layout key -> its _Layout, or None while it has been built only once.
+_layouts: dict = {}
+_holders = 0  # open holding_layouts() scopes
+
+
+@contextlib.contextmanager
+def holding_layouts():
+    """Hold the layouts of the models built inside (see :func:`_build`) until
+    the outermost such scope ends, which drops them all. A sizing search and
+    a validation each build inside one, so nothing is held after a run, and
+    a model built outside any holds nothing. Also a function decorator."""
+    global _holders
+    _holders += 1
+    try:
+        yield
+    finally:
+        _holders -= 1
+        if not _holders:
+            _layouts.clear()
+
+
+def _recall(key):
+    """(whether ``key`` was built before, its held layout or None); notes the
+    build inside a :func:`holding_layouts` scope."""
+    if not _holders:
+        return False, None
+    seen = key in _layouts
+    layout = _layouts.pop(key, None)
+    _layouts[key] = layout
+    if len(_layouts) > _LAYOUTS_KEPT:
+        del _layouts[next(iter(_layouts))]
+    return seen, layout
 
 
 def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
@@ -133,19 +200,28 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
     row ``series <=/>= coef * size`` of ``links`` stays a row while its size
     is free; a pinned size (lo == hi) turns it into a bound on the series, so
     a pinned size column is fixed and only the power balance reads it.
-    ``capital`` puts capital costs in the objective."""
+    ``capital`` puts capital costs in the objective.
+
+    The structure of the model (its columns' binaries, ``A``'s sparsity and
+    where each family's values land) depends only on (Y, D, T), which sizes
+    are pinned, commitment and cyclic days. Inside :func:`holding_layouts`,
+    such a layout is held from its second build on (:func:`_recall`), and a
+    later build writes only values: bounds, coefficients, right-hand sides
+    and costs. Those are checked on every build; the structure only when it
+    is assembled."""
     cfg, cder, pv, bess = scenario.cfg, scenario.cder, scenario.pv, scenario.bess
     Y, D, T = load.shape
     commit = cder.committed
 
-    prob = MilpProblem(name=name)
     alpha = scenario.alpha
     tie = cfg.tie_limit
 
     soc_lo = bess.soc_min
     soc_hi = bess.soh_init * bess.soc_max
     pv_avail = np.asarray(eta_pv_by_year)[:, None, None] * pv_cf
-    pinned = [lo == hi for lo, hi in zip(size_lo, size_hi)]
+    pinned = tuple(lo == hi for lo, hi in zip(size_lo, size_hi))
+    key = (Y, D, T, pinned, commit, cfg.cyclic_soc)  # what the structure depends on
+    seen, layout = _recall(key)
     # (family, series, size, coef, sense): series sense coef * size, with size
     # the position in (s_pv, s_bess, p_cder_max). The e_init rows lead the
     # model; the others are written for every hour, after its balance row.
@@ -166,33 +242,57 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
     upper = {"p_ls": load, "p_imp": tie, "p_exp": tie, "u_cder": 1.0}
     for _, k, j, coef, sense in links:
         if pinned[j] and sense == LE:
-            upper[k] = np.minimum(upper.get(k, INF), coef * size_lo[j])
+            bound = coef * size_lo[j]
+            upper[k] = np.minimum(upper[k], bound) if k in upper else bound
         elif pinned[j]:
             lower[k] = np.maximum(lower.get(k, 0.0), coef * size_lo[j])
 
     # Variables in the layout of _index: the four scalars, then the series hour by hour.
-    index = _index(scenario, (Y, D, T), capital, eta_bess)
+    index = _index(scenario, (Y, D, T), capital, eta_bess,
+                   None if layout is None else layout.series)
     s_pv, s_bess, p_cder_max, e_init = index.scalars.values()
     v = index.series
-    prob.add_variables(
-        4, lower=[*size_lo, lower.get("e_init", 0.0)], upper=[*size_hi, upper.get("e_init", INF)],
-        names=list(index.scalars), family="sizes")
+    # Objective, each coefficient summed onto 0.0 as terms of one column are.
+    size_cost = [0.0] * len(_SCALARS)
+    if capital:
+        size_cost[p_cder_max] += cder.capital
+        size_cost[s_pv] += pv.capital
+        size_cost[s_bess] += bess.capital
+    size_cost[s_pv] += Y * pv.rep_frac * pv.capital * pv.deg_rate
+    series_cost = {"p_cder": alpha * cder.op_cost, "p_dchg": alpha * bess.deg_cost_per_mwh,
+                   "p_ls": alpha * cfg.ls_penalty,
+                   "p_imp": alpha * scenario.tariff.import_price[days],
+                   "p_exp": -alpha * scenario.tariff.export_price[days],
+                   "u_cder": alpha * cder.no_load}
+    # Lower bounds, upper bounds and costs of every column: the scalars', then
+    # each series' value, one per series or an array over its hours.
+    bounds = np.empty((3, len(_SCALARS) + Y * D * T * len(v)))
+    bounds[:, :len(_SCALARS)] = ([*size_lo, lower.get("e_init", 0.0)],
+                                 [*size_hi, upper.get("e_init", INF)], size_cost)
+    per_hour = bounds[:, len(_SCALARS):].reshape(3, Y, D, T, len(v))
+    arrays = []
+    for i, (values, default) in enumerate(((lower, 0.0), (upper, INF), (series_cost, 0.0))):
+        row = [values.get(k, default) for k in v]
+        arrays += [(i, j, x) for j, x in enumerate(row) if isinstance(x, np.ndarray)]
+        per_hour[i] = [0.0 if isinstance(x, np.ndarray) else x for x in row]
+    for i, j, x in arrays:
+        per_hour[i, ..., j] = x
+    per_hour[2] += 0.0  # as the sum onto 0.0: -0.0 becomes 0.0
 
     # Names carry the scenario's day, so a block's names are the whole year's.
     day_ids = range(len(scenario.base_load))[days]
-
-    def stacked(bounds, default):
-        return np.stack([np.broadcast_to(bounds.get(k, default), (Y, D, T)) for k in v],
-                        axis=-1).ravel()
-
+    binary = (np.concatenate([np.zeros(len(_SCALARS), dtype=bool),
+                              np.tile([k == "u_cder" for k in v], Y * D * T)])
+              if layout is None else layout.binary)
+    prob = MilpProblem(name=name)
     prob.add_variables(
-        Y * D * T * len(v), lower=stacked(lower, 0.0), upper=stacked(upper, INF),
-        binary=np.tile([k == "u_cder" for k in v], Y * D * T),
-        names=lambda: [f"{k}_{y}_{d}_{t}" for y, d, t in itertools.product(
-            range(Y), day_ids, range(T)) for k in v], family="dispatch")
+        bounds.shape[1], lower=bounds[0], upper=bounds[1], binary=binary, cost=bounds[2],
+        names=lambda: list(index.scalars) + [f"{k}_{y}_{d}_{t}" for y, d, t in itertools.product(
+            range(Y), day_ids, range(T)) for k in v], family=name)
 
     # Energy tracking; every day restarts from the shared initial level.
-    e_prev = np.concatenate([np.full((Y, D, 1), e_init), v["e_bess"][..., :-1]], axis=-1)
+    e_prev = (np.concatenate([np.full((Y, D, 1), e_init), v["e_bess"][..., :-1]], axis=-1)
+              if layout is None else layout.e_prev)
 
     col, size_col = {**v, "e_init": e_init}, (s_pv, s_bess, p_cder_max)
     rows = [(k, (f, [(col[k], 1.0), (size_col[j], -coef)], sense, 0.0))
@@ -219,35 +319,38 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
             ("cder_on", [(v["p_cder"], 1.0), (v["u_cder"], -on)], LE, 0.0),
             ("cder_min", [(v["p_cder"], 1.0), (v["u_cder"], -cder.p_min)], GE, 0.0),
         ]
+    blocks = head + hourly
+    if cfg.cyclic_soc:
+        blocks.append(("cyclic", [(v["e_bess"][..., -1], 1.0), (e_init, -1.0)], EQ, 0.0))
     # Rows: the H head rows, then for each flattened day g the K rows of each
     # hour t at H + g*per_day + K*t + k, then the day's cyclic row.
     H, K = len(head), len(hourly)
-    per_day = K * T + int(cfg.cyclic_soc)
-    hour_row = H + per_day * np.arange(Y * D).reshape(Y, D, 1) + K * np.arange(T)
+    if layout is None:
+        per_day = K * T + int(cfg.cyclic_soc)
+        hour_row = H + per_day * np.arange(Y * D).reshape(Y, D, 1) + K * np.arange(T)
+        at = [*range(H), *(hour_row + k for k in range(K))]
+        at += [hour_row[..., -1] + K] * cfg.cyclic_soc
+    else:
+        at = layout.at
     families = [(family, r, terms, sense, rhs)
-                for r, (family, terms, sense, rhs) in enumerate(head)]
-    families += [(family, hour_row + k, terms, sense, rhs)
-                 for k, (family, terms, sense, rhs) in enumerate(hourly)]
-    if cfg.cyclic_soc:
-        families.append(("cyclic", hour_row[..., -1] + K,
-                         [(v["e_bess"][..., -1], 1.0), (e_init, -1.0)], EQ, 0.0))
-    prob.add_constraints(families, names=lambda: [f for f, *_ in head] + [
-        name for y, d in itertools.product(range(Y), day_ids)
-        for name in [f"{f}_{y}_{d}_{t}" for t in range(T) for f, *_ in hourly]
-        + [f"cyclic_{y}_{d}"] * cfg.cyclic_soc])
+                for r, (family, terms, sense, rhs) in zip(at, blocks)]
 
-    # Objective.
-    obj = []
-    if capital:
-        obj += [(p_cder_max, cder.capital), (s_pv, pv.capital), (s_bess, bess.capital)]
-    obj.append((s_pv, Y * pv.rep_frac * pv.capital * pv.deg_rate))
-    obj += [(v["p_cder"], alpha * cder.op_cost),
-            (v["p_dchg"], alpha * bess.deg_cost_per_mwh), (v["p_ls"], alpha * cfg.ls_penalty),
-            (v["p_imp"], alpha * scenario.tariff.import_price[days]),
-            (v["p_exp"], -alpha * scenario.tariff.export_price[days])]
-    if commit:
-        obj.append((v["u_cder"], alpha * cder.no_load))
-    prob.set_objective(obj)
+    def row_names():
+        return [f for f, *_ in head] + [
+            name for y, d in itertools.product(range(Y), day_ids)
+            for name in [f"{f}_{y}_{d}_{t}" for t in range(T) for f, *_ in hourly]
+            + [f"cyclic_{y}_{d}"] * cfg.cyclic_soc]
+
+    if layout is not None:
+        prob.add_constraints(families, names=row_names, layout=layout.rows)
+    elif not seen:  # a one-off build keeps nothing
+        prob.add_constraints(families, names=row_names)
+    else:  # the second build assembles the layout it holds
+        rows = milp.RowLayout.of(families, prob.n_variables, row_names)
+        prob.add_constraints(families, names=row_names, layout=rows)
+        for a in (*v.values(), binary, e_prev, *at[H:]):
+            a.flags.writeable = False
+        _layouts[key] = _Layout(dict(v), binary, e_prev, at, rows)
     return prob, index
 
 
@@ -308,13 +411,13 @@ def _costs(series, sizes, index: ModelIndex) -> dict:
     capital = 0.0
     if index.capital:
         capital = p_cder_max * cder.capital + s_pv * pv.capital + s_bess * bess.capital
-    cder_op = alpha * float(np.sum(series["p_cder"]) * cder.op_cost
-                            + np.sum(series.get("u_cder", 0.0)) * cder.no_load)
+    no_load = series["u_cder"].sum() * cder.no_load if "u_cder" in series else 0.0
+    cder_op = alpha * float(series["p_cder"].sum() * cder.op_cost + no_load)
     pv_deg = index.shape[0] * pv.rep_frac * pv.capital * s_pv * pv.deg_rate
-    bess_deg = alpha * bess.deg_cost_per_mwh * float(np.sum(series["p_dchg"]))
-    shed = alpha * cfg.ls_penalty * float(np.sum(series["p_ls"]))
-    imp_cost = alpha * float(np.sum(series["p_imp"] * sc.tariff.import_price[None]))
-    exp_rev = alpha * float(np.sum(series["p_exp"] * sc.tariff.export_price[None]))
+    bess_deg = alpha * bess.deg_cost_per_mwh * float(series["p_dchg"].sum())
+    shed = alpha * cfg.ls_penalty * float(series["p_ls"].sum())
+    imp_cost = alpha * float((series["p_imp"] * sc.tariff.import_price[None]).sum())
+    exp_rev = alpha * float((series["p_exp"] * sc.tariff.export_price[None]).sum())
     return {"capital": capital, "cder_op": cder_op, "pv_deg": pv_deg,
             "bess_deg": bess_deg, "shed_penalty": shed,
             "import_cost": imp_cost, "export_revenue": exp_rev}
@@ -325,7 +428,7 @@ def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSol
     if not result.has_solution:
         raise ModelBuildError(f"no solution to extract (status {result.status})")
     x = result.primal
-    solved = {k: x[ids].astype(float) for k, ids in index.series.items()}
+    solved = {k: x[ids] for k, ids in index.series.items()}
     # Netting an hour that imports and exports keeps its balance and tie-line
     # bounds and changes the cost by -alpha*m*(import - export price) <= 0,
     # so at an optimum it is free.
@@ -337,20 +440,24 @@ def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSol
 
     # The check prices the primal as solved: a shed of -4e-7 MW clipped to 0
     # moves the breakdown by 0.4 USD at a 1e6 $/MWh penalty.
-    total = _cost_total(_costs(solved, sizes, index))
+    costs = _costs(solved, sizes, index)
+    total = _cost_total(costs)
     scale = max(1.0, abs(result.objective))
     if abs(total - result.objective) > 1e-6 * scale:
         raise ModelBuildError(
             f"cost breakdown {total} inconsistent with objective {result.objective}")
 
     # The reported dispatch, sizes and breakdown drop tiny solver round-off
-    # below zero on the nonnegative power series and sizes.
-    series = {k: np.clip(v, 0.0, None) if k in ModelIndex.POWER else v
-              for k, v in solved.items()}
-    sizes = [max(size, 0.0) for size in sizes]
+    # below zero on the nonnegative power series and sizes; without any, they
+    # are the solved ones.
+    series = solved
+    if x.min(initial=0.0) < 0.0:
+        series = {k: np.maximum(v, 0.0) if k in ModelIndex.POWER else v
+                  for k, v in solved.items()}
+        sizes = [max(size, 0.0) for size in sizes]
+        costs = _costs(series, sizes, index)
     return DispatchSolution(series=series, e_init=e_init, investment=InvestmentDecision(*sizes),
-                            costs=_costs(series, sizes, index), objective=result.objective,
-                            shape=index.shape)
+                            costs=costs, objective=result.objective, shape=index.shape)
 
 
 def _add_battery_exclusion(problem: MilpProblem, index: ModelIndex):
@@ -403,25 +510,44 @@ def _timed_out() -> milp.SolveResult:
     return milp.SolveResult(status=milp.TIME_LIMIT, objective=math.nan, primal=None)
 
 
+# How far a warm solve's values may leave a column or row bound (the result's
+# ``off_bound``). HiGHS takes a value within its feasibility tolerance (1e-7) of
+# a bound as feasible, so from the basis of a slightly different model it can
+# stop there, where a cold run pivots onto the bound: a validation year whose
+# capacity faded by 1e-11 MWh stopped 8.5e-12 MWh above it and shed nothing,
+# where the cold solve sheds 8.5e-12 MW. The slack is absolute: cold solves of
+# the fixture and benchmark models, whose values stay below about 60, report at
+# most 1.6e-14, round-off of a few dozen ulps. A model of values 100 times larger
+# could reach it by round-off alone; each of its warm solves would then run twice.
+WARM_SLACK = 1e-12
+
+
 class _Solves:
     """The HiGHS calls of one model's solve: a plan, a probe's plan or a
     validation year. They share ``opts.time_limit``: each call gets what the
     calls before it left, and once it is spent a solve is ``time-limit``
-    without a call. A warm solve that does not end optimal is repeated cold."""
+    without a call. A warm solve that does not end optimal, or whose values
+    leave a bound by more than :data:`WARM_SLACK`, is repeated cold."""
 
     def __init__(self, opts: milp.SolveOptions):
         self.opts, self.runtime, self.iterations = opts, 0.0, 0
 
     def solve(self, problem: MilpProblem, basis=None) -> milp.SolveResult:
-        """``problem``'s solve, from ``basis`` when one is given."""
+        """``problem``'s solve, from ``basis`` when one is given and covers
+        ``problem``'s columns and rows."""
         if self.runtime >= self.opts.time_limit:
             return _timed_out()
-        opts = dataclasses.replace(self.opts, time_limit=self.opts.time_limit - self.runtime)
+        if basis is not None and (basis[0].size, basis[1].size) != (
+                problem.n_variables, problem.n_constraints):
+            basis = None
+        opts = self.opts if not self.runtime else dataclasses.replace(
+            self.opts, time_limit=self.opts.time_limit - self.runtime)
         # A cold call is milp.solve(problem, opts): ``basis=`` is passed only to start warm.
         result = milp.solve(problem, opts, **({} if basis is None else {"basis": basis}))
         self.runtime += result.runtime
         self.iterations += result.iterations
-        if basis is not None and result.status != milp.OPTIMAL:
+        if basis is not None and (result.status != milp.OPTIMAL
+                                  or result.off_bound > WARM_SLACK):
             return self.solve(problem)
         return result
 
@@ -432,27 +558,30 @@ class _Solves:
 
 
 def _solve_whole(problem: MilpProblem, index: ModelIndex, solves: _Solves,
-                 result: milp.SolveResult | None = None) -> milp.SolveResult:
-    """Solve ``problem``, or take ``result``, an optimum of it found another
-    way; if the optimum charges and discharges in one hour, append the
-    exclusion and solve again. The answer totals every call of ``solves``."""
+                 result: milp.SolveResult | None = None, basis=None) -> milp.SolveResult:
+    """Solve ``problem`` from ``basis``, or take ``result``, an optimum of it
+    found another way; if the optimum charges and discharges in one hour,
+    append the exclusion and solve again. The answer totals every call of
+    ``solves``."""
     if result is None:
-        result = solves.solve(problem)
+        result = solves.solve(problem, basis)
     if _burns(result, index):
         _add_battery_exclusion(problem, index)
         result = solves.solve(problem)
     return solves.total(result)
 
 
-def solve_dispatch(problem: MilpProblem, index: ModelIndex,
-                   opts: milp.SolveOptions) -> milp.SolveResult:
+def solve_dispatch(problem: MilpProblem, index: ModelIndex, opts: milp.SolveOptions,
+                   basis=None) -> milp.SolveResult:
     """Solve a model from :func:`build_integrated` or :func:`build_single_year`.
 
     The model has no charge/discharge exclusion, so an optimum that must burn
     a surplus may charge and discharge in one hour; only then is the
     exclusion appended and the model solved again (:func:`_solve_whole`).
+    ``basis``, the final basis of a model of the same layout (the plan of
+    the sizing search's previous probe), starts the first solve.
     """
-    return _solve_whole(problem, index, _Solves(opts))
+    return _solve_whole(problem, index, _Solves(opts), basis=basis)
 
 
 def _block_basis(basis, days: int, day_columns: int):
@@ -542,15 +671,17 @@ def solve_single_year(scenario: Scenario, state: DegradationState,
                       investment: InvestmentDecision, opts: milp.SolveOptions, basis=None):
     """Build and solve validation year ``state.year``; return the solve and the year's index.
 
-    A year of more than ``BLOCK_DAYS`` days without generator commitment is
-    built and solved in day blocks (:func:`_solve_days`, path ``days``), one
-    block's model alive at a time, the first block warm-started from
-    ``basis`` (the result's ``basis`` of the year before) when one is given.
-    The whole year is built and solved cold, as :func:`solve_dispatch` solves
-    a model, when it has fewer days or commitment, when the blocks fail their
-    check or when their optimum charges and discharges in one hour. All of
-    the year's HiGHS calls share ``opts.time_limit`` (:class:`_Solves`); once
-    it is spent the year is ``time-limit``, and the whole year is not built.
+    ``basis`` is the result's ``basis`` of the year before. A year of more
+    than ``BLOCK_DAYS`` days without generator commitment is built and solved
+    in day blocks (:func:`_solve_days`, path ``days``), one block's model
+    alive at a time, the first block warm-started from ``basis``. The whole
+    year is built and solved as :func:`solve_dispatch` solves a model when it
+    has fewer days or commitment, when the blocks fail their check or when
+    their optimum charges and discharges in one hour; its solve starts from
+    ``basis`` when that covers the year's model (the year before was solved
+    whole and ended on an LP). All of the year's HiGHS calls share
+    ``opts.time_limit`` (:class:`_Solves`); once it is spent the year is
+    ``time-limit``, and the whole year is not built.
     """
     shape = (1, *scenario.base_load.shape)
     solves, result = _Solves(opts), None
@@ -562,4 +693,4 @@ def solve_single_year(scenario: Scenario, state: DegradationState,
         if solves.runtime >= opts.time_limit:  # spent: no call is left for the whole year
             return solves.total(_timed_out()), index
     problem, index = build_single_year(scenario, state, investment)
-    return _solve_whole(problem, index, solves, result), index
+    return _solve_whole(problem, index, solves, result, basis), index

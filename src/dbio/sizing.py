@@ -6,6 +6,15 @@ year by year under degradation. Binary search doubles until a shed-free
 upper bound exists, then bisects; fixed-step grows the size geometrically
 until the first shed-free probe. A probe is shed-free when its validation is
 feasible, so a battery exhausted before the horizon ends counts as shedding.
+
+Only the pinned capacity changes from one probe's plan to the next, so each
+plan starts from the final simplex basis of the plan before it. A probe's
+validation is that of its investment alone, as ``--mode validate`` runs it:
+its first year starts cold and each later year from the year before, never
+from another probe's years. Starting year y from the previous probe's year y
+was measured to make the 26.7097 MWh probe of ``highuse_degradation`` shed
+and to add probes. Each :class:`IterationRecord` counts the simplex
+iterations of its plan and years.
 """
 
 from __future__ import annotations
@@ -13,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .planning import InvestmentDecision, build_integrated, extract_solution, solve_dispatch
+from .planning import (InvestmentDecision, build_integrated, extract_solution, holding_layouts,
+                       solve_dispatch)
 from .scenario import Scenario
 from .validation import DEFAULT_EUE_TOLERANCE, ValidationReport, validate
 
@@ -58,6 +68,7 @@ class IterationRecord:
     lb: float
     ub: float
     phase: str             # doubling | bisection | stepping
+    simplex_iterations: int  # of the probe's plan and validation years together
 
 
 @dataclass
@@ -72,13 +83,17 @@ class SizingResult:
     final_report: ValidationReport | None = None  # validation of final_investment
 
 
-def probe(size: float, scenario: Scenario):
+def probe(size: float, scenario: Scenario, basis=None, on_plan=None):
     """Planning re-solve with pinned capacity, followed by full validation.
 
+    ``basis``, the final basis of another probe's plan, starts the plan's
+    solve; ``on_plan``, when given, receives the plan's solve result.
     Returns (objective, total_eue, investment, validation report).
     """
     problem, index = build_integrated(scenario, pin_s_bess=size)
-    result = solve_dispatch(problem, index, scenario.cfg.solver)
+    result = solve_dispatch(problem, index, scenario.cfg.solver, basis)
+    if on_plan is not None:
+        on_plan(result)
     if not result.has_solution:
         raise SizingError(f"probe at {size} MWh: solver returned {result.status}")
     sol = extract_solution(result, index)
@@ -88,7 +103,8 @@ def probe(size: float, scenario: Scenario):
 
 class _Probes:
     """Probe log of one search: iteration records, plus (size, objective,
-    investment, report) of the last probe and of the last shed-free one."""
+    investment, report) of the last probe and of the last shed-free one, and
+    the last probe's plan solve, whose basis starts the next plan."""
 
     def __init__(self, method, scenario, on_iteration):
         self.method = method
@@ -97,14 +113,21 @@ class _Probes:
         self.iterations = []
         self.last = None
         self.last_shed_free = None
+        self.plan = None  # the solve result of the last probe's plan
+
+    def _planned(self, result):
+        self.plan = result
 
     def run(self, size, phase, lb, ub):
         """Probe ``size``, record it, and return whether it sheds."""
-        objective, eue, inv, report = probe(size, self.scenario)
+        basis = None if self.plan is None else self.plan.basis
+        objective, eue, inv, report = probe(size, self.scenario, basis, self._planned)
         rec = IterationRecord(index=len(self.iterations), candidate_size=size,
                               objective=objective, total_eue=eue,
                               shed=not report.feasible, truncated=report.truncated,
-                              lb=lb, ub=ub, phase=phase)
+                              lb=lb, ub=ub, phase=phase,
+                              simplex_iterations=self.plan.iterations + sum(
+                                  r.simplex_iterations for r in report.per_year))
         self.iterations.append(rec)
         self.last = (size, objective, inv, report)
         if not rec.shed:
@@ -121,6 +144,7 @@ class _Probes:
                             final_investment=inv, final_report=report)
 
 
+@holding_layouts()
 def size_binary(initial: InvestmentDecision, scenario: Scenario,
                 cfg: SearchConfig | None = None, *, on_iteration=None) -> SizingResult:
     """Doubling-then-bisection search for the smallest shed-free capacity.
@@ -164,6 +188,7 @@ def size_binary(initial: InvestmentDecision, scenario: Scenario,
     return probes.result(probes.last_shed_free, converged=True, midpoint=(lb + ub) / 2.0)
 
 
+@holding_layouts()
 def size_fixed_step(initial: InvestmentDecision, scenario: Scenario,
                     cfg: SearchConfig | None = None, *, on_iteration=None) -> SizingResult:
     """Geometric fixed-step growth: probe initial*(1+step)^k until shed-free.

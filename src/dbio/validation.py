@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degradation import BatteryExhaustedError, DegradationState, advance_state, count_cycles
-from .planning import DispatchSolution, InvestmentDecision, extract_solution, solve_single_year
+from .planning import (DispatchSolution, InvestmentDecision, extract_solution, holding_layouts,
+                       solve_single_year)
 from .scenario import Scenario
 
 DEFAULT_EUE_TOLERANCE = 1e-6  # MWh; solver round-off must not trigger resizing
@@ -60,6 +61,7 @@ def initial_state(scenario: Scenario, investment: InvestmentDecision) -> Degrada
         eta_pv=scenario.pv.eta_init)
 
 
+@holding_layouts()
 def validate(investment: InvestmentDecision, scenario: Scenario, *,
              apply_degradation: bool = True, on_year=None) -> ValidationReport:
     """Run the year-by-year validation of a fixed investment.
@@ -70,8 +72,10 @@ def validate(investment: InvestmentDecision, scenario: Scenario, *,
     freezes the battery chain (PV fade still follows its configured rate)
     and exists for degradation-off baselines. A run whose battery is
     exhausted before the horizon ends is ``truncated`` and never feasible.
-    Each year's solve starts from the final basis of the year before (see
-    :func:`solve_single_year`).
+    Each year's solve starts from the final basis of the year before, a
+    year solved whole as well as one solved in day blocks (see
+    :func:`solve_single_year`); the first year starts cold, so a validation
+    depends on its investment and scenario alone.
     """
     cfg = scenario.cfg
     rated = investment.s_bess

@@ -13,7 +13,7 @@ import numpy
 import pytest
 import scipy
 
-from dbio import milp, reports
+from dbio import milp, planning, reports
 from dbio.cli import load_investment, main
 from dbio.scenario import ScenarioError, load_scenario
 from dbio.sizing import SizingResult
@@ -129,8 +129,12 @@ def test_size_mode(fixtures_dir, tmp_path):
     assert report["sizing"]["converged"]
     assert (out / "iterations.csv").exists()
     rows = (out / "iterations.csv").read_text().strip().splitlines()
-    assert rows[0] == "iter,phase,size_mwh,objective_usd,eue_mwh,shed,truncated,lb,ub"
+    assert rows[0] == ("iter,phase,size_mwh,objective_usd,eue_mwh,shed,truncated,"
+                       "simplex_iterations,lb,ub")
     assert len(rows) - 1 == len(report["sizing"]["iterations"])
+    assert [int(row.split(",")[7]) for row in rows[1:]] == [
+        r["simplex_iterations"] for r in report["sizing"]["iterations"]]
+    assert all(r["simplex_iterations"] > 0 for r in report["sizing"]["iterations"])
 
 
 def test_validate_a_size_run_checks_the_sized_investment(fixtures_dir, tmp_path):
@@ -148,6 +152,22 @@ def test_validate_a_size_run_checks_the_sized_investment(fixtures_dir, tmp_path)
                  (size / "sizing.csv").read_text().splitlines()[1:])
     assert reports.fmt_qty(checked.p_cder_max) == sized["cder_mw"]
     assert reports.fmt_qty(checked.s_bess) == sized["bess_mwh"]
+
+
+@pytest.mark.parametrize("scenario", [SCENARIO, "highuse_degradation.json"])
+def test_a_size_runs_validation_is_that_of_its_investment(fixtures_dir, tmp_path, scenario):
+    # The sized investment's validation is reported as --mode validate reports
+    # it: no probe's validation starts from another probe's.
+    size, check = tmp_path / "size", tmp_path / "check"
+    assert run(["--scenario", fixtures_dir / scenario, "--out", size,
+                "--mode", "size", "--tol", 0.02]) == 0
+    assert run(["--scenario", fixtures_dir / scenario, "--out", check, "--mode", "validate",
+                "--investment", size / "report.json"]) == 0
+    for name in ("validation.csv", "degradation.csv", "sizing.csv"):
+        assert (check / name).read_bytes() == (size / name).read_bytes(), name
+    sized = json.loads((size / "report.json").read_text())["validation"]
+    checked = json.loads((check / "report.json").read_text())["validation"]
+    assert sized == checked
 
 
 def _reject_constant(name):
@@ -293,16 +313,21 @@ def test_solver_overrides_reach_every_solve(fixtures_dir, tmp_path, monkeypatch)
     seen = []
     real_solve = milp.solve
 
-    def recording_solve(problem, opts=None):
-        seen.append((problem.name, opts))
-        return real_solve(problem, opts)
+    def recording_solve(problem, opts=None, basis=None):
+        result = real_solve(problem, opts, basis)
+        seen.append((problem.name, opts.time_limit, basis is not None, result))
+        return result
 
     monkeypatch.setattr(milp, "solve", recording_solve)
     assert run(["--scenario", fixtures_dir / SCENARIO, "--out", tmp_path / "size",
                 "--mode", "size", "--tol", 0.05, "--time-limit", 77]) == 0
     # The plan and the probes solve "integrated" models, validation years "single_year".
-    assert {name for name, _ in seen} == {"integrated", "single_year"}
-    assert all(opts.time_limit == 77 for _, opts in seen)
+    assert {name for name, *_ in seen} == {"integrated", "single_year"}
+    # Each solve gets the override; one that repeats cold a warm solve which
+    # stopped off a bound gets what the warm solve left of it.
+    for (_, _, warm, before), (_, limit, _, _) in zip([(None, None, False, None)] + seen, seen):
+        assert limit == (77 - before.runtime if warm and before.off_bound > planning.WARM_SLACK
+                         else 77)
 
 
 @pytest.mark.parametrize("content", [
@@ -344,12 +369,12 @@ def test_validation_solver_failure_exits_one_with_manifest(fixtures_dir, tmp_pat
 
 
 def test_size_mode_validates_each_probe_once(fixtures_dir, tmp_path, monkeypatch):
-    names = []
+    models = {}  # id -> (problem, name) of each model solved; a model may be solved twice
     real_solve = milp.solve
 
-    def recording_solve(problem, opts=None):
-        names.append(problem.name)
-        return real_solve(problem, opts)
+    def recording_solve(problem, opts=None, basis=None):
+        models.setdefault(id(problem), (problem, problem.name))
+        return real_solve(problem, opts, basis)
 
     monkeypatch.setattr(milp, "solve", recording_solve)
     out = tmp_path / "size"
@@ -357,6 +382,7 @@ def test_size_mode_validates_each_probe_once(fixtures_dir, tmp_path, monkeypatch
                 "--mode", "size", "--tol", 0.05]) == 0
     years = load_scenario(fixtures_dir / SCENARIO).cfg.planning_years
     iterations = json.loads((out / "report.json").read_text())["sizing"]["iterations"]
+    names = [name for _, name in models.values()]
     assert names.count("single_year") == years * len(iterations)
 
 

@@ -640,6 +640,112 @@ def test_hourly_year_solver_input_matches_seed_builder(tmp_path):
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT["islanded_base_8760h/single_year"]
 
 
+def _case_build(case, tmp_path):
+    """``(build, scenario)``: the build of a SEED_SOLVER_INPUT case as a
+    function of its scenario, and the case's scenario."""
+    fixture, mode = case.split("/")
+    if fixture == "islanded_base_8760h":
+        inv = InvestmentDecision(s_pv=0.11, s_bess=0.077, p_cder_max=0.8)
+        state = _state(1, 0.07, eta_pv=1.0, eta_bess=0.9)
+        build = (build_integrated if mode == "integrated"
+                 else lambda sc: build_single_year(sc, state, inv))
+        return build, _hourly_year(tmp_path)
+    return (lambda sc: _build_mode(sc, mode)), _scenario(fixture)
+
+
+def _other_values(sc):
+    """``sc`` with another load and PV profile: every build of it has the
+    layout of ``sc``'s build and other values."""
+    return dataclasses.replace(sc, base_load=1.25 * sc.base_load,
+                               base_pv_cf=0.5 * sc.base_pv_cf)
+
+
+@pytest.mark.parametrize("case", list(SEED_SOLVER_INPUT))
+@planning.holding_layouts()
+def test_builds_of_a_held_layout_match_the_seed_builder(tmp_path, case):
+    # A layout is held from its second build on. A build of other values
+    # first makes the case's own second build the one that assembles and
+    # holds the layout, and its third build one that only writes values.
+    build, sc = _case_build(case, tmp_path)
+    build(_other_values(sc))
+    assert list(planning._layouts.values()) == [None]
+    for _ in ("second", "third"):
+        problem, _ = build(sc)
+        (layout,) = planning._layouts.values()
+        assert problem.indptr is layout.rows.indptr and problem.indices is layout.rows.indices
+        assert _solver_input_digest(problem) == SEED_SOLVER_INPUT[case]
+
+
+def test_a_layout_built_once_is_not_held(islanded_scenario, sizing_scenario):
+    # Outside a holding scope no build is held; inside, a layout is held from
+    # its second build on, and the outermost scope's end drops it.
+    for _ in range(2):
+        build_integrated(islanded_scenario)
+    assert planning._layouts == {}
+    with planning.holding_layouts():
+        problem, _ = build_integrated(islanded_scenario)
+        assert list(planning._layouts.values()) == [None]
+        with planning.holding_layouts():
+            held, _ = build_integrated(islanded_scenario)
+        (layout,) = planning._layouts.values()
+        assert layout.rows.indptr is held.indptr and layout.rows.indptr is not problem.indptr
+        # Only a few layouts are held: each block length is a layout of its own.
+        state, inv = _state(1, 0.3, eta_pv=1.0, eta_bess=0.9), InvestmentDecision(0.2, 0.3, 0.6)
+        for days in range(1, islanded_scenario.base_load.shape[0] + 1):
+            for _ in range(2):
+                build_single_year(islanded_scenario, state, inv, days=slice(0, days))
+        assert len(planning._layouts) == planning._LAYOUTS_KEPT
+        assert all(layout is not None for layout in planning._layouts.values())
+    assert planning._layouts == {}
+    # A sizing search and a validation hold their layouts while they run only.
+    inv = solve_plan(sizing_scenario)[0].investment
+    held = []
+    probe(inv.s_bess, sizing_scenario)  # outside a search: its plan holds nothing
+    validate(inv, sizing_scenario, on_year=lambda r: held.append(
+        [layout is not None for layout in planning._layouts.values()]))
+    assert held == [[False], [True]] and planning._layouts == {}
+
+
+@planning.holding_layouts()
+def test_appending_the_exclusion_leaves_a_held_layout_alone():
+    sc = _scenario("highuse_degradation")
+    for _ in range(2):
+        problem, index = _build_mode(sc, "pinned")
+    (layout,) = planning._layouts.values()
+    assert problem.indptr is layout.rows.indptr
+    with pytest.raises(ValueError, match="read-only"):
+        problem.indices[0] = 0
+    rows = problem.n_constraints
+    _add_battery_exclusion(problem, index)
+    assert problem.n_constraints > rows and problem.indptr is not layout.rows.indptr
+    assert milp.solve(problem, OPTS).path == "highs"
+    problem, _ = _build_mode(sc, "pinned")
+    assert problem.indptr is layout.rows.indptr
+    assert _solver_input_digest(problem) == SEED_SOLVER_INPUT["highuse_degradation/pinned"]
+
+
+def test_a_warm_solve_that_stops_off_a_bound_is_solved_again_cold(sizing_scenario):
+    # sizing_threshold's battery fades by about 1e-11 MWh a year. From year
+    # 1's basis HiGHS takes year 2's stored energy 8.5e-12 MWh above its new
+    # bound as feasible and stops; solved again cold, with the time the warm
+    # run left, the year sheds those 8.5e-12 MW at 3.65e8 $/MW, as a cold
+    # solve does.
+    inv = solve_plan(sizing_scenario)[0].investment
+    year1 = validate(inv, sizing_scenario).per_year[0]
+    first, _ = solve_single_year(sizing_scenario, year1.state_in, inv, OPTS)
+    assert 0 < year1.state_in.capacity - year1.state_out.capacity < 1e-9
+    problem, _ = build_single_year(sizing_scenario, year1.state_out, inv)
+    cold = milp.solve(problem, OPTS)
+    warm = milp.solve(problem, OPTS, basis=first.basis)
+    assert cold.off_bound <= planning.WARM_SLACK < warm.off_bound < 1e-7
+    assert (warm.status, cold.status) == ("optimal", "optimal")
+    solves = planning._Solves(OPTS)
+    got = solves.total(solves.solve(problem, first.basis))
+    assert got.objective == pytest.approx(cold.objective, rel=1e-12)
+    assert got.iterations == warm.iterations + cold.iterations
+    assert np.all(got.primal <= problem.upper + planning.WARM_SLACK)
+
+
 @pytest.mark.parametrize("prefix", ["islanded", "grid", "sizing", "highuse"],
                          ids=["islanded_base", "grid_fixed", "sizing_threshold",
                               "highuse_degradation"])
@@ -702,20 +808,25 @@ def test_hourly_year_hands_highs_only_the_free_columns(tmp_path, monkeypatch):
 def test_free_columns_solve_as_all_columns(monkeypatch, request, prefix):
     # The plan, a pinned-size probe with its validation years, and the plan's
     # validation years: each solve equals scipy's HiGHS on every column, in
-    # objective and in the sizes (ids 0-2).
+    # objective and in the sizes (ids 0-2). A warm solve that stops off a
+    # bound is no answer: the same model is solved cold next, and compared.
     scenario = request.getfixturevalue(f"{prefix}_scenario")
     pairs, reduced = [], milp.solve
 
-    def both(problem, opts):
-        pairs.append((reduced(problem, opts), _all_columns_solve(problem, opts)))
-        return pairs[-1][0]
+    def both(problem, opts, basis=None):
+        got = reduced(problem, opts, basis)
+        pairs.append((problem, basis is not None, got, _all_columns_solve(problem, opts)))
+        return got
 
     monkeypatch.setattr(milp, "solve", both)
     sol = solve_plan(scenario)[0]
     probe(0.5 * sol.investment.s_bess, scenario)
     validate(sol.investment, scenario)
     assert len(pairs) >= 2 + 2 * scenario.cfg.planning_years
-    for got, want in pairs:
+    for (problem, warm, got, want), after in zip(pairs, pairs[1:] + [(None, None)]):
+        if warm and got.off_bound > planning.WARM_SLACK:
+            assert after[:2] == (problem, False)
+            continue
         assert got.objective == pytest.approx(want.objective, rel=1e-9)
         assert got.primal[:3] == pytest.approx(want.primal[:3], rel=1e-9)
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from dbio import sizing
+from dbio import milp, sizing
 from dbio.planning import InvestmentDecision
 from dbio.scenario import CycleLifeCurveSpec
 from dbio.sizing import (SearchConfig, SizingError, UnservableLoadError, probe,
@@ -192,3 +192,30 @@ def test_iteration_callback_invoked(sizing_scenario, start):
     size_binary(start, sizing_scenario, cfg, on_iteration=seen.append)
     assert [r.index for r in seen] == list(range(len(seen)))
     assert len(seen) >= 2
+
+
+def test_probes_start_from_the_plan_before_and_years_from_the_year_before(
+        sizing_scenario, start, monkeypatch):
+    # Every probe's plan after the first starts from the final basis of the
+    # plan before it, and every validation year after a probe's first from
+    # the year before; a probe's first year starts cold, as a validation of
+    # its investment alone does. A record counts the iterations of them all,
+    # a warm solve that was solved again cold included.
+    models, solve = {}, milp.solve  # id -> [problem, name, warm, iterations]
+
+    def spy(problem, opts=None, basis=None):
+        result = solve(problem, opts, basis)
+        model = models.setdefault(id(problem), [problem, problem.name, basis is not None, 0])
+        model[3] += result.iterations
+        return result
+
+    monkeypatch.setattr(milp, "solve", spy)
+    result = size_binary(start, sizing_scenario, SearchConfig(tolerance=0.05))
+    years = sizing_scenario.cfg.planning_years
+    calls = [model[1:] for model in models.values()]
+    probes = [calls[k:k + 1 + years] for k in range(0, len(calls), 1 + years)]
+    assert len(probes) == len(result.iterations) >= 3
+    for k, (probe_calls, rec) in enumerate(zip(probes, result.iterations)):
+        assert [name for name, *_ in probe_calls] == ["integrated"] + ["single_year"] * years
+        assert [warm for _, warm, _ in probe_calls] == [k > 0, False] + [True] * (years - 1)
+        assert rec.simplex_iterations == sum(iterations for *_, iterations in probe_calls)

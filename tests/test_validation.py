@@ -173,3 +173,20 @@ def test_each_hourly_year_starts_from_the_basis_of_the_year_before(tmp_path, mon
     assert [calls[0] is not None for calls in years] == [False, True, True]
     assert all(basis is not None for calls in years for basis in calls[1:])
     assert [r.simplex_iterations > 0 for r in report.per_year] == [True] * 3
+
+
+def test_each_whole_year_starts_from_the_basis_of_the_year_before(highuse_scenario,
+                                                                   highuse_plan, monkeypatch):
+    # highuse_degradation's years are one day: each is solved whole, and every
+    # year after the first starts from the final basis of the year before.
+    starts, solve = [], milp.solve
+
+    def spy(problem, opts=None, basis=None):
+        starts.append(basis)
+        return solve(problem, opts, basis)
+
+    monkeypatch.setattr(milp, "solve", spy)
+    report = validate(highuse_plan[0].investment, highuse_scenario)
+    assert {r.solve_path for r in report.per_year} == {"lp"}
+    assert len(starts) == len(report.per_year) == highuse_scenario.cfg.planning_years
+    assert [basis is not None for basis in starts] == [False] + [True] * (len(starts) - 1)
