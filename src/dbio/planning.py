@@ -37,9 +37,11 @@ time, checked against the lower bound the blocks give; the whole year is
 built only when the check fails. The blocks differ only in bounds and
 right-hand sides, so each starts from the simplex basis of the block before
 it, mapped day by day through that layout, and a year's first block from the
-last block of the year before. A year solved whole starts from the basis of
-the year before when that year was solved whole too, and a sizing probe's
-plan from the plan of the probe before it (:func:`solve_dispatch`).
+last block of the year before or, where there is none (a validation's first
+year), from a cold solve of the year's first ``SEED_DAYS`` days. A year
+solved whole starts from the basis of the year before when that year was
+solved whole too, and a sizing probe's plan from the plan of the probe
+before it (:func:`solve_dispatch`).
 
 Models of one structure are built over and over: a sizing search builds
 its probes' plans and their validation years, a split year its blocks.
@@ -68,8 +70,15 @@ from .scenario import Scenario
 
 
 # Most days in one block of a split validation year (see solve_single_year).
-# 14 measured about the same on the hourly year; 7 and 56 were slower.
+# 14 measured about the same on the hourly year; 7 and 56 were slower. With
+# the seed below, 46-day blocks were 8 ms faster in-process but peaked at
+# 45.66 MB on the hourly CLI validation, against about 42 MB at 28.
 BLOCK_DAYS = 28
+# Days of the cold model that seeds the first block of a split year without a
+# basis (see _solve_days). On the hourly year a 2-day seed takes 117 simplex
+# iterations and leaves its first block none; a 1-day seed leaves that block
+# 140, and 3- and 7-day seeds take 181 and 423 for the same 0.
+SEED_DAYS = 2
 
 _SCALARS = ("s_pv", "s_bess", "p_cder_max", "e_init")
 _SCALAR_IDS = {k: i for i, k in enumerate(_SCALARS)}
@@ -618,7 +627,12 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
     from the basis of the block before it (the first from ``basis``, another
     year's), mapped by :func:`_block_basis`, and each re-solve from its own
     block's first basis: only ``e_init``'s bounds differ. The result carries
-    the last block's basis.
+    the last block's basis. Without ``basis``, the year's first ``SEED_DAYS``
+    days, built as a block is, are solved cold through ``solves`` first and
+    the first block starts from their basis, each day after the seed's last
+    repeating its statuses. On the hourly year the seed takes 117 iterations
+    and the first block then none, where that block alone took 1,575 cold.
+    A seed that does not end optimal leaves the first block cold.
     """
     days = index.shape[1]
     n = -(-days // BLOCK_DAYS)
@@ -642,6 +656,10 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
             problem.lower[e_pos] = problem.upper[e_pos] = e_init
         return span, size_cost, solves.solve(problem, start)
 
+    if basis is None:  # the year's one cold call, on its first SEED_DAYS days
+        seed, _ = build_single_year(scenario, state, investment, days=slice(0, SEED_DAYS))
+        r = solves.solve(seed)
+        basis = r.basis if r.status == milp.OPTIMAL else None
     x = np.empty(scalars + sum(ids.size for ids in index.series.values()))
     solved = []  # (span, e_init, objective, basis) of each block
     for k in range(n):
@@ -674,7 +692,8 @@ def solve_single_year(scenario: Scenario, state: DegradationState,
     ``basis`` is the result's ``basis`` of the year before. A year of more
     than ``BLOCK_DAYS`` days without generator commitment is built and solved
     in day blocks (:func:`_solve_days`, path ``days``), one block's model
-    alive at a time, the first block warm-started from ``basis``. The whole
+    alive at a time, the first block warm-started from ``basis`` or, without
+    one, from a cold solve of the year's first ``SEED_DAYS`` days. The whole
     year is built and solved as :func:`solve_dispatch` solves a model when it
     has fewer days or commitment, when the blocks fail their check or when
     their optimum charges and discharges in one hour; its solve starts from

@@ -9,10 +9,10 @@ the base year with a compounding load growth rate.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -307,27 +307,26 @@ def _read_profile(base: Path, name, field_path: str, rep_days: int) -> np.ndarra
     (relative to ``base``) as a (rep_days, 24) array.
 
     The file holds either ``rep_days`` days of hours or a full 8760-hour
-    year, which is reduced to the representative days.
+    year, which is reduced to the representative days. Blank lines are
+    skipped and a value may be quoted, as the ``csv`` module reads them.
     """
     _require(isinstance(name, str), field_path, f"must be a file name, got {name!r}")
     path = base / name
     _require(path.exists(), field_path, f"file not found: {path}")
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
+    # np.loadtxt is given the open file: given a path, it imports gzip to open it.
+    with open(path) as fh:
+        if "," not in fh.readline():
             raise ScenarioError(f"{path}: expected a two-column 'hour,value' header")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                values.append(float(row[1]))
-            except (IndexError, ValueError) as exc:
-                raise ScenarioError(f"{path}: bad row {row!r}") from exc
-            if not math.isfinite(values[-1]):
-                raise ScenarioError(f"{path}: non-finite value in row {row!r}")
-    arr = np.asarray(values, dtype=float)
+        try:
+            # A file without rows fails the row count below, not with numpy's warning.
+            with warnings.catch_warnings(action="ignore"):
+                arr = np.loadtxt(fh, delimiter=",", usecols=1, ndmin=1, comments=None,
+                                 quotechar='"')
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: bad row: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ScenarioError(f"{path}: non-finite value {arr[bad[0]]} in data row {bad[0] + 1}")
     expected_lengths = {rep_days * HOURS_PER_DAY, HOURS_PER_YEAR}
     if arr.size not in expected_lengths:
         raise ScenarioError(

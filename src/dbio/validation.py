@@ -74,8 +74,9 @@ def validate(investment: InvestmentDecision, scenario: Scenario, *,
     exhausted before the horizon ends is ``truncated`` and never feasible.
     Each year's solve starts from the final basis of the year before, a
     year solved whole as well as one solved in day blocks (see
-    :func:`solve_single_year`); the first year starts cold, so a validation
-    depends on its investment and scenario alone.
+    :func:`solve_single_year`); the first year starts cold (a year in day
+    blocks from a cold solve of its first days), so a validation depends on
+    its investment and scenario alone.
     """
     cfg = scenario.cfg
     rated = investment.s_bess

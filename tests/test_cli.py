@@ -368,6 +368,20 @@ def test_validation_solver_failure_exits_one_with_manifest(fixtures_dir, tmp_pat
     assert not manifest["converged"]
 
 
+@pytest.mark.parametrize("mode", ["plan", "size"])
+def test_failed_plan_solve_exits_one_with_manifest(fixtures_dir, tmp_path, monkeypatch, capsys,
+                                                    mode):
+    monkeypatch.setattr(milp, "solve", lambda *a, **k: milp.SolveResult(
+        status=milp.TIME_LIMIT, objective=float("nan"), primal=None))
+    out = tmp_path / mode
+    assert run(["--scenario", fixtures_dir / SCENARIO, "--out", out, "--mode", mode]) == 1
+    err = capsys.readouterr().err
+    assert "error: integrated solve failed: status time-limit" in err and "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["mode"] == mode and not manifest["converged"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 def test_size_mode_validates_each_probe_once(fixtures_dir, tmp_path, monkeypatch):
     models = {}  # id -> (problem, name) of each model solved; a model may be solved twice
     real_solve = milp.solve

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from scipy.optimize._highspy._core import HighsModelStatus as Status
 
 from dbio import milp
+from dbio.degradation import DegradationState
 from dbio.milp import EQ, GE, INF, LE, MilpError, MilpProblem, SolveOptions, solve
+from dbio.planning import InvestmentDecision, build_single_year
 
 from conftest import constraint_csr, enum_solve
 
@@ -221,6 +223,18 @@ def test_lp_basis_is_full_length_and_restarts_the_solve():
     assert np.array_equal(warm.primal, cold.primal)
     with pytest.raises(MilpError, match="basis covers 2 columns"):
         solve(p, basis=(cols[:2], rows))
+
+
+def test_each_call_gets_its_own_time_limit(sizing_scenario):
+    # HiGHS's run clock adds up over the runs of one instance, and no binding
+    # call resets it, clear() included: one instance reused for 300 calls of
+    # this LP, each well under the limit, ended 256-262 of them time-limit.
+    # Each call makes its own.
+    inv = InvestmentDecision(0.0, 0.6, 0.6)
+    state = DegradationState(year=1, capacity=0.6, soh=1.0, eta_pv=1.0, eta_bess=0.9)
+    problem, _ = build_single_year(sizing_scenario, state, inv)
+    opts = SolveOptions(time_limit=0.02)
+    assert [solve(problem, opts).status for _ in range(300)] == ["optimal"] * 300
 
 
 def test_a_mip_returns_no_basis():

@@ -746,6 +746,30 @@ def test_a_warm_solve_that_stops_off_a_bound_is_solved_again_cold(sizing_scenari
     assert np.all(got.primal <= problem.upper + planning.WARM_SLACK)
 
 
+def test_a_basis_that_does_not_cover_the_model_is_dropped(sizing_scenario, islanded_scenario,
+                                                          monkeypatch):
+    # A basis of another layout starts nothing: the solve is one cold call.
+    inv = InvestmentDecision(0.0, 0.6, 0.6)
+    state = _state(1, 0.6, eta_pv=1.0, eta_bess=0.9)
+    other, _ = build_single_year(islanded_scenario, state, inv)
+    problem, _ = build_single_year(sizing_scenario, state, inv)
+    basis = milp.solve(other, OPTS).basis
+    assert basis[0].size != problem.n_variables
+    bases, solve = [], milp.solve
+
+    def spy(problem, opts=None, basis=None):
+        bases.append(basis)
+        return solve(problem, opts, basis)
+
+    monkeypatch.setattr(milp, "solve", spy)
+    got = planning._Solves(OPTS).solve(problem, basis)
+    monkeypatch.undo()
+    assert bases == [None]
+    cold = milp.solve(problem, OPTS)
+    assert (got.status, got.objective, got.iterations) == ("optimal", cold.objective,
+                                                           cold.iterations)
+
+
 @pytest.mark.parametrize("prefix", ["islanded", "grid", "sizing", "highuse"],
                          ids=["islanded_base", "grid_fixed", "sizing_threshold",
                               "highuse_degradation"])
@@ -903,6 +927,28 @@ def test_hourly_year_solves_in_day_blocks(hourly_year, monkeypatch, sizes, inter
     assert cold.path == "days" and 0 < got.iterations < cold.iterations / 2
 
 
+def test_split_year_without_a_basis_is_seeded_by_its_first_two_days(hourly_year,
+                                                                   monkeypatch):
+    # The year's one cold HiGHS call solves its first two days; every block,
+    # the first too, starts from a basis, and the first from the seed's.
+    state, inv = _year((0.11, 0.077, 0.8))
+    calls, highs = [], milp.milp
+
+    def capture(c, **kwargs):
+        calls.append((c.size, kwargs["basis"] is not None))
+        return highs(c, **kwargs)
+
+    monkeypatch.setattr(milp, "milp", capture)
+    got, _ = solve_single_year(hourly_year, state, inv, OPTS)
+    monkeypatch.undo()
+    seed, _ = build_single_year(hourly_year, state, inv, days=slice(0, planning.SEED_DAYS))
+    assert planning.SEED_DAYS == 2 and seed.n_constraints == 2 * (24 * 2 + 1)
+    assert calls[0] == (np.count_nonzero(seed.lower < seed.upper), False)
+    assert all(warm for _, warm in calls[1:]) and len(calls) > -(-365 // planning.BLOCK_DAYS)
+    assert (got.status, got.path) == ("optimal", "days")
+    assert got.iterations < 1000
+
+
 def _shifting_year():
     """120 islanded days whose sunrise, sunset and zero-load hours move from
     day to day, so each block fixes other curtailment and shed columns."""
@@ -1023,8 +1069,10 @@ def test_split_year_that_fails_the_check_is_solved_whole(monkeypatch):
     got, index = solve_single_year(sc, state, inv, OPTS)
     monkeypatch.undo()
     assert (got.status, got.path) == ("optimal", "lp")
-    assert len(seen) == 4  # two blocks, one failed re-solve, the whole year
-    assert [days for days, _ in built].count(slice(None)) == 1
+    # The two-day seed, two blocks, one failed re-solve, the whole year.
+    assert [days for days, _ in built] == [slice(0, 2), slice(0, 28), slice(28, 56),
+                                           slice(0, 28), slice(None)]
+    assert len(seen) == len(built)
     problem, _ = build_single_year(sc, state, inv)
     whole = milp.solve(problem, OPTS)
     assert got.objective == pytest.approx(whole.objective, rel=1e-9)
@@ -1037,44 +1085,47 @@ def test_split_year_with_a_block_not_optimal_is_solved_whole(monkeypatch):
     state, inv = _year((1.0, 1.0, 0.0))
     calls, solve = [], milp.solve
 
-    def first_times_out(problem, opts=None, basis=None):
-        calls.append(problem.n_variables)
-        if len(calls) == 1:
+    def first_block_times_out(problem, opts=None, basis=None):
+        calls.append((problem.n_variables, basis is not None))
+        if problem.n_variables == 4 + 28 * 24 * 8:
             return milp.SolveResult(status=milp.TIME_LIMIT, objective=math.nan, primal=None)
         return solve(problem, opts, basis)
 
-    monkeypatch.setattr(milp, "solve", first_times_out)
+    monkeypatch.setattr(milp, "solve", first_block_times_out)
     got, _ = solve_single_year(sc, state, inv, OPTS)
     monkeypatch.undo()
     whole, _ = build_single_year(sc, state, inv)
-    assert calls == [4 + 28 * 24 * 8, whole.n_variables]
+    # The two-day seed, the first block from its basis and again cold, the whole year.
+    assert calls == [(4 + 2 * 24 * 8, False), (4 + 28 * 24 * 8, True),
+                     (4 + 28 * 24 * 8, False), (whole.n_variables, False)]
     assert (got.status, got.path) == ("optimal", "lp")
     assert got.objective == pytest.approx(milp.solve(whole, OPTS).objective, rel=1e-9)
 
 
-@pytest.mark.parametrize("limit,limits", [(10.0, [10.0, 7.0, 4.0, 1.0]), (9.0, [9.0, 6.0, 3.0])])
+@pytest.mark.parametrize("limit,limits", [(10.0, [10.0, 7.75, 5.5, 3.25, 1.0]),
+                                          (9.0, [9.0, 6.75, 4.5, 2.25])])
 def test_split_year_solves_share_the_time_limit(monkeypatch, limit, limits):
-    # Every solve takes 3 s here. Each HiGHS call of the year (two blocks, the
-    # failed re-solve, the whole year) gets what the calls before it left;
-    # once that is spent the year is time-limit without another call, and
-    # without a build of the whole year.
+    # Every solve takes 2.25 s here. Each HiGHS call of the year (the two-day
+    # seed, two blocks, the failed re-solve, the whole year) gets what the
+    # calls before it left; once that is spent the year is time-limit without
+    # another call, and without a build of the whole year.
     sc = _two_regime_year()
     state, inv = _year((1.0, 1.0, 0.0))
     seen, solve, built = [], milp.solve, _builds(monkeypatch)
 
-    def three_seconds(problem, opts=None, basis=None):
+    def slow(problem, opts=None, basis=None):
         seen.append(opts.time_limit)
-        if opts.time_limit <= 3.0:
+        if opts.time_limit <= 2.25:
             return milp.SolveResult(status=milp.TIME_LIMIT, objective=math.nan, primal=None,
                                     runtime=opts.time_limit)
-        return dataclasses.replace(solve(problem, opts, basis), runtime=3.0)
+        return dataclasses.replace(solve(problem, opts, basis), runtime=2.25)
 
-    monkeypatch.setattr(milp, "solve", three_seconds)
+    monkeypatch.setattr(milp, "solve", slow)
     opts = dataclasses.replace(OPTS, time_limit=limit)
     got, _ = solve_single_year(sc, state, inv, opts)
     assert seen == limits
     assert (got.status, got.runtime) == ("time-limit", limit)
-    assert [days for days, _ in built].count(slice(None)) == (len(limits) == 4)
+    assert [days for days, _ in built].count(slice(None)) == (len(limits) == 5)
     sc = dataclasses.replace(sc, cfg=dataclasses.replace(sc.cfg, solver=opts))
     with pytest.raises(ValidationError, match="year 1: solver returned time-limit"):
         validate(inv, sc)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,58 @@ def test_profile_values_must_be_finite(tmp_path):
     rows = [f"{t},{'inf' if t == 5 else 0.0}" for t in range(24)]
     (tmp_path / "pv_zero_24.csv").write_text("hour,value\n" + "\n".join(rows) + "\n")
     with pytest.raises(ScenarioError, match="non-finite"):
+        load_scenario(path)
+
+
+def _pv_file(tmp_path, text):
+    """The sizing fixture with ``text`` as its PV capacity-factor file."""
+    path = write_sizing_doc(tmp_path, lambda doc: None)
+    (tmp_path / "pv_zero_24.csv").write_text(text)
+    return path
+
+
+def _rows(row5="5,0.0", rows=24):
+    """A profile file of ``rows`` zero rows whose sixth row is ``row5``."""
+    lines = [f"{t},0.0" for t in range(rows)]
+    lines[5] = row5
+    return "hour,value\n" + "".join(f"{line}\n" for line in lines)
+
+
+BAD_PROFILES = {
+    "empty": ("", "expected a two-column 'hour,value' header"),
+    "one-column-header": ("value\n" + "0.0\n" * 24, "expected a two-column"),
+    "header-only": ("hour,value\n", "0 rows, expected one of \\[24, 8760\\]"),
+    "short": (_rows(rows=23), "23 rows"),
+    "no-value": (_rows("5"), "bad row"),
+    "empty-value": (_rows("5,"), "bad row"),
+    "not-a-number": (_rows("5,abc"), "bad row.*abc"),
+    "nan": (_rows("5,nan"), "non-finite value nan in data row 6"),
+    "-inf": (_rows("5,-inf"), "non-finite value -inf in data row 6"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PROFILES)
+def test_bad_profile_file_names_the_file(tmp_path, case):
+    text, message = BAD_PROFILES[case]
+    path = _pv_file(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a file without rows warns nothing
+        with pytest.raises(ScenarioError, match=message) as err:
+            load_scenario(path)
+    assert str(err.value).startswith(f"{tmp_path / 'pv_zero_24.csv'}: ")
+
+
+def test_profile_reads_quoted_values_and_skips_blank_lines(tmp_path):
+    rows = [f'{t},"{t / 100}"' if t % 2 else f"{t},{t / 100}" for t in range(24)]
+    path = _pv_file(tmp_path, "hour,value\n" + "\n".join(rows[:12]) + "\n\n"
+                    + "\r\n".join(rows[12:]) + "\n")
+    assert np.array_equal(load_scenario(path).base_pv_cf, np.arange(24).reshape(1, 24) / 100)
+
+
+def test_invalid_scenario_json_names_its_line(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{\n  "horizon": {"planning_years": 1},\n  "pv": {,}\n}\n')
+    with pytest.raises(ScenarioError, match=f"{path}: invalid JSON at line 3: "):
         load_scenario(path)
 
 

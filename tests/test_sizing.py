@@ -126,6 +126,22 @@ def test_worn_out_battery_error_says_no_load_was_shed(islanded_scenario, monkeyp
     assert all(r.total_eue <= 1e-6 for r in seen)
 
 
+def test_unconverged_bisection_reports_its_last_shed_free_probe(sizing_scenario, start,
+                                                                binary_result):
+    # Eight probes end the search at its 0.45 MWh probe, which sheds: the
+    # result is the last shed-free probe, 0.5 MWh, with the bracket's midpoint.
+    res = size_binary(start, sizing_scenario,
+                      SearchConfig(method="binary", tolerance=0.01, max_iterations=8))
+    assert not res.converged
+    assert ([(r.candidate_size, r.shed) for r in res.iterations]
+            == [(r.candidate_size, r.shed) for r in binary_result.iterations[:8]])
+    last = res.iterations[-1]
+    assert (last.phase, last.candidate_size, last.shed) == ("bisection", 0.45, True)
+    assert res.final_size == 0.5 and res.final_investment.s_bess == pytest.approx(0.5, abs=1e-9)
+    assert res.final_objective == res.iterations[-2].objective
+    assert res.final_midpoint == pytest.approx((0.45 + 0.5) / 2.0)
+
+
 def test_exhausted_battery_is_never_shed_free(sizing_scenario):
     # Three cycles of life at full depth: every probe exhausts its battery in
     # year 1 without shedding, so no probe may count as shed-free.
