@@ -46,10 +46,10 @@ before it (:func:`solve_dispatch`).
 Models of one structure are built over and over: a sizing search builds
 its probes' plans and their validation years, a split year its blocks.
 Inside a sizing search or a validation (:func:`holding_layouts`),
-:func:`_build` keeps the structure of a layout it has built twice (a few
-layouts at most, see ``_LAYOUTS_KEPT``), so later builds of it only write
-values. A one-off model, such as a plan at the paper's scale, holds nothing,
-and the run's end drops what it held.
+:func:`_build` keeps the structure of each layout from its first build on,
+so later builds of it only write values, and the scope's end drops them. A
+model built outside any scope, such as a plan at the paper's scale, holds
+nothing.
 """
 
 from __future__ import annotations
@@ -163,42 +163,28 @@ class _Layout(NamedTuple):
     rows: milp.RowLayout
 
 
-# Layouts held at once, the least recently built dropped first. A sizing
-# search builds two (its probes' plans and their validation years), a split
-# hourly validation year about two block lengths.
-_LAYOUTS_KEPT = 4
-# Layout key -> its _Layout, or None while it has been built only once.
-_layouts: dict = {}
-_holders = 0  # open holding_layouts() scopes
+# Layout key -> its _Layout inside a holding_layouts() scope, None outside
+# any. It needs no cap: one scope builds at most five structures (a pinned
+# plan, a whole year, two block lengths and a split year's seed).
+_layouts: dict | None = None
 
 
 @contextlib.contextmanager
 def holding_layouts():
-    """Hold the layouts of the models built inside (see :func:`_build`) until
-    the outermost such scope ends, which drops them all. A sizing search and
-    a validation each build inside one, so nothing is held after a run, and
-    a model built outside any holds nothing. Also a function decorator."""
-    global _holders
-    _holders += 1
+    """Hold the layout of each model built inside (see :func:`_build`) until
+    the outermost such scope ends, even by an exception, which drops them
+    all; an inner scope shares the outer one's. A sizing search and a
+    validation each build inside one, so nothing is held after a run, and a
+    model built outside any holds nothing. Also a function decorator."""
+    global _layouts
+    if _layouts is not None:
+        yield
+        return
+    _layouts = {}
     try:
         yield
     finally:
-        _holders -= 1
-        if not _holders:
-            _layouts.clear()
-
-
-def _recall(key):
-    """(whether ``key`` was built before, its held layout or None); notes the
-    build inside a :func:`holding_layouts` scope."""
-    if not _holders:
-        return False, None
-    seen = key in _layouts
-    layout = _layouts.pop(key, None)
-    _layouts[key] = layout
-    if len(_layouts) > _LAYOUTS_KEPT:
-        del _layouts[next(iter(_layouts))]
-    return seen, layout
+        _layouts = None
 
 
 def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
@@ -214,10 +200,9 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
     The structure of the model (its columns' binaries, ``A``'s sparsity and
     where each family's values land) depends only on (Y, D, T), which sizes
     are pinned, commitment and cyclic days. Inside :func:`holding_layouts`,
-    such a layout is held from its second build on (:func:`_recall`), and a
-    later build writes only values: bounds, coefficients, right-hand sides
-    and costs. Those are checked on every build; the structure only when it
-    is assembled."""
+    the first build of a layout holds it, and a later build writes only
+    values: bounds, coefficients, right-hand sides and costs. Those are
+    checked on every build; the structure only when it is assembled."""
     cfg, cder, pv, bess = scenario.cfg, scenario.cder, scenario.pv, scenario.bess
     Y, D, T = load.shape
     commit = cder.committed
@@ -230,7 +215,7 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
     pv_avail = np.asarray(eta_pv_by_year)[:, None, None] * pv_cf
     pinned = tuple(lo == hi for lo, hi in zip(size_lo, size_hi))
     key = (Y, D, T, pinned, commit, cfg.cyclic_soc)  # what the structure depends on
-    seen, layout = _recall(key)
+    layout = None if _layouts is None else _layouts.get(key)
     # (family, series, size, coef, sense): series sense coef * size, with size
     # the position in (s_pv, s_bess, p_cder_max). The e_init rows lead the
     # model; the others are written for every hour, after its balance row.
@@ -352,9 +337,9 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
 
     if layout is not None:
         prob.add_constraints(families, names=row_names, layout=layout.rows)
-    elif not seen:  # a one-off build keeps nothing
+    elif _layouts is None:  # a build outside any scope keeps nothing
         prob.add_constraints(families, names=row_names)
-    else:  # the second build assembles the layout it holds
+    else:  # the first build in a scope assembles the layout it holds
         rows = milp.RowLayout.of(families, prob.n_variables, row_names)
         prob.add_constraints(families, names=row_names, layout=rows)
         for a in (*v.values(), binary, e_prev, *at[H:]):
@@ -551,8 +536,7 @@ class _Solves:
             basis = None
         opts = self.opts if not self.runtime else dataclasses.replace(
             self.opts, time_limit=self.opts.time_limit - self.runtime)
-        # A cold call is milp.solve(problem, opts): ``basis=`` is passed only to start warm.
-        result = milp.solve(problem, opts, **({} if basis is None else {"basis": basis}))
+        result = milp.solve(problem, opts, basis)
         self.runtime += result.runtime
         self.iterations += result.iterations
         if basis is not None and (result.status != milp.OPTIMAL

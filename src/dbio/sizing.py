@@ -8,13 +8,18 @@ until the first shed-free probe. A probe is shed-free when its validation is
 feasible, so a battery exhausted before the horizon ends counts as shedding.
 
 Only the pinned capacity changes from one probe's plan to the next, so each
-plan starts from the final simplex basis of the plan before it. A probe's
-validation is that of its investment alone, as ``--mode validate`` runs it:
-its first year starts cold and each later year from the year before, never
-from another probe's years. Starting year y from the previous probe's year y
-was measured to make the 26.7097 MWh probe of ``highuse_degradation`` shed
-and to add probes. Each :class:`IterationRecord` counts the simplex
-iterations of its plan and years.
+plan starts from the final simplex basis of the plan before it, which
+:func:`probe` returns with its result. A search runs inside one
+:func:`~dbio.planning.holding_layouts` scope: the first probe's plan and
+years assemble their layouts, and every later build only writes values.
+
+A probe's validation is that of its investment alone, as ``--mode
+validate`` runs it: its first year starts cold and each later year from the
+year before, never from another probe's years. Starting year y from the
+previous probe's year y was measured to make the 26.7097 MWh probe of
+``highuse_degradation`` shed and to add probes. Each
+:class:`IterationRecord` counts the simplex iterations of its plan and
+years.
 """
 
 from __future__ import annotations
@@ -83,22 +88,20 @@ class SizingResult:
     final_report: ValidationReport | None = None  # validation of final_investment
 
 
-def probe(size: float, scenario: Scenario, basis=None, on_plan=None):
+def probe(size: float, scenario: Scenario, basis=None):
     """Planning re-solve with pinned capacity, followed by full validation.
 
     ``basis``, the final basis of another probe's plan, starts the plan's
-    solve; ``on_plan``, when given, receives the plan's solve result.
-    Returns (objective, total_eue, investment, validation report).
+    solve. Returns (objective, total_eue, investment, validation report,
+    the plan's solve result).
     """
     problem, index = build_integrated(scenario, pin_s_bess=size)
-    result = solve_dispatch(problem, index, scenario.cfg.solver, basis)
-    if on_plan is not None:
-        on_plan(result)
-    if not result.has_solution:
-        raise SizingError(f"probe at {size} MWh: solver returned {result.status}")
-    sol = extract_solution(result, index)
+    plan = solve_dispatch(problem, index, scenario.cfg.solver, basis)
+    if not plan.has_solution:
+        raise SizingError(f"probe at {size} MWh: solver returned {plan.status}")
+    sol = extract_solution(plan, index)
     report = validate(sol.investment, scenario)
-    return result.objective, report.total_eue, sol.investment, report
+    return plan.objective, report.total_eue, sol.investment, report, plan
 
 
 class _Probes:
@@ -115,13 +118,10 @@ class _Probes:
         self.last_shed_free = None
         self.plan = None  # the solve result of the last probe's plan
 
-    def _planned(self, result):
-        self.plan = result
-
     def run(self, size, phase, lb, ub):
         """Probe ``size``, record it, and return whether it sheds."""
         basis = None if self.plan is None else self.plan.basis
-        objective, eue, inv, report = probe(size, self.scenario, basis, self._planned)
+        objective, eue, inv, report, self.plan = probe(size, self.scenario, basis)
         rec = IterationRecord(index=len(self.iterations), candidate_size=size,
                               objective=objective, total_eue=eue,
                               shed=not report.feasible, truncated=report.truncated,

@@ -236,9 +236,9 @@ def test_a_plans_exclusion_solve_gets_what_the_first_solve_left(monkeypatch):
     problem, index = build_integrated(sc)
     seen, solve = [], milp.solve
 
-    def two_seconds(problem, opts):
+    def two_seconds(problem, opts, basis=None):
         seen.append(opts.time_limit)
-        return dataclasses.replace(solve(problem, opts), runtime=2.0)
+        return dataclasses.replace(solve(problem, opts, basis), runtime=2.0)
 
     monkeypatch.setattr(milp, "solve", two_seconds)
     result = solve_dispatch(problem, index, dataclasses.replace(OPTS, time_limit=10.0))
@@ -663,54 +663,65 @@ def _other_values(sc):
 @pytest.mark.parametrize("case", list(SEED_SOLVER_INPUT))
 @planning.holding_layouts()
 def test_builds_of_a_held_layout_match_the_seed_builder(tmp_path, case):
-    # A layout is held from its second build on. A build of other values
-    # first makes the case's own second build the one that assembles and
-    # holds the layout, and its third build one that only writes values.
+    # The first build in a scope assembles and holds the layout; a build of
+    # other values then rewrites every value, and the case's next build only
+    # writes its own.
     build, sc = _case_build(case, tmp_path)
+    problem, _ = build(sc)
+    (layout,) = planning._layouts.values()
+    assert problem.indptr is layout.rows.indptr and problem.indices is layout.rows.indices
+    assert _solver_input_digest(problem) == SEED_SOLVER_INPUT[case]
     build(_other_values(sc))
-    assert list(planning._layouts.values()) == [None]
-    for _ in ("second", "third"):
-        problem, _ = build(sc)
-        (layout,) = planning._layouts.values()
-        assert problem.indptr is layout.rows.indptr and problem.indices is layout.rows.indices
-        assert _solver_input_digest(problem) == SEED_SOLVER_INPUT[case]
+    problem, _ = build(sc)
+    assert list(planning._layouts.values()) == [layout]
+    assert problem.indptr is layout.rows.indptr and problem.indices is layout.rows.indices
+    assert _solver_input_digest(problem) == SEED_SOLVER_INPUT[case]
 
 
-def test_a_layout_built_once_is_not_held(islanded_scenario, sizing_scenario):
-    # Outside a holding scope no build is held; inside, a layout is held from
-    # its second build on, and the outermost scope's end drops it.
+def test_a_build_outside_any_scope_holds_no_layout(islanded_scenario):
     for _ in range(2):
-        build_integrated(islanded_scenario)
-    assert planning._layouts == {}
-    with planning.holding_layouts():
         problem, _ = build_integrated(islanded_scenario)
-        assert list(planning._layouts.values()) == [None]
+        assert problem._layout is None and planning._layouts is None
+
+
+def test_a_nested_scope_shares_the_outer_layouts(islanded_scenario):
+    with planning.holding_layouts():
+        held = planning._layouts
         with planning.holding_layouts():
-            held, _ = build_integrated(islanded_scenario)
-        (layout,) = planning._layouts.values()
-        assert layout.rows.indptr is held.indptr and layout.rows.indptr is not problem.indptr
-        # Only a few layouts are held: each block length is a layout of its own.
-        state, inv = _state(1, 0.3, eta_pv=1.0, eta_bess=0.9), InvestmentDecision(0.2, 0.3, 0.6)
-        for days in range(1, islanded_scenario.base_load.shape[0] + 1):
-            for _ in range(2):
-                build_single_year(islanded_scenario, state, inv, days=slice(0, days))
-        assert len(planning._layouts) == planning._LAYOUTS_KEPT
-        assert all(layout is not None for layout in planning._layouts.values())
-    assert planning._layouts == {}
-    # A sizing search and a validation hold their layouts while they run only.
+            assert planning._layouts is held
+            problem, _ = build_integrated(islanded_scenario)
+        (layout,) = held.values()
+        assert planning._layouts is held and problem.indptr is layout.rows.indptr
+        problem, _ = build_integrated(islanded_scenario)
+        assert problem.indptr is layout.rows.indptr
+    assert planning._layouts is None
+
+
+def test_an_exception_drops_the_held_layouts(islanded_scenario):
+    with pytest.raises(ModelBuildError, match="outside the horizon"):
+        with planning.holding_layouts():
+            build_integrated(islanded_scenario)
+            assert len(planning._layouts) == 1
+            build_single_year(islanded_scenario, _state(99, 0.3, eta_pv=1.0, eta_bess=0.9),
+                              InvestmentDecision(0.2, 0.3, 0.6))
+    assert planning._layouts is None
+    problem, _ = build_integrated(islanded_scenario)
+    assert problem._layout is None
+
+
+def test_a_search_and_a_validation_hold_layouts_while_they_run(sizing_scenario):
     inv = solve_plan(sizing_scenario)[0].investment
     held = []
-    probe(inv.s_bess, sizing_scenario)  # outside a search: its plan holds nothing
-    validate(inv, sizing_scenario, on_year=lambda r: held.append(
-        [layout is not None for layout in planning._layouts.values()]))
-    assert held == [[False], [True]] and planning._layouts == {}
+    probe(inv.s_bess, sizing_scenario)  # outside a search: only its validation holds
+    assert planning._layouts is None
+    validate(inv, sizing_scenario, on_year=lambda r: held.append(len(planning._layouts)))
+    assert held == [1, 1] and planning._layouts is None
 
 
 @planning.holding_layouts()
 def test_appending_the_exclusion_leaves_a_held_layout_alone():
     sc = _scenario("highuse_degradation")
-    for _ in range(2):
-        problem, index = _build_mode(sc, "pinned")
+    problem, index = _build_mode(sc, "pinned")
     (layout,) = planning._layouts.values()
     assert problem.indptr is layout.rows.indptr
     with pytest.raises(ValueError, match="read-only"):
@@ -975,7 +986,10 @@ def test_blocks_with_other_free_columns_start_warm(monkeypatch):
     monkeypatch.setattr(milp, "solve", spy)
     got, _ = solve_single_year(sc, state, inv, OPTS)
     monkeypatch.undo()
-    blocks = built[:-(-120 // planning.BLOCK_DAYS)]  # the first pass; re-solves follow
+    # The cold seed, then the first pass over the blocks; re-solves follow.
+    (seed, _), *built = built
+    blocks = built[:-(-120 // planning.BLOCK_DAYS)]
+    assert seed == slice(0, planning.SEED_DAYS) and blocks[-1][0].stop == 120
     masks = {(a["lower"] < a["upper"]).tobytes() for _, a in blocks}
     assert len(masks) == len(blocks) == 5
     assert bases[0] is None and all(b is not None for b in bases[1:])

@@ -90,7 +90,8 @@ def test_already_sufficient_start_bisects_down(sizing_scenario):
 
 
 def test_probe_reports_consistent_eue(sizing_scenario):
-    objective, eue, inv, report = probe(0.3, sizing_scenario)
+    objective, eue, inv, report, plan = probe(0.3, sizing_scenario)
+    assert (plan.status, plan.objective) == ("optimal", objective)
     assert inv.s_bess == pytest.approx(0.3, abs=1e-9)
     assert eue == pytest.approx(report.total_eue)
     assert eue > 1e-6  # below the threshold, shedding is unavoidable
