@@ -6,3 +6,10 @@ submodules (``dbio.scenario``, ``dbio.planning``, ...).
 """
 
 __version__ = "0.1.0"
+
+
+class DbioError(Exception):
+    """Base of every error dbio raises on purpose. Each module's root error
+    class (``ScenarioError``, ``MilpError``, ``ModelBuildError``,
+    ``DegradationError``, ``ValidationError``, ``SizingError``) also keeps
+    its builtin base (``ValueError`` or ``RuntimeError``)."""

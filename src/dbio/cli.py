@@ -16,6 +16,12 @@ during the run nor interpreter shutdown traverse it again; this keeps about
 0.2 MB of import-time garbage alive. A host that disabled the collector
 before importing this module finds it still disabled.
 
+Importing this module loads only the ``dbio`` modules a plan run executes
+(``milp``, ``scenario``, ``planning``, ``reports``). A validate run imports
+``validation`` (with ``degradation`` and ``rainflow``) and a size run also
+``sizing``, each when its mode starts, after ``gc.freeze``; ``main`` reads
+their functions from the module at that call.
+
 The manifest's SHA-256 comes from CPython's own ``_sha2`` (or ``_sha256``)
 module: ``hashlib`` would load OpenSSL's libcrypto, about 3.5 MB resident,
 for that one digest.
@@ -49,13 +55,9 @@ except ImportError:
 
 import numpy
 
-from . import __version__, milp, reports
-from .degradation import DegradationError
-from .planning import (InvestmentDecision, ModelBuildError, build_integrated, extract_solution,
-                       solve_dispatch)
+from . import DbioError, __version__, milp, reports
+from .planning import InvestmentDecision, build_integrated, extract_solution, solve_dispatch
 from .scenario import ScenarioError, load_scenario
-from .sizing import SearchConfig, SizingError, run_search
-from .validation import ValidationError, validate
 
 gc.freeze()
 if _gc_was_enabled:
@@ -193,10 +195,12 @@ def main(argv=None) -> int:
                 raise ScenarioError("--investment is required in validate mode")
             investment = load_investment(args.investment)
         if args.mode == "size":
+            from .sizing import SearchConfig
+
             search_cfg = SearchConfig(
                 method="binary" if args.method == "binary" else "fixed_step",
                 tolerance=args.tol, step_frac=args.step)
-    except (ScenarioError, SizingError) as exc:
+    except DbioError as exc:
         _progress(f"error: {exc}")
         return 2
 
@@ -211,6 +215,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.mode == "validate":
+            from .validation import validate
+
             def on_year(r):
                 _progress(f"year {r.year}: eue={r.eue_y:.6g} MWh "
                           f"capacity={r.state_in.capacity:.6g} MWh path={r.solve_path}")
@@ -226,6 +232,8 @@ def main(argv=None) -> int:
             return 0 if report.feasible else 1
 
         # size mode: plan, then search, then report everything.
+        from .sizing import run_search
+
         sol = _plan(scenario, out_dir, args.dump_lp)
 
         def on_iteration(rec):
@@ -249,8 +257,7 @@ def main(argv=None) -> int:
                   f"(converged={sizing.converged})")
         return 0 if sizing.converged else 1
 
-    except (milp.MilpError, SizingError, ScenarioError, ValidationError, ModelBuildError,
-            DegradationError) as exc:
+    except DbioError as exc:
         _progress(f"error: {exc}")
         write_manifest(args, out_dir, converged=False)
         return 1

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DbioError
 from .rainflow import extract_cycles
 from .scenario import BessParams, CycleLifeCurveSpec, PvParams
 
 BIN_WIDTH = 0.05  # DOD histogram bin width
 
 
-class DegradationError(ValueError):
+class DegradationError(DbioError, ValueError):
     pass
 
 

@@ -63,6 +63,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import DbioError
+
 _HIGHS = "scipy.optimize._highspy._core"
 
 
@@ -116,7 +118,7 @@ _SENSES = (LE, EQ, GE)
 _MAX_ENTRIES = np.iinfo(np.int32).max  # HiGHS's index width
 
 
-class MilpError(RuntimeError):
+class MilpError(DbioError, RuntimeError):
     pass
 
 
@@ -294,7 +296,10 @@ class RowLayout:
         entries = np.lexsort((cols, entry_rows))  # row-major, columns sorted within a row
         indptr = np.zeros(n + 1, dtype=np.int32)
         indptr[1:] = np.cumsum(np.bincount(entry_rows, minlength=n))
-        rows = np.argsort(positions)
+        # positions is a permutation (the cover check above), so its inverse
+        # is one scatter: no argsort kernel.
+        rows = np.empty_like(positions)
+        rows[positions] = np.arange(n)
         senses = np.repeat([sense for _, _, _, sense, _ in families],
                            [np.size(r) for _, r, _, _, _ in families])[rows]
         return cls(indptr, cols[entries].astype(np.int32), entries, rows, senses == LE,
@@ -493,7 +498,7 @@ class MilpProblem:
                 f"assignment covers {primal.size} variables, expected {self.n_variables}")
         lhs = self._matvec(primal)
         residuals = np.maximum(np.maximum(self.lb - lhs, lhs - self.ub), 0.0)
-        return residuals, float(self.c @ primal) + self.objective_constant
+        return residuals, float((self.c * primal).sum()) + self.objective_constant
 
     def to_lp_string(self) -> str:
         """Render in CPLEX LP text format; each row's terms in column order."""
@@ -693,7 +698,7 @@ def solve(problem: MilpProblem, opts: SolveOptions | None = None, basis=None) ->
             return SolveResult(status=INFEASIBLE, objective=math.nan, primal=None, path=path)
         return SolveResult(status=OPTIMAL, objective=objective, primal=x, path=path)
     shift = problem._matvec(x)
-    constant = problem.objective_constant + float(problem.c @ x)
+    constant = problem.objective_constant + float((problem.c * x).sum())
     col_ptr, rows, values = _free_columns(problem, free)
     t0 = time.perf_counter()
     res = milp(problem.c[free], lower=problem.lower[free], upper=problem.upper[free],

@@ -59,14 +59,16 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import milp
-from .degradation import DegradationState
+from . import DbioError, milp
 from .milp import EQ, GE, INF, LE, MilpProblem
 from .scenario import Scenario
+
+if TYPE_CHECKING:  # a plan run never loads the degradation model
+    from .degradation import DegradationState
 
 
 # Most days in one block of a split validation year (see solve_single_year).
@@ -85,7 +87,7 @@ _SCALAR_IDS = {k: i for i, k in enumerate(_SCALARS)}
 _SIZES = _SCALARS[:3]
 
 
-class ModelBuildError(ValueError):
+class ModelBuildError(DbioError, ValueError):
     pass
 
 
@@ -634,7 +636,7 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
         span = slice(first, first + problem.n_variables - scalars)
         # Every block prices the fixed sizes alike; each block's objective
         # leaves their cost out, and the year's counts it once.
-        size_cost = float(problem.c[sizes] @ problem.lower[sizes])
+        size_cost = float((problem.c[sizes] * problem.lower[sizes]).sum())
         problem.c[sizes] = 0.0
         if e_init is not None:
             problem.lower[e_pos] = problem.upper[e_pos] = e_init
@@ -653,8 +655,8 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
         x[:scalars], x[span] = r.primal[:scalars], r.primal[scalars:]
         solved.append((span, r.primal[e_pos], r.objective, r.basis))
         basis = r.basis
-    values, counts = np.unique([e for _, e, *_ in solved], return_counts=True)
-    e_init = values[np.argmax(counts)]
+    chosen = [e for _, e, *_ in solved]  # at most ceil(days / BLOCK_DAYS) values
+    e_init = min(chosen, key=lambda e: (-chosen.count(e), e))  # the mode, smallest on a tie
     objectives = [objective for _, _, objective, _ in solved]
     for k, (span, e, objective, start) in enumerate(solved):
         if e != e_init:

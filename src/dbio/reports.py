@@ -11,10 +11,13 @@ import json
 import math
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .planning import DispatchSolution, InvestmentDecision, ModelIndex
-from .sizing import SizingResult
-from .validation import ValidationReport
+
+if TYPE_CHECKING:  # a plan run loads neither the sizing nor the validation module
+    from .sizing import SizingResult
+    from .validation import ValidationReport
 
 
 def fmt_usd(x: float) -> str:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import DbioError
 from .milp import MilpError, SolveOptions
 
 HOURS_PER_YEAR = 8760
@@ -26,7 +27,7 @@ HOURS_PER_DAY = 24
 SECTIONS = ("horizon", "solver", "cder", "pv", "bess", "tariff", "profiles")
 
 
-class ScenarioError(ValueError):
+class ScenarioError(DbioError, ValueError):
     """Raised when a scenario document fails parsing or validation.
 
     Carries the offending field path in the message (e.g. "bess.soc_min").
@@ -139,8 +140,9 @@ class BessParams:
     """Battery storage cost, operating window, and degradation characteristics.
 
     The roundtrip efficiency (applied on charge) is :meth:`efficiency`, the
-    efficiency-vs-SOH line through ``eff_model_points``: the plan and
-    validation year 1 charge at its value at ``soh_init``.
+    closed-form least-squares efficiency-vs-SOH line through
+    ``eff_model_points``: the plan and validation year 1 charge at its value
+    at ``soh_init``.
     """
 
     capital: float = 469_000.0  # $/MWh
@@ -177,16 +179,22 @@ class BessParams:
 
     @functools.cached_property
     def _efficiency_line(self) -> tuple:
-        """(slope, intercept) of the least-squares line through ``eff_model_points``."""
-        pts = np.asarray(self.eff_model_points, dtype=float)
-        w, b = np.polyfit(pts[:, 0], pts[:, 1], 1)
-        return float(w), float(b)
+        """(slope, mean SOH, mean efficiency) of the least-squares line through
+        ``eff_model_points``, in closed form: ``np.polyfit`` would fault in
+        LAPACK (about 1.1 MB resident) for this one fit."""
+        soh, eta = zip(*self.eff_model_points)
+        x_mean, y_mean = sum(soh) / len(soh), sum(eta) / len(eta)
+        w = (sum((x - x_mean) * (y - y_mean) for x, y in zip(soh, eta))
+             / sum((x - x_mean) ** 2 for x in soh))
+        return w, x_mean, y_mean
 
     def efficiency(self, soh: float) -> float:
         """Roundtrip efficiency at ``soh``: the least-squares line through
-        ``eff_model_points``, clamped to [1e-9, 1]. The line is fitted once."""
-        w, b = self._efficiency_line
-        return min(1.0, max(1e-9, w * soh + b))
+        ``eff_model_points``, clamped to [1e-9, 1]. The line is fitted once and
+        taken about its means: through the default points it gives exactly 0.9
+        at SOH 1.0 and 0.86 at 0.8."""
+        w, x_mean, y_mean = self._efficiency_line
+        return min(1.0, max(1e-9, y_mean + w * (soh - x_mean)))
 
     @property
     def deg_cost_per_mwh(self):

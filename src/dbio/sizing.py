@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import DbioError
 from .planning import (InvestmentDecision, build_integrated, extract_solution, holding_layouts,
                        solve_dispatch)
 from .scenario import Scenario
@@ -35,7 +36,7 @@ from .validation import DEFAULT_EUE_TOLERANCE, ValidationReport, validate
 DOUBLING_HARD_CAP = 1024.0  # multiple of the initial size
 
 
-class SizingError(RuntimeError):
+class SizingError(DbioError, RuntimeError):
     pass
 
 

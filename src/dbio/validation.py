@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DbioError
 from .degradation import BatteryExhaustedError, DegradationState, advance_state, count_cycles
 from .planning import (DispatchSolution, InvestmentDecision, extract_solution, holding_layouts,
                        solve_single_year)
@@ -20,7 +21,7 @@ from .scenario import Scenario
 DEFAULT_EUE_TOLERANCE = 1e-6  # MWh; solver round-off must not trigger resizing
 
 
-class ValidationError(RuntimeError):
+class ValidationError(DbioError, RuntimeError):
     pass
 
 

@@ -523,6 +523,72 @@ def test_cli_import_loads_no_scipy_package_but_the_highs_extension(tmp_path):
         assert "scipy.optimize._highspy._core" in loaded
 
 
+_DBIO_MODULES_AFTER = """
+import json, sys
+import dbio.cli
+rc = dbio.cli.main(sys.argv[1:]) if sys.argv[1:] else None
+print(json.dumps({"rc": rc, "loaded": [m for m in sys.modules if m.startswith("dbio.")]}))
+"""
+MODE_MODULES = {"dbio.sizing", "dbio.validation", "dbio.degradation", "dbio.rainflow"}
+
+
+def test_each_mode_imports_only_the_modules_it_runs(tmp_path):
+    # One fresh interpreter per step: the import, then a plan, a validate and
+    # a size run.
+    def step(*argv):
+        seen = json.loads(_fresh_python("-c", _DBIO_MODULES_AFTER, *map(str, argv)))
+        return seen["rc"], set(seen["loaded"])
+
+    scenario = FIXTURES / SCENARIO
+    assert step() == (None, {"dbio.cli", "dbio.milp", "dbio.scenario", "dbio.planning",
+                             "dbio.reports"})
+    rc, loaded = step("--scenario", scenario, "--out", tmp_path / "plan")
+    assert rc == 0 and loaded & MODE_MODULES == set()
+    rc, loaded = step("--scenario", scenario, "--out", tmp_path / "validate", "--mode",
+                      "validate", "--investment", tmp_path / "plan" / "report.json")
+    assert rc == 0 and loaded & MODE_MODULES == MODE_MODULES - {"dbio.sizing"}
+    rc, loaded = step("--scenario", scenario, "--out", tmp_path / "size", "--mode", "size")
+    assert rc == 0 and loaded >= MODE_MODULES
+
+
+_BLAS_RESIDENT_AFTER_EACH_MODE = """
+import json, sys
+
+def blas_kb():
+    # Resident kB of the mappings whose path names a BLAS library.
+    total, inside = 0, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split()
+            if head and "-" in head[0] and not head[0].endswith(":"):
+                inside = len(head) > 5 and "blas" in head[5].lower()
+            elif inside and head[0] == "Rss:":
+                total += int(head[1])
+    return total
+
+from dbio.cli import main
+seen = {"import": blas_kb()}
+scenario, out = sys.argv[1:]
+for mode, extra in (("plan", []), ("validate", ["--investment", out + "/plan/report.json"]),
+                    ("size", [])):
+    assert main(["--scenario", scenario, "--out", out + "/" + mode, "--mode", mode,
+                 *extra]) == 0
+    seen[mode] = blas_kb()
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="no /proc/self/smaps")
+def test_no_mode_touches_blas(tmp_path):
+    # No run calls BLAS or LAPACK (no @ product, no np.linalg or np.polyfit),
+    # so none faults in more of the library than importing dbio.cli did.
+    seen = json.loads(_fresh_python("-c", _BLAS_RESIDENT_AFTER_EACH_MODE,
+                                    str(FIXTURES / SCENARIO), str(tmp_path)))
+    if seen["import"] == 0:
+        pytest.skip("numpy maps no library whose path contains 'blas'")
+    assert seen == dict.fromkeys(("import", "plan", "validate", "size"), seen["import"])
+
+
 _GC_AFTER_IMPORT = """
 import gc, json
 {before}

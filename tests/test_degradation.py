@@ -1,7 +1,11 @@
 """Cycle-life weighting, capacity chain, and efficiency regression."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbio.degradation import (BatteryExhaustedError, DegradationError,
                               DegradationState, advance_state, bin_midpoint,
@@ -96,6 +100,17 @@ def test_two_point_efficiency_fit_is_exact():
     assert eff(0.8) == pytest.approx(0.86, rel=1e-12)
 
 
+@pytest.mark.parametrize("fixture", ["grid_fixed", "highuse_degradation", "islanded_base",
+                                     "sizing_threshold"])
+def test_fixture_efficiency_lines_are_exact_at_their_knots(fixture):
+    # np.polyfit's line gave 0.9000000000000001 at SOH 1.0 on these points.
+    bess = load_scenario(FIXTURES / f"{fixture}.json").bess
+    assert len(bess.eff_model_points) == 2
+    for soh, eta in bess.eff_model_points:
+        assert bess.efficiency(soh) == eta
+    assert bess.efficiency(bess.soh_init) == 0.9
+
+
 def test_efficiency_fit_validation():
     with pytest.raises(ScenarioError, match="distinct SOH"):
         BessParams(eff_model_points=((0.9, 0.8), (0.9, 0.7)))
@@ -110,10 +125,12 @@ def test_prediction_clamped_to_unit_interval():
 
 
 def _efficiency_fitted_per_call(bess, soh):
-    """Reference: one least-squares fit per call."""
-    pts = np.asarray(bess.eff_model_points, dtype=float)
-    w, b = np.polyfit(pts[:, 0], pts[:, 1], 1)
-    return min(1.0, max(1e-9, float(w) * soh + float(b)))
+    """Reference: one closed-form least-squares fit per call, about the means."""
+    x, y = np.asarray(bess.eff_model_points, dtype=float).T.tolist()
+    x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
+    w = (sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y))
+         / sum((a - x_mean) ** 2 for a in x))
+    return min(1.0, max(1e-9, y_mean + w * (soh - x_mean)))
 
 
 @pytest.mark.parametrize("points", [((1.0, 0.90), (0.8, 0.86)),
@@ -125,15 +142,32 @@ def test_kept_efficiency_line_equals_the_per_call_fit(points):
         assert bess.efficiency(soh) == _efficiency_fitted_per_call(bess, soh)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 1000).map(lambda k: k / 1000),
+                          st.floats(min_value=0.01, max_value=1.0)),
+                min_size=2, max_size=8, unique_by=lambda p: p[0]))
+def test_efficiency_line_agrees_with_polyfit(points):
+    # np.polyfit is the oracle here only; distinct SOH values on a 0.001 grid.
+    bess = BessParams(eff_model_points=tuple(points))
+    x, y = np.asarray(points).T
+    w, b = np.polyfit(x, y, 1)
+    for soh in (*x, 0.0, 0.5, 1.0):
+        want = min(1.0, max(1e-9, w * soh + b))
+        # 1e-12 relative to the efficiencies' scale, which is at most 1
+        assert bess.efficiency(soh) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_validation_fits_the_efficiency_line_once(highuse_plan, monkeypatch):
     fits = []
-    real_polyfit = np.polyfit
+    fit = BessParams._efficiency_line.func
 
-    def counting_polyfit(*args, **kwargs):
-        fits.append(args)
-        return real_polyfit(*args, **kwargs)
+    def counting_fit(bess):
+        fits.append(bess)
+        return fit(bess)
 
-    monkeypatch.setattr(np, "polyfit", counting_polyfit)
+    counting = functools.cached_property(counting_fit)
+    counting.__set_name__(BessParams, "_efficiency_line")
+    monkeypatch.setattr(BessParams, "_efficiency_line", counting)
     scenario = load_scenario(FIXTURES / "highuse_degradation.json")
     report = validate(highuse_plan[0].investment, scenario)
     assert len(report.per_year) == scenario.cfg.planning_years > 1
