@@ -181,9 +181,12 @@ def _plan(scenario, out_dir, dump_lp):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # an existing file, or a path under one
+            raise DbioError(f"--out {args.out}: {exc.strerror}") from exc
         scenario = _apply_overrides(load_scenario(args.scenario), args)
         if (args.mode != "validate" and scenario.cder.committed
                 and math.isinf(scenario.cder.max_size)):

@@ -38,14 +38,16 @@ HiGHS is called through the binding scipy vendors
 ``HighsLp`` that HiGHS copies again, creates one Python object per column for
 the integrality, builds its options manager five times and, after the solve,
 walks every column in Python for bound marginals dbio never reads. The binding
-takes the CSC arrays in one ``passModel`` call and returns the row duals too.
-The extension is loaded from scipy's directory on its own (:func:`_load_highs`):
-importing ``scipy.optimize`` for it would also import ``scipy.sparse``,
-``scipy.linalg`` and ``numpy.f2py``, about three quarters of a CLI run's
-import time, and dbio holds its matrix as plain numpy CSR arrays. scipy's
-version (:data:`SCIPY_VERSION`) is read from its ``version.py`` the same way,
-so no ``scipy`` package is imported at all; even the bare package costs
-about 1.3 MB resident. :func:`highs_version` names the loaded HiGHS build.
+takes the matrix in one ``passModel`` call in the format the problem stores,
+CSR, passed row-wise with the fixed columns' entries filtered out; HiGHS
+transposes it into its own column form. The extension is loaded from scipy's
+directory on its own (:func:`_load_highs`): importing ``scipy.optimize`` for
+it would also import ``scipy.sparse``, ``scipy.linalg`` and ``numpy.f2py``,
+about three quarters of a CLI run's import time, and dbio holds its matrix as
+plain numpy CSR arrays. scipy's version (:data:`SCIPY_VERSION`) is read from
+its ``version.py`` the same way, so no ``scipy`` package is imported at all;
+even the bare package costs about 1.3 MB resident. :func:`highs_version`
+names the loaded HiGHS build.
 
 An optional export to the industry-standard LP text format is provided for
 debugging.
@@ -234,66 +236,55 @@ class RowLayout:
     family by family, in row order. ``le``/``ge`` mark the rows of sense
     ``<=``/``>=``, and ``columns`` is one past the largest variable id. The
     arrays are read-only, so every model assembled from a held layout shares
-    them, and so do the ones :meth:`entry_rows` and :meth:`by_column` make
-    for its solves on first use.
+    them.
     """
 
-    __slots__ = ("indptr", "indices", "entries", "rows", "le", "ge", "columns",
-                 "_entry_rows", "_by_column")
+    __slots__ = ("indptr", "indices", "entries", "rows", "le", "ge", "columns")
 
     def __init__(self, indptr, indices, entries, rows, le, ge, columns):
         self.indptr, self.indices, self.entries, self.rows, self.le, self.ge = _read_only(
             indptr, indices, entries, rows, le, ge)
         self.columns = columns
-        self._entry_rows = self._by_column = None
-
-    def entry_rows(self):
-        """The row of each entry."""
-        if self._entry_rows is None:
-            (self._entry_rows,) = _read_only(_entry_rows(self.indptr))
-        return self._entry_rows
-
-    def by_column(self):
-        """The entries in column order, rows ascending within a column."""
-        if self._by_column is None:
-            (self._by_column,) = _read_only(np.argsort(self.indices, kind="stable"))
-        return self._by_column
 
     @classmethod
     def of(cls, families, n_vars, names) -> RowLayout:
         """The layout of ``families`` (see :meth:`MilpProblem.add_constraints`)
         over ``n_vars`` variables, after the checks of their structure: known
         senses and variable ids, no variable twice in a row, every position
-        of the block given by exactly one family."""
+        of the block given by exactly one family. Each check runs over the
+        whole block; a duplicate id is an adjacent equal (row, column) pair
+        in the CSR order, so the one sort is the one that order needs."""
         for family, _, _, sense, _ in families:
             if sense not in _SENSES:
                 raise MilpError(f"constraints {family}: unknown sense {sense!r}")
         cols = _fill(families, 0)
-        n = sum(np.size(rows) for _, rows, _, _, _ in families)
-        positions, entry_rows, start = [], [], 0
-        for family, rows, terms, _, _ in families:
-            rows = np.ravel(np.asarray(rows, dtype=np.int64))
-            block = cols[start:start + len(terms) * rows.size].reshape(len(terms), rows.size).T
-            start += block.size
-            for bad, what in (
-                    ((rows < 0) | (rows >= n), lambda k, j: f"position outside block of {n}"),
-                    (np.diff(np.sort(block), axis=1) == 0,
-                     lambda k, j: "duplicate variable ids"),
-                    ((block < 0) | (block >= n_vars),
-                     lambda k, j: f"unknown variable id {block[k, j]}")):
-                if bad.any():
-                    k, j = np.argwhere(bad.reshape(rows.size, -1))[0]
-                    row = _names([names])[rows[k]] if 0 <= rows[k] < n else rows[k]
-                    raise MilpError(f"constraints {family}, row {row}: {what(k, j)}")
-            positions.append(rows)
-            entry_rows.append(np.tile(rows, len(terms)))
+        positions = [np.ravel(np.asarray(rows, dtype=np.int64)) for _, rows, _, _, _ in families]
+        entry_rows = np.concatenate([np.tile(rows, len(terms)) for rows, (_, _, terms, _, _)
+                                     in zip(positions, families)])
         positions = np.concatenate(positions)
+        n = positions.size
+
+        def fail(i, by_term, what):  # entry i of cols (by_term) or of positions
+            family = families[_locate(families, int(i), by_term)[0]][0]
+            row = (entry_rows if by_term else positions)[i]
+            raise MilpError(f"constraints {family}, row "
+                            f"{_names([names])[row] if 0 <= row < n else row}: {what}")
+
+        outside = (positions < 0) | (positions >= n)
+        if outside.any():
+            fail(np.argmax(outside), False, f"position outside block of {n}")
         cover = np.bincount(positions, minlength=n)
         if np.any(cover != 1):
             raise MilpError(f"constraint block: row {_names([names])[np.argmax(cover != 1)]} "
                             "is not given by exactly one family")
-        entry_rows = np.concatenate(entry_rows)
         entries = np.lexsort((cols, entry_rows))  # row-major, columns sorted within a row
+        indices, in_row = cols[entries], entry_rows[entries]
+        twice = (indices[1:] == indices[:-1]) & (in_row[1:] == in_row[:-1])
+        if twice.any():
+            fail(entries[np.argmax(twice) + 1], True, "duplicate variable ids")
+        unknown = (cols < 0) | (cols >= n_vars)
+        if unknown.any():
+            fail(np.argmax(unknown), True, f"unknown variable id {cols[np.argmax(unknown)]}")
         indptr = np.zeros(n + 1, dtype=np.int32)
         indptr[1:] = np.cumsum(np.bincount(entry_rows, minlength=n))
         # positions is a permutation (the cover check above), so its inverse
@@ -302,7 +293,7 @@ class RowLayout:
         rows[positions] = np.arange(n)
         senses = np.repeat([sense for _, _, _, sense, _ in families],
                            [np.size(r) for _, r, _, _, _ in families])[rows]
-        return cls(indptr, cols[entries].astype(np.int32), entries, rows, senses == LE,
+        return cls(indptr, indices.astype(np.int32), entries, rows, senses == LE,
                    senses == GE, int(cols.max(initial=-1)) + 1)
 
 
@@ -339,7 +330,6 @@ class MilpProblem:
         self.objective_constant = 0.0
         self._var_names: list = []  # one entry per block, see _names
         self._row_names: list = []
-        self._layout = None  # the held RowLayout of A while A is one block
 
     # -- variables ---------------------------------------------------------
 
@@ -403,7 +393,7 @@ class MilpProblem:
         no value; the coefficients and right-hand sides are still checked.
         Without it the block's layout is made here and not kept.
         """
-        first, held = self.n_constraints, layout
+        first = self.n_constraints
         if not families:
             return np.arange(first, first)
         if layout is None:
@@ -431,14 +421,12 @@ class MilpProblem:
         if first == 0:  # the block is the matrix: share the layout's read-only structure
             self.indptr, self.indices, self.data, self.lb, self.ub = (
                 layout.indptr, layout.indices, data, lb, ub)
-            self._layout = held
         else:
             self.indptr = np.concatenate([self.indptr, self.data.size + layout.indptr[1:]])
             self.indices = np.concatenate([self.indices, layout.indices])
             self.data = np.concatenate([self.data, data])
             self.lb = np.concatenate([self.lb, lb])
             self.ub = np.concatenate([self.ub, ub])
-            self._layout = None
         self._row_names.append(names)
         return np.arange(first, first + rhs.size)
 
@@ -467,21 +455,9 @@ class MilpProblem:
         """(indptr, indices, data, lb, ub): the CSR arrays of ``A`` and the row bounds."""
         return self.indptr, self.indices, self.data, self.lb, self.ub
 
-    def _entry_rows(self):
-        """The row of each entry of ``A``."""
-        if self._layout is not None:
-            return self._layout.entry_rows()
-        return _entry_rows(self.indptr)
-
-    def _by_column(self):
-        """``A``'s entries in column order, rows ascending within a column."""
-        if self._layout is not None:
-            return self._layout.by_column()
-        return np.argsort(self.indices, kind="stable")
-
     def _matvec(self, x):
         """``A @ x``, each row summed in entry order as scipy's CSR product does."""
-        return np.bincount(self._entry_rows(), weights=self.data * x[self.indices],
+        return np.bincount(_entry_rows(self.indptr), weights=self.data * x[self.indices],
                            minlength=self.n_constraints)
 
     # -- evaluation and export ---------------------------------------------
@@ -591,7 +567,8 @@ def milp(c, *, lower, upper, row_lower, row_upper, indptr, indices, data, integr
     ``lower <= x <= upper`` in one run of a HiGHS instance of its own, whose
     run clock starts at zero, with presolve on.
 
-    ``A`` is given column-wise (CSC ``indptr``, ``indices``, ``data``);
+    ``A`` is given row-wise (CSR ``indptr``, ``indices``, ``data``), which
+    HiGHS transposes into its own column form;
     ``integrality`` is 1 for an integer column and all zeros for an LP.
     ``basis``, (column statuses, row statuses) as int8 arrays, is set before
     the run; one whose count of basic variables is not the row count is set
@@ -604,7 +581,7 @@ def milp(c, *, lower, upper, row_lower, row_upper, indptr, indices, data, integr
                         ("time_limit", float(time_limit))):
         _check(highs.setOptionValue(name, value), f"option {name}={value!r}")
     _check(highs.passModel(c.size, row_lower.size, data.size,
-                           int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize),
+                           int(_highs.MatrixFormat.kRowwise), int(_highs.ObjSense.kMinimize),
                            0.0, c, lower, upper, row_lower, row_upper, indptr, indices, data,
                            integrality.astype(np.int32)),
            f"the model ({c.size} columns, {row_lower.size} rows)")
@@ -650,18 +627,18 @@ def _final_basis(highs, cols, rows):
 
 
 def _free_columns(problem, free):
-    """The CSC arrays (indptr, indices, data) HiGHS reads: the free columns'
-    entries, renumbered, ordered by column with rows ascending within each.
+    """The CSR arrays (indptr, indices, data) HiGHS reads: ``A``'s entries in
+    the free columns, in their stored order, the columns renumbered.
 
     A function of its own so that its temporaries, each as long as ``A``'s
     entries, are freed before HiGHS runs.
     """
-    _, indices, data, _, _ = problem.constraint_matrix()
-    order = problem._by_column()
-    kept = order[free[indices[order]]]
-    col_ptr = np.zeros(np.count_nonzero(free) + 1, dtype=np.int32)
-    col_ptr[1:] = np.cumsum(np.bincount(indices, minlength=free.size)[free])
-    return col_ptr, problem._entry_rows()[kept], data[kept]
+    indptr, indices, data, _, _ = problem.constraint_matrix()
+    kept = free.take(indices)  # take: a third of the time of free[indices] on int32 ids
+    count = np.zeros(kept.size + 1, dtype=np.int32)  # kept entries before each entry
+    np.cumsum(kept, dtype=np.int32, out=count[1:])
+    renumber = np.cumsum(free, dtype=np.int32) - 1
+    return count.take(indptr), renumber.take(indices[kept]), data[kept]
 
 
 def solve(problem: MilpProblem, opts: SolveOptions | None = None, basis=None) -> SolveResult:
@@ -699,11 +676,11 @@ def solve(problem: MilpProblem, opts: SolveOptions | None = None, basis=None) ->
         return SolveResult(status=OPTIMAL, objective=objective, primal=x, path=path)
     shift = problem._matvec(x)
     constant = problem.objective_constant + float((problem.c * x).sum())
-    col_ptr, rows, values = _free_columns(problem, free)
+    indptr, indices, data = _free_columns(problem, free)
     t0 = time.perf_counter()
     res = milp(problem.c[free], lower=problem.lower[free], upper=problem.upper[free],
-               row_lower=problem.lb - shift, row_upper=problem.ub - shift, indptr=col_ptr,
-               indices=rows, data=values, integrality=integrality, mip_gap=opts.mip_gap,
+               row_lower=problem.lb - shift, row_upper=problem.ub - shift, indptr=indptr,
+               indices=indices, data=data, integrality=integrality, mip_gap=opts.mip_gap,
                time_limit=opts.time_limit,
                basis=None if basis is None else (basis[0][free], basis[1]))
     runtime = time.perf_counter() - t0

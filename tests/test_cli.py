@@ -417,6 +417,18 @@ def test_bad_search_setting_exits_before_solving(fixtures_dir, tmp_path, monkeyp
     assert not solves and not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("out", ["file", "file/out"], ids=["a-file", "under-a-file"])
+def test_unusable_out_exits_two_with_one_error_line(fixtures_dir, tmp_path, out):
+    (tmp_path / "file").write_text("")
+    proc = subprocess.run([sys.executable, "-m", "dbio.cli", "--scenario",
+                           str(fixtures_dir / SCENARIO), "--out", str(tmp_path / out)],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+                          text=True)
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert len(err) == 1 and err[0].startswith(f"error: --out {tmp_path / out}: ")
+
+
 def test_reports_never_print_negative_zero():
     assert [reports.fmt_qty(x) for x in (-0.0, 0.0, -1e-20, -2.5)] == ["0", "0", "-1e-20",
                                                                        "-2.5"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize._highspy._core import HighsModelStatus as Status
 
@@ -305,10 +305,10 @@ def test_every_other_highs_status_is_an_error(monkeypatch, highs_status):
 
 
 def _highs_args(**changes):
-    # min x + y  s.t.  x + y >= 1, 0 <= x, y <= 1: optimum 1.
+    # min x + y  s.t.  x + y >= 1, 0 <= x, y <= 1: optimum 1. A is given row-wise.
     return {"lower": np.zeros(2), "upper": np.ones(2), "row_lower": np.array([1.0]),
-            "row_upper": np.array([INF]), "indptr": np.array([0, 1, 2], dtype=np.int32),
-            "indices": np.zeros(2, dtype=np.int32), "data": np.ones(2),
+            "row_upper": np.array([INF]), "indptr": np.array([0, 2], dtype=np.int32),
+            "indices": np.array([0, 1], dtype=np.int32), "data": np.ones(2),
             "integrality": np.zeros(2, dtype=np.int32), "mip_gap": 0.0, "time_limit": 10.0,
             **changes}
 
@@ -346,11 +346,10 @@ def test_evaluate_residuals():
 _COEFS = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_csr_arrays_are_scipys_canonical_layout(data):
-    # Row blocks with rows out of position order, terms out of column order,
-    # empty rows, explicit zeros and variables added between blocks.
+def _random_blocks(data):
+    """A problem of row blocks with rows out of position order, terms out of
+    column order, empty rows, explicit zeros and variables added between
+    blocks, and its ``A`` built by scipy."""
     p = MilpProblem()
     rows, cols, vals = [], [], []
     for _ in range(data.draw(st.integers(1, 4), label="blocks")):
@@ -373,8 +372,14 @@ def test_csr_arrays_are_scipys_canonical_layout(data):
             cols += ids
             vals += coefs
         p.add_constraints(families, names=lambda: [f"r{i}" for i in range(n)])
-    want = sp.csr_matrix((np.array(vals, dtype=float), (rows, cols)),
-                         shape=(p.n_constraints, p.n_variables))
+    return p, sp.csr_matrix((np.array(vals, dtype=float), (rows, cols)),
+                            shape=(p.n_constraints, p.n_variables))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_csr_arrays_are_scipys_canonical_layout(data):
+    p, want = _random_blocks(data)
     indptr, indices, values, lb, ub = p.constraint_matrix()
     for got, ref in ((indptr, want.indptr), (indices, want.indices), (values, want.data)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
@@ -383,6 +388,43 @@ def test_csr_arrays_are_scipys_canonical_layout(data):
     lhs = want @ x
     residuals, _ = p.evaluate(x)
     assert residuals.tobytes() == np.maximum(np.maximum(lb - lhs, lhs - ub), 0.0).tobytes()
+
+
+class _Captured(Exception):
+    pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_highs_receives_the_free_columns_of_the_stored_csr(data):
+    # Some columns fixed through lower == upper (a binary at 0 or 1): HiGHS
+    # reads A[:, free] row-wise as scipy slices it, explicit zeros and entry
+    # order included, and the row bounds less the fixed columns' part.
+    p, want = _random_blocks(data)
+    n = p.n_variables
+    fixed = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    value = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    value = np.where(p.integrality == 1, value > 0, value)
+    p.lower[fixed] = p.upper[fixed] = value[fixed]
+    free = ~fixed
+    assume(free.any())
+    seen = {}
+
+    def capture(c, **kwargs):
+        seen.update(kwargs, c=c)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(milp, "milp", capture)
+        with pytest.raises(_Captured):
+            solve(p)
+    ref = want[:, free]
+    for key, array in (("indptr", ref.indptr), ("indices", ref.indices), ("data", ref.data)):
+        assert seen[key].dtype == array.dtype and np.array_equal(seen[key], array), key
+    shift = want @ np.where(free, 0.0, p.lower)
+    assert seen["row_lower"].tobytes() == (p.lb - shift).tobytes()
+    assert seen["row_upper"].tobytes() == (p.ub - shift).tobytes()
+    assert seen["c"].size == np.count_nonzero(free)
 
 
 def test_rows_sum_in_column_order():

@@ -687,8 +687,22 @@ def test_builds_of_a_held_layout_match_the_seed_builder(tmp_path, case):
 
 def test_a_build_outside_any_scope_holds_no_layout(islanded_scenario):
     for _ in range(2):
-        problem, _ = build_integrated(islanded_scenario)
-        assert problem._layout is None and planning._layouts is None
+        build_integrated(islanded_scenario)
+        assert planning._layouts is None
+
+
+def test_a_plan_builds_and_solves_with_no_sort_but_the_lexsort(sizing_scenario, monkeypatch):
+    # A layout's one sort is its CSR order's np.lexsort, which its duplicate-id
+    # check reads too; HiGHS receives the stored CSR row-wise.
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a sort beyond a layout's lexsort")
+
+    monkeypatch.setattr(np, "sort", no_sort)
+    monkeypatch.setattr(np, "argsort", no_sort)
+    solve_plan(sizing_scenario)
+    with planning.holding_layouts():
+        for _ in range(2):  # the first build assembles the held layout, the second reads it
+            solve_plan(sizing_scenario)
 
 
 def test_a_nested_scope_shares_the_outer_layouts(islanded_scenario):
@@ -712,8 +726,8 @@ def test_an_exception_drops_the_held_layouts(islanded_scenario):
             build_single_year(islanded_scenario, _state(99, 0.3, eta_pv=1.0, eta_bess=0.9),
                               InvestmentDecision(0.2, 0.3, 0.6))
     assert planning._layouts is None
-    problem, _ = build_integrated(islanded_scenario)
-    assert problem._layout is None
+    build_integrated(islanded_scenario)
+    assert planning._layouts is None
 
 
 def test_a_search_and_a_validation_hold_layouts_while_they_run(sizing_scenario):
@@ -838,7 +852,7 @@ def test_hourly_year_hands_highs_only_the_free_columns(tmp_path, monkeypatch):
 
     monkeypatch.setattr(milp, "milp", capture)
     got = milp.solve(problem, OPTS)
-    assert seen == [(47_816, (17_885, 47_816), 47_816, 47_816)]
+    assert seen == [(47_816, (17_885, 17_885), 47_816, 47_816)]  # A's rows, row-wise
     assert (got.status, got.path, got.primal.shape) == ("optimal", "lp", (70_084,))
     assert np.array_equal(got.primal[~free], problem.lower[~free])
     assert got.objective == pytest.approx(_all_columns_solve(problem, OPTS).objective, rel=1e-9)
