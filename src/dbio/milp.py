@@ -457,7 +457,7 @@ class MilpProblem:
 
     def _matvec(self, x):
         """``A @ x``, each row summed in entry order as scipy's CSR product does."""
-        return np.bincount(_entry_rows(self.indptr), weights=self.data * x[self.indices],
+        return np.bincount(_entry_rows(self.indptr), weights=self.data * x.take(self.indices),
                            minlength=self.n_constraints)
 
     # -- evaluation and export ---------------------------------------------

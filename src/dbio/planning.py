@@ -29,7 +29,8 @@ of the day). Where the scenario implies none, writing the row raises
 :class:`ModelBuildError` naming the missing input.
 
 The four scalars lead every model and each hour's series follow in hour
-order (:func:`_index`), so a run of days is a contiguous run of columns.
+order (:class:`ModelIndex`), so a run of days is a contiguous run of columns
+and a primal is read by a reshape, with no array of column ids.
 Once every size is pinned, the days share only ``e_init``, so
 :func:`solve_single_year` builds and solves a validation year of more than
 ``BLOCK_DAYS`` days as blocks of consecutive days, one block's model at a
@@ -72,14 +73,19 @@ if TYPE_CHECKING:  # a plan run never loads the degradation model
 
 
 # Most days in one block of a split validation year (see solve_single_year).
-# 14 measured about the same on the hourly year; 7 and 56 were slower. With
-# the seed below, 46-day blocks were 8 ms faster in-process but peaked at
-# 45.66 MB on the hourly CLI validation, against about 42 MB at 28.
-BLOCK_DAYS = 28
+# The hourly year then takes 27 blocks of 13-14 days, 28 HiGHS calls and 318
+# simplex iterations, where 28 took 16 calls and 526. Fewer days keep less
+# solver state alive: at 14 the hourly CLI validation peaked about 1.7 MB
+# lower than at 28 (38.7 against 40.4 MB). The price is CPU: 30 interleaved
+# in-process validations of that year took a median of 8% more at 14 than at
+# 28 (90.8 against 83.9 ms, a loaded 2-core host); 10 took about as long as
+# 14, and 7 and 20 longer.
+BLOCK_DAYS = 14
 # Days of the cold model that seeds the first block of a split year without a
 # basis (see _solve_days). On the hourly year a 2-day seed takes 117 simplex
-# iterations and leaves its first block none; a 1-day seed leaves that block
-# 140, and 3- and 7-day seeds take 181 and 423 for the same 0.
+# iterations and leaves its first block none, a year of 318; a 1-day seed
+# takes 59 and leaves that block 63, a year of 294, and 3- and 7-day seeds
+# take 182 and 426 for the same 0, years of 530 and 718.
 SEED_DAYS = 2
 
 _SCALARS = ("s_pv", "s_bess", "p_cder_max", "e_init")
@@ -104,10 +110,14 @@ class InvestmentDecision:
 
 @dataclass
 class ModelIndex:
-    """Variable index maps plus the data needed to interpret a primal vector."""
+    """The column layout of a model plus the data needed to interpret a primal
+    vector. The layout is regular: the four scalars at ids 0-3, then the S
+    series of each flattened hour h at ids 4 + S*h + j, j the position in
+    ``names``. So the index holds no id array: :meth:`read` views a primal
+    through the layout, and :attr:`series` computes the ids on each access."""
 
     shape: tuple  # (Y, D, T)
-    series: dict  # name -> int array of shape (Y, D, T); SERIES, plus u_cder if committed
+    names: tuple  # the series of each hour in column order: SERIES, plus u_cder if committed
     scalars: dict  # name -> int
     scenario: Scenario
     capital: bool  # capital costs are in the objective (sizes are decisions)
@@ -115,6 +125,24 @@ class ModelIndex:
 
     SERIES = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt", "e_bess")
     POWER = ("p_cder", "p_chg", "p_dchg", "p_ls", "p_imp", "p_exp", "p_curt")  # MW, >= 0
+
+    @property
+    def columns(self) -> int:
+        """The model's columns before any appended: the scalars and every hour's series."""
+        return len(_SCALARS) + len(self.names) * math.prod(self.shape)
+
+    @property
+    def series(self) -> dict:
+        """name -> int array of shape (Y, D, T): the ids of each series' columns."""
+        hours = len(_SCALARS) + len(self.names) * np.arange(math.prod(self.shape)).reshape(
+            self.shape)
+        return {k: hours + j for j, k in enumerate(self.names)}
+
+    def read(self, x) -> dict:
+        """name -> (Y, D, T) view of each series' entries of ``x``, an array
+        that starts with the model's columns (a primal, or bounds)."""
+        hours = x[len(_SCALARS):self.columns].reshape(*self.shape, len(self.names))
+        return {k: hours[..., j] for j, k in enumerate(self.names)}
 
 
 @dataclass
@@ -138,22 +166,15 @@ def _cost_total(costs):
             + costs["shed_penalty"] + costs["import_cost"] - costs["export_revenue"])
 
 
-def _index(scenario: Scenario, shape, capital: bool, eta_bess: float,
-           series: dict | None = None) -> ModelIndex:
-    """The column layout of a model :func:`_build` assembles over ``shape`` (Y, D, T):
-    the four scalars at ids 0-3, then the S series of each flattened hour h at
-    ids 4 + S*h + j, j the position in ``SERIES`` plus ``u_cder`` if committed.
-    ``series`` gives the read-only id arrays of a held layout."""
-    if series is None:
-        names = ModelIndex.SERIES + ("u_cder",) * scenario.cder.committed
-        hours = len(_SCALARS) + len(names) * np.arange(math.prod(shape)).reshape(shape)
-        series = {k: hours + j for j, k in enumerate(names)}
-    return ModelIndex(shape=shape, series=dict(series), scalars=dict(_SCALAR_IDS),
-                      scenario=scenario, capital=capital, eta_bess=eta_bess)
+def _index(scenario: Scenario, shape, capital: bool, eta_bess: float) -> ModelIndex:
+    """The index of a model :func:`_build` assembles over ``shape`` (Y, D, T)."""
+    names = ModelIndex.SERIES + ("u_cder",) * scenario.cder.committed
+    return ModelIndex(shape=shape, names=names, scalars=dict(_SCALAR_IDS), scenario=scenario,
+                      capital=capital, eta_bess=eta_bess)
 
 
 class _Layout(NamedTuple):
-    """What every build of one layout shares: the series ids of its index,
+    """What every build of one layout shares: the ids of its series' columns,
     which columns are binary, each hour's previous stored-energy column, each
     constraint family's row positions, and where its rows' values land.
     Read-only."""
@@ -243,11 +264,10 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
         elif pinned[j]:
             lower[k] = np.maximum(lower.get(k, 0.0), coef * size_lo[j])
 
-    # Variables in the layout of _index: the four scalars, then the series hour by hour.
-    index = _index(scenario, (Y, D, T), capital, eta_bess,
-                   None if layout is None else layout.series)
+    # Variables in the layout of ModelIndex: the four scalars, then the series hour by hour.
+    index = _index(scenario, (Y, D, T), capital, eta_bess)
     s_pv, s_bess, p_cder_max, e_init = index.scalars.values()
-    v = index.series
+    v = index.series if layout is None else layout.series
     # Objective, each coefficient summed onto 0.0 as terms of one column are.
     size_cost = [0.0] * len(_SCALARS)
     if capital:
@@ -346,7 +366,7 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
         prob.add_constraints(families, names=row_names, layout=rows)
         for a in (*v.values(), binary, e_prev, *at[H:]):
             a.flags.writeable = False
-        _layouts[key] = _Layout(dict(v), binary, e_prev, at, rows)
+        _layouts[key] = _Layout(v, binary, e_prev, at, rows)
     return prob, index
 
 
@@ -424,7 +444,7 @@ def extract_solution(result: milp.SolveResult, index: ModelIndex) -> DispatchSol
     if not result.has_solution:
         raise ModelBuildError(f"no solution to extract (status {result.status})")
     x = result.primal
-    solved = {k: x[ids] for k, ids in index.series.items()}
+    solved = {k: values.copy() for k, values in index.read(x).items()}
     # Netting an hour that imports and exports keeps its balance and tie-line
     # bounds and changes the cost by -alpha*m*(import - export price) <= 0,
     # so at an optimum it is free.
@@ -471,10 +491,11 @@ def _add_battery_exclusion(problem: MilpProblem, index: ModelIndex):
     Y, D, T = index.shape
     n = Y * D * T
     cfg = index.scenario.cfg
-    dchg_cap = problem.upper[index.series["p_ls"]] + cfg.tie_limit  # a shed is at most the load
+    ids = index.series
+    dchg_cap = problem.upper[ids["p_ls"]] + cfg.tie_limit  # a shed is at most the load
     chg_cap = np.broadcast_to(dchg_cap.sum(axis=-1, keepdims=True) / index.eta_bess,
                               dchg_cap.shape)
-    if not (cfg.cyclic_soc or np.isfinite(problem.upper[index.series["p_chg"]]).all()):
+    if not (cfg.cyclic_soc or np.isfinite(problem.upper[ids["p_chg"]]).all()):
         raise ModelBuildError("the charge/discharge exclusion needs horizon.cyclic_soc or "
                               "a pinned battery size to bound the charge")
     u = problem.add_variables(
@@ -484,9 +505,9 @@ def _add_battery_exclusion(problem: MilpProblem, index: ModelIndex):
     u_chg, u_dchg = u[:n], u[n:]
 
     def switch(series, u_k, cap):
-        ids = index.series[series].ravel()
-        upper = problem.upper[ids]
-        return [(ids, 1.0), (u_k, -np.where(np.isfinite(upper), upper, cap.ravel()))]
+        columns = ids[series].ravel()
+        upper = problem.upper[columns]
+        return [(columns, 1.0), (u_k, -np.where(np.isfinite(upper), upper, cap.ravel()))]
 
     rows = np.arange(n)
     families = [("excl_bess", rows, [(u_chg, 1.0), (u_dchg, 1.0)], LE, 1.0),
@@ -498,8 +519,10 @@ def _add_battery_exclusion(problem: MilpProblem, index: ModelIndex):
 
 def _burns(result: milp.SolveResult, index: ModelIndex) -> bool:
     """Whether ``result``'s optimum charges and discharges in one hour."""
-    return result.has_solution and bool(np.max(np.minimum(
-        result.primal[index.series["p_chg"]], result.primal[index.series["p_dchg"]])) > 1e-6)
+    if not result.has_solution:
+        return False
+    series = index.read(result.primal)
+    return bool(np.max(np.minimum(series["p_chg"], series["p_dchg"])) > 1e-6)
 
 
 def _timed_out() -> milp.SolveResult:
@@ -581,7 +604,7 @@ def solve_dispatch(problem: MilpProblem, index: ModelIndex, opts: milp.SolveOpti
 
 def _block_basis(basis, days: int, day_columns: int):
     """A starting basis for a block of ``days`` days, mapped day by day from
-    ``basis``, another block's (or a year's) of the layout of :func:`_index`:
+    ``basis``, another block's (or a year's) of the layout of :class:`ModelIndex`:
     the four scalars' statuses, then each day's ``day_columns`` columns and
     its rows. Days past the last of ``basis`` repeat that day's statuses."""
     if basis is None:
@@ -617,8 +640,13 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
     days, built as a block is, are solved cold through ``solves`` first and
     the first block starts from their basis, each day after the seed's last
     repeating its statuses. On the hourly year the seed takes 117 iterations
-    and the first block then none, where that block alone took 1,575 cold.
-    A seed that does not end optimal leaves the first block cold.
+    and the first block then none, where that block alone took 799 cold, of
+    a year of 1,104 against 318 with the seed. A seed that does not end
+    optimal leaves the first block cold.
+
+    The year's primal is written block by block into the regular layout of
+    :class:`ModelIndex`, whose index holds no column ids: a block's columns
+    start at ``4 + S*T*d``, ``d`` its first day.
     """
     days = index.shape[1]
     n = -(-days // BLOCK_DAYS)
@@ -626,13 +654,13 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
     e_pos = index.scalars["e_init"]
     sizes = [index.scalars[k] for k in _SIZES]
     scalars = len(_SCALARS)
-    day_columns = len(index.series) * index.shape[2]
+    day_columns = len(index.names) * index.shape[2]
 
     def block(k, start, e_init=None):
         problem, _ = build_single_year(scenario, state, investment,
                                        days=slice(edges[k], edges[k + 1]))
         # The block's series columns are the year's from its first day's first column on.
-        first = index.series[ModelIndex.SERIES[0]][0, edges[k], 0]
+        first = scalars + day_columns * edges[k]
         span = slice(first, first + problem.n_variables - scalars)
         # Every block prices the fixed sizes alike; each block's objective
         # leaves their cost out, and the year's counts it once.
@@ -646,7 +674,7 @@ def _solve_days(scenario: Scenario, state: DegradationState, investment: Investm
         seed, _ = build_single_year(scenario, state, investment, days=slice(0, SEED_DAYS))
         r = solves.solve(seed)
         basis = r.basis if r.status == milp.OPTIMAL else None
-    x = np.empty(scalars + sum(ids.size for ids in index.series.values()))
+    x = np.empty(index.columns)
     solved = []  # (span, e_init, objective, basis) of each block
     for k in range(n):
         span, size_cost, r = block(k, _block_basis(basis, edges[k + 1] - edges[k], day_columns))

@@ -14,7 +14,7 @@ from scipy.optimize._highspy._core import HighsModelStatus as Status
 from dbio import milp
 from dbio.degradation import DegradationState
 from dbio.milp import EQ, GE, INF, LE, MilpError, MilpProblem, SolveOptions, solve
-from dbio.planning import InvestmentDecision, build_single_year
+from dbio.planning import InvestmentDecision, build_integrated, build_single_year
 
 from conftest import constraint_csr, enum_solve
 
@@ -435,6 +435,18 @@ def test_rows_sum_in_column_order():
     x = np.array([1.0, 1e16, -1e16])
     assert p.evaluate(x)[0].tolist() == [0.0]
     assert (p._matvec(x) == constraint_csr(p) @ x).all()
+
+
+def test_matvec_is_the_indexed_gather_byte_for_byte(highuse_scenario):
+    # take() reads the same entries as x[indices], whose int32 ids numpy
+    # first casts to intp: the weights, and so every row sum, are the same bytes.
+    p, _ = build_integrated(highuse_scenario)
+    rng = np.random.default_rng(3)
+    for x in (rng.normal(size=p.n_variables), rng.normal(size=p.n_variables) * 1e12,
+              np.where(rng.random(p.n_variables) < 0.5, 0.0, -1.0) + 0.0):
+        gather = np.bincount(milp._entry_rows(p.indptr), weights=p.data * x[p.indices],
+                             minlength=p.n_constraints)
+        assert p._matvec(x).tobytes() == gather.tobytes()
 
 
 def test_highs_loader_names_the_directory_it_searched(monkeypatch, tmp_path):

@@ -1009,10 +1009,11 @@ def test_blocks_with_other_free_columns_start_warm(monkeypatch):
     monkeypatch.undo()
     # The cold seed, then the first pass over the blocks; re-solves follow.
     (seed, _), *built = built
-    blocks = built[:-(-120 // planning.BLOCK_DAYS)]
+    n = -(-120 // planning.BLOCK_DAYS)
+    blocks = built[:n]
     assert seed == slice(0, planning.SEED_DAYS) and blocks[-1][0].stop == 120
     masks = {(a["lower"] < a["upper"]).tobytes() for _, a in blocks}
-    assert len(masks) == len(blocks) == 5
+    assert len(masks) == len(blocks) == n
     assert bases[0] is None and all(b is not None for b in bases[1:])
     assert (got.status, got.path) == ("optimal", "days")
     problem, _ = build_single_year(sc, state, inv)
@@ -1086,14 +1087,60 @@ def test_validation_never_builds_a_split_year_whole(hourly_year, monkeypatch):
     assert slice(None) not in [days for days, _ in built]
 
 
+def test_a_split_year_computes_no_column_ids_for_the_year(hourly_year, monkeypatch):
+    # A split year is built block by block and read through the regular
+    # layout: only a block's build computes column ids, never for the year.
+    shapes, series = [], ModelIndex.series
+
+    def ids(index):
+        shapes.append(index.shape)
+        if index.shape[1] > planning.BLOCK_DAYS:
+            raise AssertionError(f"column ids over the shape {index.shape}")
+        return series.fget(index)
+
+    monkeypatch.setattr(ModelIndex, "series", property(ids))
+    report = validate(InvestmentDecision(0.11, 0.077, 0.8), hourly_year)
+    assert [r.solve_path for r in report.per_year] == ["days"]
+    assert shapes and max(days for _, days, _ in shapes) <= planning.BLOCK_DAYS
+
+
+@pytest.mark.parametrize("case", ["islanded_base_8760h", "grid_tied_56d"])
+def test_a_split_years_extraction_is_the_whole_models(hourly_year, case):
+    # Its index reads each series of the primal at the column ids of the
+    # whole year's model, so the extracted dispatch is that model's, series
+    # by series and byte for byte.
+    sc, year = (hourly_year, 1) if case == "islanded_base_8760h" else (_grid_year(), 2)
+    state, inv = _year((0.3, 0.5, 0.8), year)
+    got, index = solve_single_year(sc, state, inv, OPTS)
+    assert got.path == "days"
+    _, whole_index = build_single_year(sc, state, inv)
+    assert (index.shape, index.names, index.columns) == (
+        whole_index.shape, whole_index.names, got.primal.size)
+    read = index.read(got.primal)
+    for k, ids in whole_index.series.items():
+        assert read[k].tobytes() == got.primal[ids].tobytes(), k
+    split, whole = extract_solution(got, index), extract_solution(got, whole_index)
+    assert split.series.keys() == whole.series.keys() == set(ModelIndex.SERIES)
+    for k, values in whole.series.items():
+        assert split.series[k].tobytes() == values.tobytes(), k
+    assert (split.e_init, split.investment, split.costs, split.objective) == (
+        whole.e_init, whole.investment, whole.costs, whole.objective)
+
+
+# Days of _two_regime_year: two blocks.
+TWO_BLOCKS = 2 * planning.BLOCK_DAYS
+
+
 def _two_regime_year():
-    """56 days, a 1 MWh battery with a [0.1, 0.9] MWh window, no generator and
-    1 MW of PV. The first 28 days discharge 0.2 MWh at hour 0 and refill at
-    noon, so they need e_init >= 0.3. The last 28 store 0.6 MWh of PV at hour 0
-    for a 0.6 MW load at hour 20, so they need e_init <= 0.3."""
-    load, pv_cf = np.zeros((56, 24)), np.zeros((56, 24))
-    load[:28, 0], pv_cf[:28, 12] = 0.2, 1.0
-    pv_cf[28:, 0], load[28:, 20] = 1.0, 0.6
+    """Two blocks of days, a 1 MWh battery with a [0.1, 0.9] MWh window, no
+    generator and 1 MW of PV. The first block's days discharge 0.2 MWh at hour
+    0 and refill at noon, so they need e_init >= 0.3. The second's store 0.6
+    MWh of PV at hour 0 for a 0.6 MW load at hour 20, so they need e_init <=
+    0.3."""
+    b = planning.BLOCK_DAYS
+    load, pv_cf = np.zeros((TWO_BLOCKS, 24)), np.zeros((TWO_BLOCKS, 24))
+    load[:b, 0], pv_cf[:b, 12] = 0.2, 1.0
+    pv_cf[b:, 0], load[b:, 20] = 1.0, 0.6
     return make_scenario(load, pv_cf)
 
 
@@ -1105,14 +1152,16 @@ def test_split_year_that_fails_the_check_is_solved_whole(monkeypatch):
     monkeypatch.undo()
     assert (got.status, got.path) == ("optimal", "lp")
     # The two-day seed, two blocks, one failed re-solve, the whole year.
-    assert [days for days, _ in built] == [slice(0, 2), slice(0, 28), slice(28, 56),
-                                           slice(0, 28), slice(None)]
+    b = planning.BLOCK_DAYS
+    assert [days for days, _ in built] == [slice(0, 2), slice(0, b), slice(b, 2 * b),
+                                           slice(0, b), slice(None)]
     assert len(seen) == len(built)
     problem, _ = build_single_year(sc, state, inv)
     whole = milp.solve(problem, OPTS)
     assert got.objective == pytest.approx(whole.objective, rel=1e-9)
     assert got.primal[index.scalars["e_init"]] == pytest.approx(0.3, abs=1e-9)
-    assert compute_eue(extract_solution(got, index), 365 / 56) == pytest.approx(0.0, abs=1e-9)
+    assert compute_eue(extract_solution(got, index), 365 / TWO_BLOCKS) == pytest.approx(
+        0.0, abs=1e-9)
 
 
 def test_split_year_with_a_block_not_optimal_is_solved_whole(monkeypatch):
@@ -1122,7 +1171,7 @@ def test_split_year_with_a_block_not_optimal_is_solved_whole(monkeypatch):
 
     def first_block_times_out(problem, opts=None, basis=None):
         calls.append((problem.n_variables, basis is not None))
-        if problem.n_variables == 4 + 28 * 24 * 8:
+        if problem.n_variables == BLOCK_COLUMNS:
             return milp.SolveResult(status=milp.TIME_LIMIT, objective=math.nan, primal=None)
         return solve(problem, opts, basis)
 
@@ -1131,8 +1180,8 @@ def test_split_year_with_a_block_not_optimal_is_solved_whole(monkeypatch):
     monkeypatch.undo()
     whole, _ = build_single_year(sc, state, inv)
     # The two-day seed, the first block from its basis and again cold, the whole year.
-    assert calls == [(4 + 2 * 24 * 8, False), (4 + 28 * 24 * 8, True),
-                     (4 + 28 * 24 * 8, False), (whole.n_variables, False)]
+    assert calls == [(4 + 2 * 24 * 8, False), (BLOCK_COLUMNS, True),
+                     (BLOCK_COLUMNS, False), (whole.n_variables, False)]
     assert (got.status, got.path) == ("optimal", "lp")
     assert got.objective == pytest.approx(milp.solve(whole, OPTS).objective, rel=1e-9)
 

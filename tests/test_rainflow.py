@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbio import rainflow
@@ -105,3 +105,22 @@ def test_reference_agreement_property(values):
     got = sorted_pairs(*rainflow.extract_cycles(values))
     want = sorted_pairs(*reference_cycles(values))
     assert got == pytest.approx(want)
+
+
+# Floats from a few values, so that traces hold plateaus and repeated levels.
+_LEVELS = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LEVELS, min_size=1, max_size=80))
+@example([0.4])
+@example([0.3, 0.3, 0.3, 0.3])
+@example([0.2, 0.7])
+@example([0.7, 0.7])
+@example([0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 0.2, 0.2])
+def test_reversals_match_the_reference_bit_for_bit(values):
+    # Plateaus, constant and two-point traces: the kernel keeps the same
+    # samples as the independent reference, and so the same bytes.
+    x = np.asarray(values, dtype=np.float64)
+    got, want = rainflow._reversals(x), reference_reversals(x)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
