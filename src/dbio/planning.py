@@ -47,10 +47,11 @@ before it (:func:`solve_dispatch`).
 Models of one structure are built over and over: a sizing search builds
 its probes' plans and their validation years, a split year its blocks.
 Inside a sizing search or a validation (:func:`holding_layouts`),
-:func:`_build` keeps the structure of each layout from its first build on,
-so later builds of it only write values, and the scope's end drops them. A
-model built outside any scope, such as a plan at the paper's scale, holds
-nothing.
+:func:`_build` keeps the row layout of each structure from its first build
+on (:class:`~dbio.milp.RowLayout`: the CSR sparsity and where each
+constraint family's values land), so later builds of it skip that layout's
+checks and sort, and the scope's end drops them. A model built outside any
+scope, such as a plan at the paper's scale, holds nothing.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -85,7 +86,12 @@ BLOCK_DAYS = 14
 # basis (see _solve_days). On the hourly year a 2-day seed takes 117 simplex
 # iterations and leaves its first block none, a year of 318; a 1-day seed
 # takes 59 and leaves that block 63, a year of 294, and 3- and 7-day seeds
-# take 182 and 426 for the same 0, years of 530 and 718.
+# take 182 and 426 for the same 0, years of 530 and 718. The 1-day seed's
+# fewer iterations buy no time: over 10 alternating pairs of
+# `perfbench/run.py --workload validate-hourly --seed 1 --seconds 5 --trace 0`
+# (2-core host) its CLI runs took a median wall_s of 0.269 s against 0.267 s
+# and peaked at 37.91 against 37.96 MB, and its validate-mode outputs differ
+# only in simplex_iterations.
 SEED_DAYS = 2
 
 _SCALARS = ("s_pv", "s_bess", "p_cder_max", "e_init")
@@ -173,28 +179,15 @@ def _index(scenario: Scenario, shape, capital: bool, eta_bess: float) -> ModelIn
                       capital=capital, eta_bess=eta_bess)
 
 
-class _Layout(NamedTuple):
-    """What every build of one layout shares: the ids of its series' columns,
-    which columns are binary, each hour's previous stored-energy column, each
-    constraint family's row positions, and where its rows' values land.
-    Read-only."""
-
-    series: dict
-    binary: np.ndarray
-    e_prev: np.ndarray
-    at: list
-    rows: milp.RowLayout
-
-
-# Layout key -> its _Layout inside a holding_layouts() scope, None outside
-# any. It needs no cap: one scope builds at most five structures (a pinned
-# plan, a whole year, two block lengths and a split year's seed).
+# Structure key -> its milp.RowLayout inside a holding_layouts() scope, None
+# outside any. It needs no cap: one scope builds at most five structures (a
+# pinned plan, a whole year, two block lengths and a split year's seed).
 _layouts: dict | None = None
 
 
 @contextlib.contextmanager
 def holding_layouts():
-    """Hold the layout of each model built inside (see :func:`_build`) until
+    """Hold the row layout of each model built inside (see :func:`_build`) until
     the outermost such scope ends, even by an exception, which drops them
     all; an inner scope shares the outer one's. A sizing search and a
     validation each build inside one, so nothing is held after a run, and a
@@ -222,10 +215,13 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
 
     The structure of the model (its columns' binaries, ``A``'s sparsity and
     where each family's values land) depends only on (Y, D, T), which sizes
-    are pinned, commitment and cyclic days. Inside :func:`holding_layouts`,
-    the first build of a layout holds it, and a later build writes only
-    values: bounds, coefficients, right-hand sides and costs. Those are
-    checked on every build; the structure only when it is assembled."""
+    are pinned, commitment and cyclic days. Every build derives the column
+    ids, binaries and row positions from that shape. Inside
+    :func:`holding_layouts`, the first build of a structure holds its row
+    layout, and a later build hands it to :meth:`MilpProblem.add_constraints`,
+    which skips the checks and the sort of the rows' structure. Values
+    (bounds, coefficients, right-hand sides and costs) are checked on every
+    build; the row structure only when its layout is assembled."""
     cfg, cder, pv, bess = scenario.cfg, scenario.cder, scenario.pv, scenario.bess
     Y, D, T = load.shape
     commit = cder.committed
@@ -237,8 +233,6 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
     soc_hi = bess.soh_init * bess.soc_max
     pv_avail = np.asarray(eta_pv_by_year)[:, None, None] * pv_cf
     pinned = tuple(lo == hi for lo, hi in zip(size_lo, size_hi))
-    key = (Y, D, T, pinned, commit, cfg.cyclic_soc)  # what the structure depends on
-    layout = None if _layouts is None else _layouts.get(key)
     # (family, series, size, coef, sense): series sense coef * size, with size
     # the position in (s_pv, s_bess, p_cder_max). The e_init rows lead the
     # model; the others are written for every hour, after its balance row.
@@ -267,7 +261,7 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
     # Variables in the layout of ModelIndex: the four scalars, then the series hour by hour.
     index = _index(scenario, (Y, D, T), capital, eta_bess)
     s_pv, s_bess, p_cder_max, e_init = index.scalars.values()
-    v = index.series if layout is None else layout.series
+    v = index.series
     # Objective, each coefficient summed onto 0.0 as terms of one column are.
     size_cost = [0.0] * len(_SCALARS)
     if capital:
@@ -297,9 +291,8 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
 
     # Names carry the scenario's day, so a block's names are the whole year's.
     day_ids = range(len(scenario.base_load))[days]
-    binary = (np.concatenate([np.zeros(len(_SCALARS), dtype=bool),
-                              np.tile([k == "u_cder" for k in v], Y * D * T)])
-              if layout is None else layout.binary)
+    binary = np.concatenate([np.zeros(len(_SCALARS), dtype=bool),
+                             np.tile([k == "u_cder" for k in v], Y * D * T)])
     prob = MilpProblem(name=name)
     prob.add_variables(
         bounds.shape[1], lower=bounds[0], upper=bounds[1], binary=binary, cost=bounds[2],
@@ -307,8 +300,7 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
             range(Y), day_ids, range(T)) for k in v], family=name)
 
     # Energy tracking; every day restarts from the shared initial level.
-    e_prev = (np.concatenate([np.full((Y, D, 1), e_init), v["e_bess"][..., :-1]], axis=-1)
-              if layout is None else layout.e_prev)
+    e_prev = np.concatenate([np.full((Y, D, 1), e_init), v["e_bess"][..., :-1]], axis=-1)
 
     col, size_col = {**v, "e_init": e_init}, (s_pv, s_bess, p_cder_max)
     rows = [(k, (f, [(col[k], 1.0), (size_col[j], -coef)], sense, 0.0))
@@ -341,13 +333,10 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
     # Rows: the H head rows, then for each flattened day g the K rows of each
     # hour t at H + g*per_day + K*t + k, then the day's cyclic row.
     H, K = len(head), len(hourly)
-    if layout is None:
-        per_day = K * T + int(cfg.cyclic_soc)
-        hour_row = H + per_day * np.arange(Y * D).reshape(Y, D, 1) + K * np.arange(T)
-        at = [*range(H), *(hour_row + k for k in range(K))]
-        at += [hour_row[..., -1] + K] * cfg.cyclic_soc
-    else:
-        at = layout.at
+    per_day = K * T + int(cfg.cyclic_soc)
+    hour_row = H + per_day * np.arange(Y * D).reshape(Y, D, 1) + K * np.arange(T)
+    at = [*range(H), *(hour_row + k for k in range(K))]
+    at += [hour_row[..., -1] + K] * cfg.cyclic_soc
     families = [(family, r, terms, sense, rhs)
                 for r, (family, terms, sense, rhs) in zip(at, blocks)]
 
@@ -357,16 +346,13 @@ def _build(scenario: Scenario, load, pv_cf, eta_pv_by_year, eta_bess, name, *,
             for name in [f"{f}_{y}_{d}_{t}" for t in range(T) for f, *_ in hourly]
             + [f"cyclic_{y}_{d}"] * cfg.cyclic_soc]
 
-    if layout is not None:
-        prob.add_constraints(families, names=row_names, layout=layout.rows)
-    elif _layouts is None:  # a build outside any scope keeps nothing
-        prob.add_constraints(families, names=row_names)
-    else:  # the first build in a scope assembles the layout it holds
-        rows = milp.RowLayout.of(families, prob.n_variables, row_names)
-        prob.add_constraints(families, names=row_names, layout=rows)
-        for a in (*v.values(), binary, e_prev, *at[H:]):
-            a.flags.writeable = False
-        _layouts[key] = _Layout(v, binary, e_prev, at, rows)
+    key = (Y, D, T, pinned, commit, cfg.cyclic_soc)  # what the structure depends on
+    layout = None if _layouts is None else _layouts.get(key)
+    if layout is None:  # a scope's first build of the structure, or any outside a scope
+        layout = milp.RowLayout.of(families, prob.n_variables, row_names)
+        if _layouts is not None:
+            _layouts[key] = layout
+    prob.add_constraints(families, names=row_names, layout=layout)
     return prob, index
 
 

@@ -676,12 +676,12 @@ def test_builds_of_a_held_layout_match_the_seed_builder(tmp_path, case):
     build, sc = _case_build(case, tmp_path)
     problem, _ = build(sc)
     (layout,) = planning._layouts.values()
-    assert problem.indptr is layout.rows.indptr and problem.indices is layout.rows.indices
+    assert problem.indptr is layout.indptr and problem.indices is layout.indices
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT[case]
     build(_other_values(sc))
     problem, _ = build(sc)
     assert list(planning._layouts.values()) == [layout]
-    assert problem.indptr is layout.rows.indptr and problem.indices is layout.rows.indices
+    assert problem.indptr is layout.indptr and problem.indices is layout.indices
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT[case]
 
 
@@ -712,9 +712,9 @@ def test_a_nested_scope_shares_the_outer_layouts(islanded_scenario):
             assert planning._layouts is held
             problem, _ = build_integrated(islanded_scenario)
         (layout,) = held.values()
-        assert planning._layouts is held and problem.indptr is layout.rows.indptr
+        assert planning._layouts is held and problem.indptr is layout.indptr
         problem, _ = build_integrated(islanded_scenario)
-        assert problem.indptr is layout.rows.indptr
+        assert problem.indptr is layout.indptr
     assert planning._layouts is None
 
 
@@ -735,8 +735,9 @@ def test_a_search_and_a_validation_hold_layouts_while_they_run(sizing_scenario):
     held = []
     probe(inv.s_bess, sizing_scenario)  # outside a search: only its validation holds
     assert planning._layouts is None
-    validate(inv, sizing_scenario, on_year=lambda r: held.append(len(planning._layouts)))
-    assert held == [1, 1] and planning._layouts is None
+    validate(inv, sizing_scenario, on_year=lambda r: held.append(
+        [type(layout) for layout in planning._layouts.values()]))
+    assert held == [[milp.RowLayout]] * 2 and planning._layouts is None
 
 
 @planning.holding_layouts()
@@ -744,15 +745,15 @@ def test_appending_the_exclusion_leaves_a_held_layout_alone():
     sc = _scenario("highuse_degradation")
     problem, index = _build_mode(sc, "pinned")
     (layout,) = planning._layouts.values()
-    assert problem.indptr is layout.rows.indptr
+    assert problem.indptr is layout.indptr
     with pytest.raises(ValueError, match="read-only"):
         problem.indices[0] = 0
     rows = problem.n_constraints
     _add_battery_exclusion(problem, index)
-    assert problem.n_constraints > rows and problem.indptr is not layout.rows.indptr
+    assert problem.n_constraints > rows and problem.indptr is not layout.indptr
     assert milp.solve(problem, OPTS).path == "highs"
     problem, _ = _build_mode(sc, "pinned")
-    assert problem.indptr is layout.rows.indptr
+    assert problem.indptr is layout.indptr
     assert _solver_input_digest(problem) == SEED_SOLVER_INPUT["highuse_degradation/pinned"]
 
 
@@ -1080,9 +1081,13 @@ def test_block_names_are_the_whole_years(hourly_year):
 
 
 def test_validation_never_builds_a_split_year_whole(hourly_year, monkeypatch):
-    seen, built = _highs_calls(monkeypatch), _builds(monkeypatch)
-    report = validate(InvestmentDecision(0.11, 0.077, 0.8), hourly_year)
+    seen, built, held = _highs_calls(monkeypatch), _builds(monkeypatch), []
+    report = validate(InvestmentDecision(0.11, 0.077, 0.8), hourly_year,
+                      on_year=lambda r: held.append({key[:3]: type(layout) for key, layout
+                                                     in planning._layouts.items()}))
     assert [r.solve_path for r in report.per_year] == ["days"]
+    # The row layouts of the seed and of the 13- and 14-day blocks, and nothing else.
+    assert held == [{(1, days, 24): milp.RowLayout for days in (planning.SEED_DAYS, 13, 14)}]
     assert max(seen) <= BLOCK_COLUMNS and max(a["c"].size for _, a in built) <= BLOCK_COLUMNS
     assert slice(None) not in [days for days, _ in built]
 
